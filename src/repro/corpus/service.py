@@ -102,12 +102,7 @@ from repro.core.kernel import resolve_kernel
 from repro.core.memo import SharedTables
 from repro.corpus.analytics import medoid, outliers
 from repro.corpus.cache import DistanceCache
-from repro.corpus.fingerprint import (
-    cost_model_key,
-    pair_key,
-    script_key,
-    spec_fingerprint,
-)
+from repro.corpus.fingerprint import cost_model_key, pair_key, script_key
 from repro.corpus.index import FingerprintIndex
 from repro.corpus.script_cache import (
     QUERY_NAMESPACE,
@@ -120,7 +115,7 @@ from repro.corpus.script_cache import (
 from repro.corpus.script_index import ScriptIndex
 from repro.costs.base import CostModel
 from repro.costs.standard import UnitCost
-from repro.errors import ConflictError, NotFoundError
+from repro.errors import NotFoundError
 from repro.io.store import WorkflowStore
 from repro.obs.logging import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -1317,34 +1312,22 @@ class DiffService:
         """Persist ``run`` and return its spec, fingerprints, and the
         new (existing, new) pairs; caller holds the service lock."""
         spec = run.spec
-        known = self._specs.get(spec.name)
-        if known is None and self.store.has_specification(spec.name):
-            known = self.store.load_specification(spec.name)
-        if known is not None and known is not spec:
-            # Same name, different content would mix runs of two
-            # specifications in one directory and mint fingerprints
-            # under the wrong spec digest — refuse up front.
-            if spec_fingerprint(known) != spec_fingerprint(spec):
-                raise ConflictError(
-                    f"a different specification named {spec.name!r} "
-                    "already exists in this corpus; re-register it "
-                    "first if the change is intentional"
-                )
-        if spec.name not in self._specs:
-            # Adopt the run's spec object so later loads agree with it.
-            self._specs[spec.name] = spec
-        elif self._specs[spec.name] is not spec:
-            # Same content, different object (the fingerprints matched
-            # above): re-annotate against the adopted spec so every
-            # memoised run of a corpus shares one spec object — the
-            # invariant that lets batch workers skip per-pair
-            # alignment and share subtree identities.
-            spec = self._specs[spec.name]
+        # Same name, different content would mix runs of two
+        # specifications in one directory and mint fingerprints under
+        # the wrong spec digest: the store's guard refuses it, and
+        # persists a never-stored spec so other processes can read the
+        # corpus.
+        self.store.adopt_specification(spec)
+        # Adopt the first spec object seen, so later loads agree with it.
+        adopted = self._specs.setdefault(spec.name, spec)
+        if adopted is not spec:
+            # Same content, different object (the guard passed):
+            # re-annotate against the adopted spec so every memoised run
+            # of a corpus shares one spec object — the invariant that
+            # lets batch workers skip per-pair alignment and share
+            # subtree identities.
+            spec = adopted
             run = WorkflowRun(spec, run.graph, name=run.name)
-        if not self.store.has_specification(spec.name):
-            # First run of a never-stored spec: persist the spec too,
-            # or the corpus would be unreadable to other processes.
-            self.store.save_specification(spec)
         existing = [
             name for name in self.runs(spec.name) if name != run.name
         ]

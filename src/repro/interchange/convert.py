@@ -45,7 +45,8 @@ from repro.interchange.prov_json import (
     document_to_mapping,
     load_prov_source,
 )
-from repro.io.xml_io import specification_from_xml, specification_to_xml
+from repro.io.registry import SPEC_REGISTRY
+from repro.io.xml_io import specification_to_xml
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
@@ -203,9 +204,13 @@ def _find_plan(doc: ProvDocument) -> Optional[Tuple[str, dict]]:
 def _exact_import(
     doc: ProvDocument, plan_attrs: dict, run_name: str
 ) -> ImportResult:
-    """Rebuild a run exported by :func:`export_run_document`."""
+    """Rebuild a run exported by :func:`export_run_document`.
+
+    The plan resolves through the process-wide spec registry: runs of
+    one plan share one parsed specification.
+    """
     try:
-        spec = specification_from_xml(plan_attrs[SPEC_ATTRIBUTE])
+        spec = SPEC_REGISTRY.specification(plan_attrs[SPEC_ATTRIBUTE])
     except ReproError as exc:
         raise InterchangeError(
             f"embedded specification is invalid: {exc}"

@@ -23,6 +23,11 @@ files); a per-entry ``<stem>.name`` sidecar records each mangled stem's
 original name so listings stay faithful.  One sidecar file per entry —
 rather than a shared map — keeps every write atomic and free of
 read-modify-write races between concurrent savers.
+
+Stored specifications load through the process-wide content-addressed
+:data:`~repro.io.registry.SPEC_REGISTRY`, and
+:meth:`WorkflowStore.adopt_specification` is the one guard against
+replacing a stored specification with different content.
 """
 
 from __future__ import annotations
@@ -38,12 +43,8 @@ from repro.errors import ConflictError, NotFoundError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.runmeta import RunMetadata
-from repro.io.xml_io import (
-    run_from_xml,
-    run_to_xml,
-    specification_from_xml,
-    specification_to_xml,
-)
+from repro.io.registry import SPEC_REGISTRY
+from repro.io.xml_io import run_from_xml, run_to_xml, specification_to_xml
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
@@ -179,13 +180,59 @@ class WorkflowStore:
         """True when a specification named ``name`` is stored."""
         return self._locate(self.root / "specs", name) is not None
 
-    def load_specification(self, name: str) -> WorkflowSpecification:
+    def _specification_text(self, name: str) -> Optional[str]:
+        """The stored XML of specification ``name``; ``None`` if absent.
+
+        A file removed between lookup and read counts as absent.
+        """
         path = self._locate(self.root / "specs", name)
         if path is None:
+            return None
+        try:
+            return path.read_text(encoding="utf8")
+        except FileNotFoundError:
+            return None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ReproError(
+                f"cannot read stored specification {name!r}: {exc}"
+            ) from None
+
+    def load_specification(self, name: str) -> WorkflowSpecification:
+        """The stored specification ``name``, shared through the
+        process-wide :data:`~repro.io.registry.SPEC_REGISTRY`."""
+        text = self._specification_text(name)
+        if text is None:
             raise NotFoundError(
                 f"no stored specification named {name!r}"
             )
-        return specification_from_xml(path.read_text(encoding="utf8"))
+        return SPEC_REGISTRY.specification(text)
+
+    def adopt_specification(
+        self, spec: WorkflowSpecification
+    ) -> WorkflowSpecification:
+        """The stored specification named ``spec.name``, writing ``spec``
+        when none is stored.
+
+        The store's one same-name guard: a stored specification with a
+        different fingerprint raises :class:`ConflictError`, because
+        overwriting it would orphan every run stored under it.  One with
+        an equal fingerprint is kept as it is (the first writer wins), so
+        an unchanged specification is never rewritten.
+        """
+        from repro.corpus.fingerprint import spec_fingerprint
+
+        text = self._specification_text(spec.name)
+        if text is None:
+            self.save_specification(spec)
+            return spec
+        stored, digest = SPEC_REGISTRY.resolve(text)
+        if stored is not spec and digest != spec_fingerprint(spec):
+            raise ConflictError(
+                f"a different specification named {spec.name!r} already "
+                "exists in this store; import under another spec_name or "
+                "remove the old specification first"
+            )
+        return stored
 
     def list_specifications(self) -> List[str]:
         return _list_names(self.root / "specs")
@@ -286,10 +333,11 @@ class WorkflowStore:
         :func:`repro.interchange.convert.import_document`).  Documents
         exported by this library reconstruct exactly through their
         embedded plan; foreign documents are SP-ized and land with a
-        :class:`~repro.interchange.normalize.NormalizationReport`.
+        :class:`~repro.interchange.normalize.NormalizationReport`.  The
+        specification is written only when none of its name is stored
+        (:meth:`adopt_specification`).
         Returns the :class:`~repro.interchange.convert.ImportResult`.
         """
-        from repro.corpus.fingerprint import spec_fingerprint
         from repro.interchange.convert import import_document
         from repro.obs.runmeta import _utc_now, capture_run_metadata
 
@@ -297,20 +345,7 @@ class WorkflowStore:
         result = import_document(
             source, run_name=run_name, spec_name=spec_name
         )
-        if self.has_specification(result.spec.name):
-            # Never silently overwrite a same-name specification with
-            # different content: that would orphan every run already
-            # stored under it.  (The corpus service applies the same
-            # guard in ``add_run``.)
-            stored = self.load_specification(result.spec.name)
-            if spec_fingerprint(stored) != spec_fingerprint(result.spec):
-                raise ConflictError(
-                    f"a different specification named "
-                    f"{result.spec.name!r} already exists in this "
-                    "store; import with another spec_name or remove "
-                    "the old specification first"
-                )
-        self.save_specification(result.spec)
+        self.adopt_specification(result.spec)
         self.save_run(
             result.run,
             meta=capture_run_metadata(

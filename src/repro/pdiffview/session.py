@@ -192,14 +192,12 @@ class PDiffViewSession:
         Returns the :class:`~repro.interchange.convert.ImportResult`,
         whose ``report`` details any SP-ization the document needed.
         """
-        result = self.store.ingest_prov(
+        # The store's guard ensures any pre-existing spec of this name
+        # has identical content (equal fingerprints), so session and
+        # service memos stay valid.
+        return self.store.ingest_prov(
             source, run_name=name, spec_name=spec_name
         )
-        # The guard above ensures any pre-existing spec of this name
-        # has identical content (equal fingerprints), so session and
-        # service memos stay valid; keep the first object for identity.
-        self._specs.setdefault(result.spec.name, result.spec)
-        return result
 
     def export_prov(self, spec_name: str, run_name: str) -> str:
         """A stored run as deterministic PROV-JSON text.

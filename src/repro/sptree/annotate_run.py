@@ -29,6 +29,11 @@ assignment yields ``≡``-equivalent results.
 
 Any structural mismatch raises :class:`~repro.errors.InvalidRunError`:
 ``f''`` doubles as the SP-model validity checker.
+
+The specification side of this matching (edge label pairs, loop markers,
+the image of every ``T_G`` subtree) is built once per specification
+object and memoised on it (:func:`spec_tables`); only the run-side
+images are computed per run.
 """
 
 from __future__ import annotations
@@ -45,13 +50,21 @@ from repro.sptree.validate import validate_run_tree
 Marker = Tuple[str, str, str]
 
 
-class _Annotator:
+class _SpecTables:
+    """The specification side of ``f''``, a pure function of the spec.
+
+    Keyed by ``id()`` of ``T_G`` nodes: the tables live on the
+    specification, which keeps its tree — and so every keyed node —
+    alive as long as the tables.
+    """
+
+    __slots__ = ("edge_pairs", "loop_pairs", "loop_marker_of_node", "images")
+
     def __init__(self, spec):
-        self.spec = spec
-        self.spec_edge_pairs = {
+        self.edge_pairs = frozenset(
             (spec.graph.label(u), spec.graph.label(v))
             for u, v, _ in spec.graph.edges()
-        }
+        )
         self.loop_marker_of_node: Dict[int, Marker] = {}
         for annotation in spec.loop_elements:
             node = spec.element_nodes[annotation]
@@ -60,14 +73,48 @@ class _Annotator:
                 node.sink_label,
                 node.source_label,
             )
-        self.loop_pairs = {
+        self.loop_pairs = frozenset(
             (marker[1], marker[2])
             for marker in self.loop_marker_of_node.values()
-        }
-        # Memos hold (node, image) pairs: keeping a strong reference to the
-        # keyed node prevents id() reuse after garbage collection (the run
-        # side memoises synthetic grouping wrappers, which are temporaries).
-        self._spec_images: Dict[int, Tuple[SPTree, frozenset]] = {}
+        )
+        #: Markers covered by each specification subtree.
+        self.images: Dict[int, frozenset] = {}
+        for node in spec.tree.iter_nodes("post"):
+            if node.kind is NodeType.Q:
+                image = frozenset(
+                    {("edge", node.source_label, node.sink_label)}
+                )
+            else:
+                image = frozenset().union(
+                    *(self.images[id(child)] for child in node.children)
+                )
+                if node.kind is NodeType.L:
+                    image |= {self.loop_marker_of_node[id(node)]}
+            self.images[id(node)] = image
+
+
+def spec_tables(spec) -> _SpecTables:
+    """The spec-side tables of ``spec``, built on first use.
+
+    Memoised on the specification (which drops them from its pickled
+    state); a race between threads builds equal tables twice, never
+    wrong ones.
+    """
+    tables = spec._run_tables
+    if tables is None:
+        tables = spec._run_tables = _SpecTables(spec)
+    return tables
+
+
+class _Annotator:
+    def __init__(self, tables: _SpecTables):
+        self.spec_edge_pairs = tables.edge_pairs
+        self.loop_pairs = tables.loop_pairs
+        self.loop_marker_of_node = tables.loop_marker_of_node
+        self._spec_images = tables.images
+        # The memo holds (node, image) pairs: keeping a strong reference
+        # to the keyed node prevents id() reuse after garbage collection
+        # (it memoises synthetic grouping wrappers, which are temporaries).
         self._run_images: Dict[int, Tuple[SPTree, frozenset]] = {}
 
     # -- leaf images -----------------------------------------------------
@@ -84,22 +131,8 @@ class _Annotator:
         )
 
     def spec_image(self, node: SPTree) -> frozenset:
-        """Markers covered by a specification subtree (memoised)."""
-        cached = self._spec_images.get(id(node))
-        if cached is not None and cached[0] is node:
-            return cached[1]
-        if node.kind is NodeType.Q:
-            image = frozenset(
-                {("edge", node.source_label, node.sink_label)}
-            )
-        else:
-            image = frozenset().union(
-                *(self.spec_image(child) for child in node.children)
-            )
-            if node.kind is NodeType.L:
-                image |= {self.loop_marker_of_node[id(node)]}
-        self._spec_images[id(node)] = (node, image)
-        return image
+        """Markers covered by a specification subtree."""
+        return self._spec_images[id(node)]
 
     def run_image(self, node: SPTree) -> frozenset:
         """Markers covered by a run subtree (memoised)."""
@@ -342,7 +375,7 @@ def annotate_run_tree(spec, run: FlowNetwork) -> SPTree:
     """
     check_valid_run(run, spec.graph, spec.allowed_back_edges())
     canonical = canonical_sp_tree(run)
-    annotator = _Annotator(spec)
+    annotator = _Annotator(spec_tables(spec))
     annotated = annotator.annotate(spec.tree, canonical)
     validate_run_tree(annotated, require_origin=True)
     return annotated

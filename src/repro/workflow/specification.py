@@ -137,6 +137,11 @@ class WorkflowSpecification:
     fork_elements / loop_elements:
         The normalised :class:`~repro.sptree.annotate_spec.Annotation`
         objects, in input order.
+
+    Instances are shared and must not be mutated: the process-wide
+    :data:`~repro.io.registry.SPEC_REGISTRY` hands one object to every
+    store, workspace and import that resolves the same XML, and every run
+    of a specification references it.
     """
 
     def __init__(
@@ -191,6 +196,29 @@ class WorkflowSpecification:
                     f"two loops share the back-edge label pair {marker!r}"
                 )
             self.loop_markers[marker] = annotation
+
+        #: Spec-side tables of run annotation, built on first use by
+        #: :func:`repro.sptree.annotate_run.spec_tables`.
+        self._run_tables = None
+
+    # ------------------------------------------------------------------
+    # Pickling
+    # ------------------------------------------------------------------
+    def __getstate__(self):
+        """Instance state minus the run-annotation tables.
+
+        The tables are derived data keyed by node identity, which does
+        not survive a pickle; dropping them also keeps a pickle
+        byte-stable whether or not runs were annotated before it.
+        """
+        state = self.__dict__.copy()
+        state.pop("_run_tables", None)
+        return state
+
+    def __setstate__(self, state):
+        """Restore state; the tables rebuild on first use."""
+        self.__dict__.update(state)
+        self._run_tables = None
 
     # ------------------------------------------------------------------
     # Characteristics (Table I)

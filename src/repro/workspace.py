@@ -585,21 +585,22 @@ class Workspace:
         :class:`~repro.interchange.convert.ImportResult`, or
         ``(ImportResult, {(existing, new): distance})`` when
         ``diff=True``.
+
+        The specification is not memoised here: it is persisted, and
+        :meth:`specification` reloads it through the process-wide spec
+        registry, so a flood of foreign documents (one derived
+        specification each) does not accumulate in the workspace.
         """
         if diff:
-            result, distances = self.service.add_prov_document(
+            return self.service.add_prov_document(
                 source,
                 run_name=name,
                 spec_name=spec_name,
                 cost=cost or self.config.cost,
             )
-            self._specs.setdefault(result.spec.name, result.spec)
-            return result, distances
-        result = self.store.ingest_prov(
+        return self.store.ingest_prov(
             source, run_name=name, spec_name=spec_name
         )
-        self._specs.setdefault(result.spec.name, result.spec)
-        return result
 
     def export_prov(
         self, run_name: str, spec: Optional[str] = None

@@ -14,6 +14,7 @@ FingerprintIndex locks) must deliver three guarantees under concurrent
    computes from the same store.
 """
 
+import sys
 import threading
 
 import pytest
@@ -157,3 +158,66 @@ def test_concurrent_add_runs_stay_incremental(
     concurrent_matrix = dict(ws.matrix())
     fresh = DiffService(ws.store, persistent=False, backend="serial")
     assert concurrent_matrix == fresh.distance_matrix("PA")
+
+
+def test_concurrent_imports_of_two_plans_share_one_spec_each(
+    tmp_path, varied_params
+):
+    """Threads importing runs of two plans race on the spec registry and
+    the spec files: every run lands once, and each plan's runs share
+    one specification object."""
+    import uuid
+
+    from repro.interchange.convert import export_run_document
+    from repro.workflow.execution import execute_workflow
+    from repro.workflow.specification import WorkflowSpecification
+
+    base = protein_annotation()
+    plans = [
+        WorkflowSpecification(
+            base.graph,
+            forks=[sorted(a.edges) for a in base.fork_elements],
+            loops=[sorted(a.edges) for a in base.loop_elements],
+            name=f"plan{index}-{uuid.uuid4().hex[:12]}",
+        )
+        for index in range(2)
+    ]
+    documents = []
+    for seed in range(24):
+        for plan in plans:
+            run = execute_workflow(plan, varied_params, seed=seed)
+            document = export_run_document(run)
+            documents.append((plan.name, f"r{seed:02d}", document))
+    ws = Workspace(tmp_path, ReproConfig(backend="serial"))
+    barrier = threading.Barrier(THREADS)
+    errors = []
+    specs = {plan.name: set() for plan in plans}
+
+    def importer(worker: int) -> None:
+        try:
+            barrier.wait(timeout=30)
+            for spec_name, run_name, document in documents[worker::THREADS]:
+                result = ws.import_prov(document, name=run_name)
+                specs[spec_name].add(result.spec)
+        except Exception as exc:  # noqa: BLE001 - collected for assert
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=importer, args=(i,)) for i in range(THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the racing lookups finely
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    expected = sorted(f"r{seed:02d}" for seed in range(24))
+    for plan in plans:
+        assert ws.runs(spec=plan.name) == expected
+        (shared,) = specs[plan.name]
+        assert ws.specification(plan.name) is shared

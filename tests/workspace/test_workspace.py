@@ -269,6 +269,26 @@ class TestInterchange:
         assert ws.runs(spec="ext") == ["foreign"]
         assert set(ws.runs(spec="PA")) == existing
 
+    def test_foreign_imports_do_not_grow_the_spec_memo(self, ws):
+        # Each foreign document derives its own one-off specification;
+        # the workspace persists it instead of memoising it forever.
+        memo = len(ws._specs)
+        names = []
+        for index in range(50):
+            result = ws.import_prov(
+                random_prov_document(5, seed=index),
+                name=f"f{index}",
+                spec_name=f"ext{index:02d}",
+                diff=index % 10 == 0,
+            )
+            if index % 10 == 0:
+                result, _ = result
+            names.append(result.spec.name)
+        assert len(ws._specs) == memo
+        for index, name in enumerate(names):
+            assert ws.specification(name).name == name
+            assert ws.runs(spec=name) == [f"f{index}"]
+
     def test_export_script_document(self, ws):
         doc = ws.export_script("r01", "r02")
         outcome = ws.diff("r01", "r02")
