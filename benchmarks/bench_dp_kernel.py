@@ -1,4 +1,4 @@
-"""DP kernel benchmark: the fast paths vs the pre-optimisation DP.
+"""DP benchmark: the fast paths vs the pre-optimisation DP.
 
 The baseline reproduces what every pair cost before the fast paths
 landed: load the corpus, then — per pair — realign specifications,
@@ -7,12 +7,11 @@ from scratch, and fill the DP table *eagerly* over the full product of
 homologous node pairs (the original ``_run`` loop).  The optimised
 side is a cold :meth:`DiffService.distance_matrix`, which layers
 fingerprint seeding, lazy demand-driven cells, the ``≡``-shortcut,
-batch-shared tables and batch-shared origin interning — per kernel
-(``python`` always, ``numpy`` when importable).
+batch-shared tables and batch-shared origin interning.
 
-Every optimised matrix is asserted bit-identical to the baseline; the
-speedup is reported per kernel and written to
-``benchmarks/results/BENCH_dp.json`` so later PRs can track it.
+The optimised matrix is asserted bit-identical to the baseline; the
+speedup is written to ``benchmarks/results/BENCH_dp.json`` so later
+changes can track it.
 
 ``--quick`` shrinks the corpus for CI smoke runs; the full run uses
 the 50-run corpus the acceptance numbers quote.  Scale further with
@@ -32,7 +31,6 @@ from _workloads import RESULTS_DIR, emit, scaled
 
 from repro.backends.base import SerialBackend
 from repro.core.api import EditDistanceComputation, _align_specs
-from repro.core.kernel import numpy_available
 from repro.corpus.service import DiffService
 from repro.costs.standard import UnitCost
 from repro.io.store import WorkflowStore
@@ -97,14 +95,10 @@ def baseline_matrix(store: WorkflowStore, cost) -> "tuple[float, dict]":
     return time.perf_counter() - start, matrix
 
 
-def optimised_matrix(
-    store: WorkflowStore, cost, kernel: str
-) -> "tuple[float, dict]":
+def optimised_matrix(store: WorkflowStore, cost) -> "tuple[float, dict]":
     """A cold service pricing the same corpus with all fast paths on."""
     start = time.perf_counter()
-    service = DiffService(
-        store, persistent=False, backend=SerialBackend(), kernel=kernel
-    )
+    service = DiffService(store, persistent=False, backend=SerialBackend())
     matrix = service.distance_matrix("PA", cost=cost)
     return time.perf_counter() - start, matrix
 
@@ -127,10 +121,9 @@ def main(argv=None) -> None:
         "corpus_runs": n_runs,
         "pairs": n_runs * (n_runs - 1) // 2,
         "quick": args.quick,
-        "numpy_available": numpy_available(),
     }
     lines = [
-        f"DP kernel (protein annotation, {n_runs} runs, "
+        f"DP fast paths (protein annotation, {n_runs} runs, "
         f"{results['pairs']} pairs, UnitCost)",
         f"{'configuration':<44}{'seconds':>10}{'speedup':>9}",
     ]
@@ -142,25 +135,20 @@ def main(argv=None) -> None:
         f"{baseline_seconds:>10.4f}{'1.00x':>9}"
     )
 
-    kernels = ["python"]
-    if numpy_available():
-        kernels.append("numpy")
-    for kernel in kernels:
-        seconds, matrix = optimised_matrix(store, cost, kernel)
-        if matrix != oracle:
-            raise AssertionError(
-                f"kernel {kernel!r} disagrees with the eager baseline"
-            )
-        speedup = baseline_seconds / seconds
-        results[f"matrix_cold_{kernel}"] = {
-            "seconds": seconds,
-            "speedup": round(speedup, 2),
-            "identical_to_baseline": True,
-        }
-        lines.append(
-            f"{'cold distance_matrix, kernel=' + kernel:<44}"
-            f"{seconds:>10.4f}{speedup:>8.2f}x"
+    seconds, matrix = optimised_matrix(store, cost)
+    if matrix != oracle:
+        raise AssertionError(
+            "the optimised matrix disagrees with the eager baseline"
         )
+    speedup = baseline_seconds / seconds
+    results["matrix_cold"] = {
+        "seconds": seconds,
+        "speedup": round(speedup, 2),
+        "identical_to_baseline": True,
+    }
+    lines.append(
+        f"{'cold distance_matrix':<44}{seconds:>10.4f}{speedup:>8.2f}x"
+    )
 
     emit("BENCH_dp", lines)
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -20,7 +20,6 @@ import statistics
 import pytest
 
 from repro.core.api import diff_runs
-from repro.core.kernel import numpy_available
 from repro.costs.standard import UnitCost
 from repro.workflow.execution import ExecutionParams
 from repro.workflow.generators import random_run_pair, random_specification
@@ -34,19 +33,11 @@ PARAMS = ExecutionParams(prob_parallel=0.95)
 
 
 def sweep():
-    """Per (ratio, size): mean seconds per kernel and mean distance.
-
-    The numpy column stays ``None`` when numpy is absent; when present,
-    both kernels must produce the same distance bit-for-bit (the numpy
-    convolution is an alternative evaluation order proven, and here
-    re-checked, to round identically).
-    """
-    with_numpy = numpy_available()
+    """Per (ratio, size): mean seconds and mean distance."""
     rows = []
     for label, ratio in RATIOS:
         for size in SIZES:
             times = []
-            numpy_times = []
             distances = []
             for sample in range(SAMPLES):
                 spec = random_specification(
@@ -60,19 +51,11 @@ def sweep():
                 )
                 times.append(elapsed)
                 distances.append(result.distance)
-                if with_numpy:
-                    elapsed, vectorised = timed(
-                        diff_runs, one, two,
-                        cost=UnitCost(), kernel="numpy",
-                    )
-                    numpy_times.append(elapsed)
-                    assert vectorised.distance == result.distance
             rows.append(
                 (
                     label,
                     size,
                     statistics.mean(times),
-                    statistics.mean(numpy_times) if numpy_times else None,
                     statistics.mean(distances),
                 )
             )
@@ -84,23 +67,18 @@ def test_fig12_13_series_vs_parallel(benchmark):
 
     lines = [
         "Figs. 12/13: series vs parallel (unit cost, prob_p = 0.95)",
-        f"{'ratio':7s} {'|E|':>5} {'seconds':>9} {'numpy':>9} {'distance':>9}",
+        f"{'ratio':7s} {'|E|':>5} {'seconds':>9} {'distance':>9}",
     ]
-    for label, size, seconds, numpy_seconds, distance in rows:
-        numpy_cell = (
-            f"{numpy_seconds:>9.4f}" if numpy_seconds is not None
-            else f"{'n/a':>9}"
-        )
+    for label, size, seconds, distance in rows:
         lines.append(
-            f"{label:7s} {size:>5} {seconds:>9.4f} {numpy_cell} "
-            f"{distance:>9.2f}"
+            f"{label:7s} {size:>5} {seconds:>9.4f} {distance:>9.2f}"
         )
     emit("fig12_13", lines)
 
     largest = SIZES[-1]
     at_largest = {
         label: (seconds, distance)
-        for label, size, seconds, _numpy_seconds, distance in rows
+        for label, size, seconds, distance in rows
         if size == largest
     }
     # Fig. 12 claim: the series-heavy ratio is the slowest configuration
@@ -118,7 +96,7 @@ def test_fig12_13_series_vs_parallel(benchmark):
     for label, _ in RATIOS:
         series = sorted(
             (size, seconds)
-            for lbl, size, seconds, _numpy_seconds, _ in rows
+            for lbl, size, seconds, _ in rows
             if lbl == label
         )
         assert series[0][1] <= series[-1][1] * 3

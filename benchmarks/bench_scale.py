@@ -40,7 +40,11 @@ from repro.scale.drivers import (  # noqa: E402
     DriverConfig,
     drive_workloads,
 )
-from repro.scale.gate import evaluate_gate, gate_mode  # noqa: E402
+from repro.scale.gate import (  # noqa: E402
+    evaluate_gate,
+    gate_mode,
+    skip_reason,
+)
 
 BASELINE = RESULTS_DIR / "BENCH_scale.json"
 
@@ -157,11 +161,9 @@ def main() -> int:
 
     findings = []
     if baseline is not None:
-        if baseline.get("corpus_runs") != runs:
-            print(
-                f"\nbaseline is {baseline.get('corpus_runs')} runs, "
-                f"this pass is {runs}: gate skipped"
-            )
+        reason = skip_reason(report, baseline)
+        if reason is not None:
+            print(f"\n{reason}: gate skipped")
         else:
             findings = evaluate_gate(report, baseline)
             for finding in findings:

@@ -10,19 +10,18 @@ Run with:  python examples/pdiffview_session.py
 
 import tempfile
 
-from repro import ExecutionParams, LengthCost, all_real_workflows
+from repro import ExecutionParams, LengthCost, Workspace, all_real_workflows
 from repro.io.xml_io import run_from_xml, run_to_xml
-from repro.pdiffview.session import PDiffViewSession
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="pdiffview-") as root:
-        session = PDiffViewSession(root)
+        ws = Workspace(root)
 
         # Register all six Table I specifications.
         for spec in all_real_workflows().values():
-            session.register_specification(spec)
-        print("stored specifications:", ", ".join(session.specifications()))
+            ws.register(spec)
+        print("stored specifications:", ", ".join(ws.specifications()))
         print()
 
         # Generate a few EMBOSS runs with different behaviours.
@@ -33,26 +32,24 @@ def main() -> None:
             max_loop=3,
             prob_loop=0.7,
         )
-        session.generate_run("EMBOSS", "baseline", varied, seed=100)
-        session.generate_run("EMBOSS", "rerun", varied, seed=200)
-        print("stored EMBOSS runs:", ", ".join(session.runs("EMBOSS")))
+        ws.generate_run("baseline", "EMBOSS", varied, seed=100)
+        ws.generate_run("rerun", "EMBOSS", varied, seed=200)
+        print("stored EMBOSS runs:", ", ".join(ws.runs("EMBOSS")))
         print()
 
         # Export a run to XML and re-import it under a new name.
-        spec = session.specification("EMBOSS")
-        baseline = session.run("EMBOSS", "baseline")
+        spec = ws.specification("EMBOSS")
+        baseline = ws.run("baseline", spec="EMBOSS")
         xml_text = run_to_xml(baseline)
         print(f"exported 'baseline' ({len(xml_text)} bytes of XML)")
         clone = run_from_xml(xml_text, spec)
         clone.name = "baseline-imported"
-        session.import_run(clone)
-        print("after import:", ", ".join(session.runs("EMBOSS")))
+        ws.import_run(clone)
+        print("after import:", ", ".join(ws.runs("EMBOSS")))
         print()
 
         # Diff and step through the script like the GUI's step buttons.
-        view = session.diff(
-            "EMBOSS", "baseline", "rerun", cost=LengthCost()
-        )
+        view = ws.view("baseline", "rerun", spec="EMBOSS", cost=LengthCost())
         print(view.panes())
         print()
         print(view.overview(max_operations=10))

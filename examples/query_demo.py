@@ -15,15 +15,14 @@ Run with:  python examples/query_demo.py
 import tempfile
 import time
 
-from repro import ExecutionParams, Q
-from repro.pdiffview.session import PDiffViewSession
+from repro import ExecutionParams, Q, Workspace
 from repro.workflow.real_workflows import protein_annotation
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="query-") as root:
-        session = PDiffViewSession(root)
-        session.register_specification(protein_annotation())
+        ws = Workspace(root)
+        ws.register(protein_annotation())
 
         varied = ExecutionParams(
             prob_parallel=0.7,
@@ -33,8 +32,8 @@ def main() -> None:
             prob_loop=0.6,
         )
         for seed in range(1, 11):
-            session.generate_run("PA", f"run{seed:02d}", varied, seed=seed)
-        print("corpus:", ", ".join(session.runs("PA")))
+            ws.generate_run(f"run{seed:02d}", params=varied, seed=seed)
+        print("corpus:", ", ".join(ws.runs()))
         print()
 
         # "Which runs dropped the GO annotation module, non-trivially?"
@@ -48,10 +47,10 @@ def main() -> None:
             & Q.cost(min=2.0)
         )
         start = time.perf_counter()
-        docs = session.query("PA", predicate)
+        docs = ws.query(predicate)
         cold = time.perf_counter() - start
         start = time.perf_counter()
-        session.query("PA", predicate)
+        ws.query(predicate)
         warm = time.perf_counter() - start
         print(f"query: {predicate.describe()}")
         print(f"  cold {cold * 1e3:.1f} ms (diff + index build), "
@@ -60,7 +59,7 @@ def main() -> None:
             print(f"  {doc}")
         print()
 
-        engine = session.query_engine
+        engine = ws.engine
 
         # How does this corpus edit, overall?
         print("operation-kind histogram:")
@@ -88,15 +87,15 @@ def main() -> None:
             print(f"  {line}")
         print()
 
-        # Everything is persistent: a fresh session over the same store
-        # answers the same query from the on-disk index, zero diffs.
-        fresh = PDiffViewSession(root)
+        # Everything is persistent: a fresh workspace over the same
+        # store answers the same query from the on-disk index, zero diffs.
+        fresh = Workspace(root)
         start = time.perf_counter()
-        fresh.query("PA", predicate)
+        fresh.query(predicate)
         restart = time.perf_counter() - start
         print(
-            f"fresh session, same store: query in {restart * 1e3:.1f} ms "
-            f"({fresh.diff_service.computed_scripts} scripts recomputed)"
+            f"fresh workspace, same store: query in {restart * 1e3:.1f} ms "
+            f"({fresh.stats['computed_scripts']} scripts recomputed)"
         )
 
 

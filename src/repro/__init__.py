@@ -21,14 +21,7 @@ caches):
 >>> ws.generate_run("tuesday", seed=2)
 >>> ws.diff("monday", "tuesday").distance >= 0
 True
-
-The pre-workspace entry points (``diff_runs``, ``DiffService``,
-``PDiffViewSession``, ``QueryEngine``) remain importable from here as
-deprecated shims; ``docs/MIGRATION.md`` maps every legacy call site to
-its workspace equivalent.
 """
-
-import warnings as _warnings
 
 from repro.api_types import (
     DiffOutcome,
@@ -130,63 +123,7 @@ from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 from repro.workspace import Workspace
 
-__version__ = "1.6.0"
-
-#: Legacy entry points, kept importable as deprecated shims.  Each maps
-#: to ``(defining module, attribute, workspace replacement)``; accessing
-#: ``repro.<name>`` emits exactly one :class:`DeprecationWarning` and
-#: returns the real object, so existing code keeps working unchanged.
-#: New code (and everything inside this package) imports from the
-#: defining modules or uses the :class:`Workspace` API directly —
-#: ``python -W error::DeprecationWarning`` runs clean unless a caller
-#: touches a legacy name.
-_DEPRECATED = {
-    "diff_runs": (
-        "repro.core.api",
-        "diff_runs",
-        "Workspace.diff(a, b) (repro.core.api.diff_runs for the "
-        "low-level two-run form)",
-    ),
-    "DiffService": (
-        "repro.corpus.service",
-        "DiffService",
-        "Workspace (matrix/diff_many/nearest on a configured backend)",
-    ),
-    "PDiffViewSession": (
-        "repro.pdiffview.session",
-        "PDiffViewSession",
-        "Workspace (register/generate_run/diff/view/import_prov)",
-    ),
-    "QueryEngine": (
-        "repro.query.engine",
-        "QueryEngine",
-        "Workspace.query / Workspace.engine",
-    ),
-}
-
-
-def __getattr__(name):
-    """Serve the legacy entry points lazily, with a deprecation notice."""
-    try:
-        module_name, attribute, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead "
-        "(see docs/MIGRATION.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))
-
+__version__ = "2.0.0"
 
 __all__ = [
     "__version__",
@@ -287,10 +224,3 @@ __all__ = [
     "MatchingError",
     "InterchangeError",
 ]
-
-# The deprecated shims (``diff_runs``, ``DiffService``,
-# ``PDiffViewSession``, ``QueryEngine``) are deliberately *not* in
-# ``__all__``: a star import must not drag legacy names (and their
-# warnings) into code that only uses the Workspace API.  They remain
-# importable by name through ``__getattr__`` above and are listed by
-# ``dir(repro)``.

@@ -45,7 +45,6 @@ class DistanceTask:
     cached value stays bit-identical to a fresh listing-order
     computation regardless of backend.
 
-    ``kernel`` is the *resolved* convolution kernel for the batch;
     ``assume_aligned`` asserts that both runs are annotated against the
     same specification object, letting the worker skip the per-pair
     alignment check (the service loads batches through one spec).
@@ -65,7 +64,6 @@ class DistanceTask:
     run_a: WorkflowRun
     run_b: WorkflowRun
     cost: CostModel
-    kernel: str = "python"
     assume_aligned: bool = False
     bound: float = 0.0
     cutoff: Optional[float] = None
@@ -78,13 +76,12 @@ class ScriptTask:
     run_a: WorkflowRun
     run_b: WorkflowRun
     cost: CostModel
-    kernel: str = "python"
 
 
 #: Per-worker table memo (process backend): cost identity → shared
 #: tables.  Strong references keep ``id`` stable; cleared with the
 #: worker process (pools are fresh per dispatch).
-_WORKER_TABLES: Dict[Tuple[int, str], Tuple[CostModel, SharedTables]] = {}
+_WORKER_TABLES: Dict[int, Tuple[CostModel, SharedTables]] = {}
 
 
 #: Retire a worker memo entry once it holds this many run trees — a
@@ -93,8 +90,8 @@ _WORKER_TABLES: Dict[Tuple[int, str], Tuple[CostModel, SharedTables]] = {}
 _WORKER_TABLE_LIMIT = 512
 
 
-def _worker_shared(cost: CostModel, kernel: str) -> SharedTables:
-    key = (id(cost), kernel)
+def _worker_shared(cost: CostModel) -> SharedTables:
+    key = id(cost)
     entry = _WORKER_TABLES.get(key)
     if (
         entry is not None
@@ -102,7 +99,7 @@ def _worker_shared(cost: CostModel, kernel: str) -> SharedTables:
         and len(entry[1]) < _WORKER_TABLE_LIMIT
     ):
         return entry[1]
-    shared = SharedTables(cost, kernel=kernel)
+    shared = SharedTables(cost)
     _WORKER_TABLES[key] = (cost, shared)
     return shared
 
@@ -120,14 +117,13 @@ def compute_distance(task: DistanceTask, shared: Optional[SharedTables] = None) 
         # it is never cached and never enters a returned ranking.
         return float("inf")
     if shared is None:
-        shared = _worker_shared(task.cost, task.kernel)
+        shared = _worker_shared(task.cost)
     return distance_only(
         task.run_a,
         task.run_b,
         cost=task.cost,
         assume_aligned=task.assume_aligned,
         shared=shared,
-        kernel=task.kernel,
     )
 
 
@@ -136,13 +132,12 @@ def compute_script(
 ) -> Tuple[float, List[PathOperation]]:
     """Worker: one full diff, returned as ``(distance, operations)``."""
     if shared is None:
-        shared = _worker_shared(task.cost, task.kernel)
+        shared = _worker_shared(task.cost)
     result = diff_runs(
         task.run_a,
         task.run_b,
         cost=task.cost,
         with_script=True,
         shared=shared,
-        kernel=task.kernel,
     )
     return result.distance, list(result.script.operations)

@@ -65,7 +65,6 @@ from repro.api_types import QueryFilter
 from repro.backends.base import BACKEND_NAMES
 from repro.client import RemoteWorkspace
 from repro.config import ReproConfig
-from repro.core.kernel import KERNEL_NAMES
 from repro.costs.base import CostModel
 from repro.costs.standard import UnitCost, cost_from_spec
 from repro.errors import CostModelError, ReproError
@@ -134,7 +133,6 @@ def _workspace(args: argparse.Namespace) -> AnyWorkspace:
             cost=args.cost,
             backend=getattr(args, "backend", None),
             jobs=getattr(args, "jobs", None),
-            kernel=getattr(args, "kernel", None),
         ),
     )
 
@@ -373,7 +371,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cost=args.cost,
         backend=args.backend,
         jobs=args.jobs,
-        kernel=getattr(args, "kernel", None),
         log_level=args.log_level,
         log_format=args.log_format,
         max_body_bytes=args.max_body_bytes,
@@ -601,13 +598,6 @@ def _parser() -> argparse.ArgumentParser:
             default=None,
             metavar="N",
             help="parallelism of the backend (default: auto)",
-        )
-        sub.add_argument(
-            "--kernel",
-            choices=list(KERNEL_NAMES),
-            default=None,
-            help="DP convolution kernel (default auto, or "
-            "REPRO_KERNEL: numpy when importable, else python)",
         )
 
     diff = commands.add_parser(

@@ -18,8 +18,7 @@ Deployments configure through the environment instead of code:
 :meth:`ReproConfig.from_env` reads the ``REPRO_*`` variables
 (``REPRO_COST``, ``REPRO_BACKEND``, ``REPRO_JOBS``,
 ``REPRO_CACHE_SIZE``, ``REPRO_LOG_LEVEL``, ``REPRO_LOG_FORMAT``,
-``REPRO_METRICS``, ``REPRO_MAX_BODY_BYTES``, ``REPRO_KERNEL``,
-``REPRO_WORKERS``), with
+``REPRO_METRICS``, ``REPRO_MAX_BODY_BYTES``, ``REPRO_WORKERS``), with
 keyword overrides — the CLI's flags — taking precedence over the
 environment.
 """
@@ -35,7 +34,6 @@ from repro.backends.base import (
     ExecutorBackend,
     make_backend,
 )
-from repro.core.kernel import KERNEL_NAMES
 from repro.costs.base import CostModel
 from repro.costs.standard import UnitCost, cost_from_spec
 from repro.errors import ReproError
@@ -111,11 +109,6 @@ class ReproConfig:
         (both ``Content-Length`` and chunked transfers); larger bodies
         are refused with a structured ``413`` envelope *without being
         read*.  Default 64 MiB.
-    kernel:
-        DP convolution kernel (:data:`repro.core.kernel.KERNEL_NAMES`):
-        ``"auto"`` (numpy when importable, pure Python otherwise),
-        ``"python"`` (the bit-identical oracle), or ``"numpy"``
-        (vectorised; an error when numpy is absent).
     workers:
         Server worker processes for ``repro serve``.  ``0`` (the
         default) serves single-process; ``N >= 1`` pre-forks ``N``
@@ -134,7 +127,6 @@ class ReproConfig:
     log_format: str = "text"
     metrics: bool = True
     max_body_bytes: int = 64 * 1024 * 1024
-    kernel: str = "auto"
     workers: int = 0
 
     def __post_init__(self):
@@ -160,11 +152,6 @@ class ReproConfig:
         if self.workers < 0:
             raise ReproError(
                 f"ReproConfig.workers must be >= 0, got {self.workers}"
-            )
-        if str(self.kernel).strip().lower() not in KERNEL_NAMES:
-            raise ReproError(
-                f"unknown kernel {self.kernel!r} "
-                f"(expected one of {', '.join(KERNEL_NAMES)})"
             )
         if isinstance(self.backend, ExecutorBackend):
             # Enforce the documented contract at construction, where
@@ -228,8 +215,6 @@ class ReproConfig:
             values["max_body_bytes"] = _env_int(
                 "REPRO_MAX_BODY_BYTES", source["REPRO_MAX_BODY_BYTES"]
             )
-        if source.get("REPRO_KERNEL"):
-            values["kernel"] = source["REPRO_KERNEL"].strip().lower()
         if source.get("REPRO_WORKERS"):
             values["workers"] = _env_int(
                 "REPRO_WORKERS", source["REPRO_WORKERS"]

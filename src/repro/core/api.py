@@ -110,7 +110,6 @@ def diff_runs(
     record_intermediates: bool = False,
     validate_intermediates: bool = False,
     shared: Optional[SharedTables] = None,
-    kernel: str = "python",
 ) -> DiffResult:
     """Compute the edit distance and minimum-cost edit script (O(|E|³)).
 
@@ -130,9 +129,6 @@ def diff_runs(
     shared:
         Optional per-batch :class:`~repro.core.memo.SharedTables` so one
         run's deletion tables are built once across a batch of pairs.
-    kernel:
-        Convolution kernel for freshly built tables (ignored when
-        ``shared`` provides them).
 
     Returns
     -------
@@ -145,7 +141,7 @@ def diff_runs(
     run2 = _align_specs(run1, run2)
 
     computation = EditDistanceComputation(
-        run1.spec, run1.tree, run2.tree, cost, shared=shared, kernel=kernel
+        run1.spec, run1.tree, run2.tree, cost, shared=shared
     )
     mapping = extract_mapping(computation)
     script = None
@@ -172,7 +168,6 @@ def distance_only(
     cost: Optional[CostModel] = None,
     assume_aligned: bool = False,
     shared: Optional[SharedTables] = None,
-    kernel: str = "python",
 ) -> float:
     """Compute ``δ(run1, run2)`` without mapping or script extraction.
 
@@ -187,8 +182,7 @@ def distance_only(
     check entirely; callers assert that both runs were annotated against
     the *same* specification object (the corpus layer guarantees this by
     loading every run of a batch through one spec).  ``shared`` reuses
-    per-batch deletion/spec tables; ``kernel`` selects the convolution
-    implementation for freshly built tables.
+    per-batch deletion/spec tables.
     """
     if cost is None:
         cost = shared.cost if shared is not None else UnitCost()
@@ -201,7 +195,6 @@ def distance_only(
         cost,
         shared=shared,
         distance_only=True,
-        kernel=kernel,
     ).distance
 
 

@@ -27,15 +27,37 @@ lowers to path operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
-from repro.core.kernel import resolve_kernel, series_convolve
 from repro.costs.base import CostModel
 from repro.errors import EditScriptError
 from repro.sptree.nodes import NodeType, SPTree
 
 INF = math.inf
+
+
+def series_convolve(prefix: List[float], child_y: List[float]) -> List[float]:
+    """One S-node convolution step: ``Z' = Z ⊕ Y(child)`` (min-plus).
+
+    ``prefix[b]`` is the cost of distributing ``b`` leaves over the
+    children consumed so far; ``child_y[l]`` the child's reduction cost
+    to ``l`` leaves (index 0 unused, ``INF``).  Returns the merged
+    table of size ``len(prefix) + len(child_y) - 1``.
+    """
+    new_size = len(prefix) - 1 + len(child_y) - 1 + 1
+    merged = [INF] * new_size
+    for base in range(len(prefix)):
+        if math.isinf(prefix[base]):
+            continue
+        base_cost = prefix[base]
+        for leaves in range(1, len(child_y)):
+            if math.isinf(child_y[leaves]):
+                continue
+            total = base_cost + child_y[leaves]
+            if total < merged[base + leaves]:
+                merged[base + leaves] = total
+    return merged
 
 
 @dataclass(frozen=True)
@@ -67,19 +89,14 @@ class ReductionStep:
 class DeletionTables:
     """X/Y tables for one annotated run tree under a cost model.
 
-    ``kernel`` selects the S-node convolution implementation (see
-    :mod:`repro.core.kernel`); the default pure-Python loops are the
-    bit-identical oracle.  Tables are immutable once built, so one
-    instance is safely shared across every DP pairing ``tree`` within
-    a batch (:class:`~repro.core.memo.SharedTables`).
+    Tables are immutable once built, so one instance is safely shared
+    across every DP pairing ``tree`` within a batch
+    (:class:`~repro.core.memo.SharedTables`).
     """
 
-    def __init__(
-        self, tree: SPTree, cost: CostModel, kernel: str = "python"
-    ):
+    def __init__(self, tree: SPTree, cost: CostModel):
         self.tree = tree
         self.cost = cost
-        self.kernel = resolve_kernel(kernel)
         # Dense Y arrays indexed by leaf count (index 0 unused -> INF).
         self._y: Dict[int, List[float]] = {}
         self._x: Dict[int, float] = {}
@@ -156,12 +173,8 @@ class DeletionTables:
         prefix = [0.0]  # Z for zero children: exactly zero leaves, cost 0.
         for child in node.children:
             # The O(|E|³) knapsack convolution (the paper's Fig. 12
-            # bottleneck) runs on the selected kernel; both kernels
-            # evaluate the identical candidate set with identical
-            # float64 adds, so the tables are bit-identical.
-            prefix = series_convolve(
-                prefix, self._y[id(child)], self.kernel
-            )
+            # bottleneck).
+            prefix = series_convolve(prefix, self._y[id(child)])
         self._max_leaves[id(node)] = len(prefix) - 1
         self._y[id(node)] = prefix
         self._finalise_x(node, prefix)
@@ -300,20 +313,7 @@ class DeletionTables:
         # Forward tables Z_i as in the computation, then backtrack.
         tables: List[List[float]] = [[0.0]]
         for child in children:
-            child_y = self._y[id(child)]
-            prev = tables[-1]
-            new_size = len(prev) - 1 + self._max_leaves[id(child)] + 1
-            merged = [INF] * new_size
-            for base in range(len(prev)):
-                if math.isinf(prev[base]):
-                    continue
-                for count in range(1, len(child_y)):
-                    if math.isinf(child_y[count]):
-                        continue
-                    total = prev[base] + child_y[count]
-                    if total < merged[base + count]:
-                        merged[base + count] = total
-            tables.append(merged)
+            tables.append(series_convolve(tables[-1], self._y[id(child)]))
 
         allocations = [0] * len(children)
         remaining = leaves

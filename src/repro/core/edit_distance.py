@@ -85,10 +85,6 @@ class EditDistanceComputation:
     distance_only:
         Enables the ``≡``-shortcut (see the module docstring).  The
         resulting cells are unfit for mapping extraction.
-    kernel:
-        Convolution kernel for freshly built tables
-        (:mod:`repro.core.kernel`); ignored when ``shared`` provides
-        them.
     """
 
     def __init__(
@@ -99,7 +95,6 @@ class EditDistanceComputation:
         cost: CostModel,
         shared: Optional[SharedTables] = None,
         distance_only: bool = False,
-        kernel: str = "python",
     ):
         self.spec = spec
         self.tree1 = tree1
@@ -115,8 +110,8 @@ class EditDistanceComputation:
             self.deletions2 = shared.deletions(tree2)
             self.spec_tables = shared.spec_tables(spec)
         else:
-            self.deletions1 = DeletionTables(tree1, cost, kernel=kernel)
-            self.deletions2 = DeletionTables(tree2, cost, kernel=kernel)
+            self.deletions1 = DeletionTables(tree1, cost)
+            self.deletions2 = DeletionTables(tree2, cost)
             self.spec_tables = SpecCostTables(spec, cost)
         self._distance_only = distance_only
         self._pairs: Dict[Tuple[int, int], PairDecision] = {}

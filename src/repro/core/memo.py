@@ -35,7 +35,6 @@ import threading
 from typing import Dict, Tuple
 
 from repro.core.deletion import DeletionTables
-from repro.core.kernel import resolve_kernel
 from repro.core.spec_costs import SpecCostTables
 from repro.costs.base import CostModel
 from repro.errors import EditScriptError
@@ -45,14 +44,13 @@ from repro.sptree.nodes import NodeType, SPTree
 class SharedTables:
     """One batch's memo of :class:`DeletionTables`/:class:`SpecCostTables`.
 
-    Bound to a single cost model and kernel; the edit-distance DP
+    Bound to a single cost model; the edit-distance DP
     refuses a mismatched cost at construction time rather than serving
     tables priced under a different ``γ``.
     """
 
-    def __init__(self, cost: CostModel, kernel: str = "python"):
+    def __init__(self, cost: CostModel):
         self.cost = cost
-        self.kernel = resolve_kernel(kernel)
         self._lock = threading.Lock()
         self._deletions: Dict[int, Tuple[SPTree, DeletionTables]] = {}
         self._spec_tables: Dict[int, Tuple[object, SpecCostTables]] = {}
@@ -66,7 +64,7 @@ class SharedTables:
             entry = self._deletions.get(key)
             if entry is not None and entry[0] is tree:
                 return entry[1]
-            tables = DeletionTables(tree, self.cost, kernel=self.kernel)
+            tables = DeletionTables(tree, self.cost)
             self._deletions[key] = (tree, tables)
             return tables
 

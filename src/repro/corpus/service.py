@@ -36,10 +36,8 @@ Three further layers keep corpus-scale distance work off the DP:
 * **triangle-inequality bounds** over already-cached distances tighten
   those floors (and give :meth:`outliers` its ceilings) before any DP;
 * one :class:`~repro.core.memo.SharedTables` per cold batch builds each
-  run's deletion tables once instead of once per pair, and the
-  ``kernel`` knob swaps the convolution inner loop for the vectorised
-  numpy sweep — every layer bit-identical to the plain per-pair
-  pure-Python evaluation.
+  run's deletion tables once instead of once per pair — every layer
+  bit-identical to the plain per-pair evaluation.
 
 ``dp_skipped_by_bound`` / ``dp_pruned_by_triangle`` count the DPs these
 layers avoided (exposed via :attr:`stats_counters` and ``/metrics``).
@@ -98,7 +96,6 @@ from repro.core.bounds import (
     triangle_lower_bound,
     triangle_upper_bound,
 )
-from repro.core.kernel import resolve_kernel
 from repro.core.memo import SharedTables
 from repro.corpus.analytics import medoid, outliers
 from repro.corpus.cache import DistanceCache
@@ -146,8 +143,9 @@ class DiffService:
     Parameters
     ----------
     store:
-        A :class:`WorkflowStore` or a path to create one at.  Sessions
-        pass their existing store so service and session share files.
+        A :class:`WorkflowStore` or a path to create one at.  A
+        :class:`~repro.workspace.Workspace` passes its own store so the
+        service and the workspace share files.
     max_workers:
         Parallelism for batch queries when ``backend`` is given by name
         (or defaulted).  ``None`` lets the backend pick for the
@@ -165,11 +163,6 @@ class DiffService:
         :class:`~repro.backends.base.ExecutorBackend` instance.
         Defaults to the thread backend (the historical behaviour);
         ``"process"`` runs the DP itself on every core.
-    kernel:
-        Convolution kernel for the DP's deletion tables — a name from
-        :data:`repro.core.kernel.KERNEL_NAMES`.  The default ``"auto"``
-        uses numpy when importable and the bit-identical pure-Python
-        loops otherwise.
     """
 
     def __init__(
@@ -180,7 +173,6 @@ class DiffService:
         persistent: bool = True,
         backend=None,
         metrics: Optional[MetricsRegistry] = None,
-        kernel: Optional[str] = "auto",
     ):
         self.store = (
             store if isinstance(store, WorkflowStore) else WorkflowStore(store)
@@ -197,7 +189,6 @@ class DiffService:
             self.backend = backend
         else:
             self.backend = make_backend(backend, max_workers)
-        self.kernel = resolve_kernel(kernel)
         self.persistent = persistent
         self.index = FingerprintIndex(self.store)
         cache_path = (
@@ -352,7 +343,7 @@ class DiffService:
         """Forget everything memoised for a specification.
 
         Must be called after re-registering a specification under an
-        existing name (``PDiffViewSession.register_specification`` does
+        existing name (:meth:`repro.workspace.Workspace.register` does
         this automatically): run fingerprints embed the spec digest, so
         all of them — and the runs parsed against the old object — are
         stale.  Cached *distances* need no invalidation; they are keyed
@@ -721,7 +712,6 @@ class DiffService:
                     run_a=run_a,
                     run_b=run_b,
                     cost=cost,
-                    kernel=self.kernel,
                     # Alignment hoisted out of the per-pair worker
                     # (S3): both runs of a batch load through one spec
                     # object, which the identity check certifies — a
@@ -753,7 +743,7 @@ class DiffService:
                     # parsing.  One SharedTables for the whole batch —
                     # each run's deletion tables are built once, not
                     # once per pair.
-                    shared = SharedTables(cost, kernel=self.kernel)
+                    shared = SharedTables(cost)
                     distances = self.backend.map(
                         lambda pair: compute_distance(task(pair), shared),
                         directed,
@@ -877,8 +867,8 @@ class DiffService:
     ) -> Dict[Tuple[str, str], float]:
         """All-pairs distances, ``{(run_a, run_b): distance}``.
 
-        Keys are unordered pairs in listing order, matching the seed
-        :meth:`PDiffViewSession.distance_matrix` exactly.  ``runs``
+        Keys are unordered pairs in listing order, matching a nested
+        :func:`~repro.core.api.diff_runs` loop exactly.  ``runs``
         restricts the corpus to a subset of stored run names.
         """
         cost = cost or UnitCost()
@@ -1172,7 +1162,6 @@ class DiffService:
                     run_a=self._load_run(spec, group[0][0]),
                     run_b=self._load_run(spec, group[0][1]),
                     cost=cost,
-                    kernel=self.kernel,
                 )
 
             backend_name = type(self.backend).__name__
@@ -1188,7 +1177,7 @@ class DiffService:
                         [task(group) for _, group in ordered],
                     )
                 else:
-                    shared = SharedTables(cost, kernel=self.kernel)
+                    shared = SharedTables(cost)
                     outcomes = self.backend.map(
                         lambda item: compute_script(task(item[1]), shared),
                         ordered,

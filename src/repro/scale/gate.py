@@ -2,12 +2,14 @@
 
 ``benchmarks/bench_scale.py`` compares a fresh driver report against
 the committed ``benchmarks/results/BENCH_scale.json`` baseline using
-the ratio thresholds below.  The gate starts **advisory** (findings
-are printed, exit code stays 0) and flips to **hard** via
-``REPRO_SCALE_GATE=hard`` once two green CI runs have established
-run-to-run variance — thresholds are deliberately loose (2x-class)
-because they must catch *algorithmic* regressions (a lost fast path,
-an accidental O(N²) scan), not CI-runner jitter.
+the ratio thresholds below, after :func:`skip_reason` has confirmed
+that both reports measure the same corpus size on the same core
+count.  The gate starts **advisory** (findings are printed, exit code
+stays 0) and flips to **hard** via ``REPRO_SCALE_GATE=hard`` once two
+green CI runs have established run-to-run variance — thresholds are
+deliberately loose (2x-class) because they must catch *algorithmic*
+regressions (a lost fast path, an accidental O(N²) scan), not
+CI-runner jitter.
 """
 
 from __future__ import annotations
@@ -67,6 +69,22 @@ def _lookup(report: dict, path: str) -> Optional[float]:
         return float(node)
     except (TypeError, ValueError):
         return None
+
+
+def skip_reason(current: dict, baseline: dict) -> Optional[str]:
+    """Why ``current`` cannot be gated against ``baseline``, or ``None``.
+
+    The gate compares like with like: a different corpus size or a
+    different core count measures another machine or another
+    workload, so the comparison is skipped rather than failed.
+    """
+    for key in ("corpus_runs", "cpu_cores"):
+        if current.get(key) != baseline.get(key):
+            return (
+                f"baseline has {key}={baseline.get(key)}, this pass "
+                f"has {current.get(key)}"
+            )
+    return None
 
 
 def evaluate_gate(

@@ -1,13 +1,8 @@
 """The unified client API: one :class:`Workspace` over every subsystem.
 
-Historically the library grew four parallel entry points — the
-functional core (``diff_runs``), the corpus service (``DiffService``),
-the prototype session (``PDiffViewSession``) and the query engine
-(``QueryEngine``) — each wiring its own store, cost model and caches.
-A :class:`Workspace` is the single coherent surface over all of them:
-constructed from a path plus a :class:`~repro.config.ReproConfig`, it
-owns the :class:`~repro.io.store.WorkflowStore`, the corpus
-:class:`~repro.corpus.service.DiffService` (on the configured
+Constructed from a path plus a :class:`~repro.config.ReproConfig`, a
+:class:`Workspace` owns the :class:`~repro.io.store.WorkflowStore`, the
+corpus :class:`~repro.corpus.service.DiffService` (on the configured
 execution backend), the :class:`~repro.query.engine.QueryEngine`, the
 interchange layer and the PDiffView rendering layer, and exposes one
 documented API:
@@ -29,8 +24,6 @@ yields outcomes as their backend chunks complete.  The full public
 surface is pinned down by the :class:`repro.api_types.WorkspaceAPI`
 protocol, which :class:`repro.client.RemoteWorkspace` also satisfies —
 the same code runs against a local store or a ``repro serve`` endpoint.
-The legacy entry points remain importable as deprecated shims — see
-``docs/MIGRATION.md`` for the call-site mapping.
 """
 
 from __future__ import annotations
@@ -115,11 +108,10 @@ class Workspace:
             persistent=self.config.persistent,
             backend=self.backend,
             metrics=self.metrics,
-            kernel=self.config.kernel,
         )
         self.engine = QueryEngine(self.service)
         self._specs: Dict[str, WorkflowSpecification] = {}
-        # Guards the session spec memo; the heavyweight state below it
+        # Guards the spec memo; the heavyweight state below it
         # (service, caches, indexes) carries its own lock discipline.
         self._spec_lock = threading.RLock()
         self._stream_hub = None
@@ -153,7 +145,7 @@ class Workspace:
             self.service.invalidate_specification(spec.name)
 
     def specification(self, name: str) -> WorkflowSpecification:
-        """The named specification (session-memoised)."""
+        """The named specification (memoised per workspace)."""
         with self._spec_lock:
             if name not in self._specs:
                 self._specs[name] = self.service.specification(name)

@@ -7,10 +7,10 @@ from repro.corpus.service import DiffService
 from repro.costs.standard import CallableCost, LengthCost, UnitCost
 from repro.errors import ReproError
 from repro.graphs.flow_network import FlowNetwork
-from repro.pdiffview.session import PDiffViewSession
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import protein_annotation
 from repro.workflow.run import WorkflowRun
+from repro.workspace import Workspace
 
 
 @pytest.fixture
@@ -235,27 +235,27 @@ class TestAnalyticsQueries:
         assert service.stats["memory_hits"] >= 10
 
 
-class TestSessionDelegation:
-    def test_session_matrix_identical_to_seed_algorithm(
+class TestWorkspaceDelegation:
+    def test_workspace_matrix_identical_to_seed_algorithm(
         self, tmp_path, varied_params
     ):
-        session = PDiffViewSession(tmp_path)
-        session.register_specification(protein_annotation())
+        ws = Workspace(tmp_path)
+        ws.register(protein_annotation())
         for name, seed in (("a", 1), ("b", 2), ("c", 3), ("d", 4)):
-            session.generate_run("PA", name, varied_params, seed=seed)
-        matrix = session.distance_matrix("PA")
+            ws.generate_run(name, "PA", varied_params, seed=seed)
+        matrix = ws.matrix("PA")
 
         # The seed implementation, verbatim: a sequential nested loop of
         # fresh diff_runs calls over the stored runs.
-        names = session.runs("PA")
-        runs = {name: session.run("PA", name) for name in names}
+        names = ws.runs("PA")
+        runs = {name: ws.run(name, "PA") for name in names}
         expected = {}
         for i, a in enumerate(names):
             for b in names[i + 1 :]:
                 expected[(a, b)] = diff_runs(
                     runs[a], runs[b], cost=UnitCost(), with_script=False
                 ).distance
-        assert matrix == expected
+        assert dict(matrix) == expected
 
     def test_reregistered_spec_invalidates_fingerprints(
         self, tmp_path, varied_params
@@ -265,48 +265,50 @@ class TestSessionDelegation:
         # old content.
         from repro.workflow.specification import WorkflowSpecification
 
-        session = PDiffViewSession(tmp_path)
+        ws = Workspace(tmp_path)
         base = protein_annotation()
-        session.register_specification(base)
-        session.generate_run("PA", "a", varied_params, seed=1)
-        session.generate_run("PA", "b", varied_params, seed=2)
-        old_matrix = session.distance_matrix("PA")
+        ws.register(base)
+        ws.generate_run("a", "PA", varied_params, seed=1)
+        ws.generate_run("b", "PA", varied_params, seed=2)
+        old_matrix = ws.matrix("PA")
         assert len(old_matrix) == 1
 
         # Same name, different annotation families (no forks/loops).
         stripped = WorkflowSpecification(
             base.graph, forks=(), loops=(), name="PA"
         )
-        session.register_specification(stripped)
-        session.generate_run("PA", "a", seed=3)
-        session.generate_run("PA", "b", seed=4)
-        matrix = session.distance_matrix("PA")
+        ws.register(stripped)
+        ws.generate_run("a", "PA", seed=3)
+        ws.generate_run("b", "PA", seed=4)
+        matrix = ws.matrix("PA")
         fresh = diff_runs(
-            session.run("PA", "a"),
-            session.run("PA", "b"),
+            ws.run("a", "PA"),
+            ws.run("b", "PA"),
             with_script=False,
         ).distance
         assert matrix[("a", "b")] == pytest.approx(fresh)
 
-    def test_session_sees_runs_saved_after_first_query(
+    def test_workspace_sees_runs_saved_after_first_query(
         self, tmp_path, varied_params
     ):
-        session = PDiffViewSession(tmp_path)
-        session.register_specification(protein_annotation())
-        session.generate_run("PA", "a", varied_params, seed=1)
-        session.generate_run("PA", "b", varied_params, seed=2)
-        assert len(session.distance_matrix("PA")) == 1
-        session.generate_run("PA", "c", varied_params, seed=3)
-        assert len(session.distance_matrix("PA")) == 3
+        ws = Workspace(tmp_path)
+        ws.register(protein_annotation())
+        ws.generate_run("a", "PA", varied_params, seed=1)
+        ws.generate_run("b", "PA", varied_params, seed=2)
+        assert len(ws.matrix("PA")) == 1
+        ws.generate_run("c", "PA", varied_params, seed=3)
+        assert len(ws.matrix("PA")) == 3
 
-    def test_session_exposes_nearest_runs(self, tmp_path, varied_params):
-        session = PDiffViewSession(tmp_path)
-        session.register_specification(protein_annotation())
+    def test_workspace_nearest_agrees_with_matrix(
+        self, tmp_path, varied_params
+    ):
+        ws = Workspace(tmp_path)
+        ws.register(protein_annotation())
         for name, seed in (("a", 1), ("b", 2), ("c", 3)):
-            session.generate_run("PA", name, varied_params, seed=seed)
-        neighbours = session.nearest_runs("PA", "a")
+            ws.generate_run(name, "PA", varied_params, seed=seed)
+        neighbours = ws.nearest("a", spec="PA")
         assert len(neighbours) == 2
-        matrix = session.distance_matrix("PA")
+        matrix = ws.matrix("PA")
         for other, distance in neighbours:
             key = ("a", other) if ("a", other) in matrix else (other, "a")
             assert matrix[key] == pytest.approx(distance)

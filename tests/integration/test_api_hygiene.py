@@ -1,75 +1,99 @@
 """API hygiene: exports, documentation coverage and performance guards."""
 
+import importlib
 import inspect
+import os
+import subprocess
+import sys
 import time
-import warnings
+from pathlib import Path
 
 import pytest
 
 import repro
 
-#: Legacy entry points served through the deprecation shims; accessing
-#: them from the top level warns by design (see test_deprecation.py).
-LEGACY_NAMES = sorted(repro._DEPRECATED)
-
-
-def resolve_export(name):
-    """``getattr(repro, name)`` with shim warnings silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return getattr(repro, name)
+REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def public_members(module):
     for name in getattr(module, "__all__", dir(module)):
         if name.startswith("_"):
             continue
-        member = resolve_export(name)
+        member = getattr(module, name)
         if inspect.isclass(member) or inspect.isfunction(member):
             yield name, member
 
 
 class TestAllConsistency:
-    """Every ``__all__`` name is importable, documented, and accounted
-    for: either a live export or a legacy name covered by the
-    deprecation-shim suite."""
+    """Every ``__all__`` name is importable and documented."""
 
     def test_every_export_resolves(self):
         for name in repro.__all__:
-            assert resolve_export(name) is not None, name
+            assert getattr(repro, name) is not None, name
 
     def test_every_export_is_documented(self):
         for name in repro.__all__:
             if name == "__version__":
                 continue
-            member = resolve_export(name)
+            member = getattr(repro, name)
             if inspect.ismodule(member):
                 continue
             assert inspect.getdoc(member), f"{name} lacks a docstring"
 
     def test_no_stray_public_attributes(self):
         """Public attributes of the package are all declared exports
-        (modules imported as submodule side effects are exempt, as are
-        the legacy shims — public but kept out of star imports)."""
-        declared = set(repro.__all__) | set(LEGACY_NAMES)
+        (modules imported as submodule side effects are exempt)."""
+        declared = set(repro.__all__)
         for name in dir(repro):
             if name.startswith("_"):
                 continue
-            if inspect.ismodule(resolve_export(name)):
+            if inspect.ismodule(getattr(repro, name)):
                 continue
             assert name in declared, f"undeclared public name {name}"
 
-    def test_legacy_names_stay_accessible_but_out_of_star_import(self):
-        """The shims remain importable by name until removal, but a
-        star import must not drag deprecated names (and their
-        warnings) into Workspace-only code."""
-        for name in LEGACY_NAMES:
-            assert name not in repro.__all__
-            assert resolve_export(name) is not None
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "definitely_not_an_export",
+            # The entry points removed in 2.0.
+            "diff_runs",
+            "DiffService",
+            "PDiffViewSession",
+            "QueryEngine",
+        ],
+    )
+    def test_unknown_attribute_still_raises(self, name):
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+
+
+class TestImportSurface:
+    def test_imports_are_silent_and_numpy_free(self):
+        """Importing the library, the CLI and both servers warns about
+        nothing and never pulls in numpy — checked in a clean
+        interpreter so earlier imports cannot mask either."""
+        code = (
+            "import sys, warnings\n"
+            "warnings.simplefilter('error', DeprecationWarning)\n"
+            "import repro, repro.cli, repro.service.server\n"
+            "import repro.cluster.server\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "print('clean')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "clean" in proc.stdout
 
     def test_star_import_is_warning_free(self):
-        """``from repro import *`` resolves every __all__ name without
-        touching a shim."""
+        """``from repro import *`` resolves every ``__all__`` name
+        silently and brings none of the removed entry points along."""
         import warnings
 
         with warnings.catch_warnings():
@@ -79,13 +103,48 @@ class TestAllConsistency:
         assert "Workspace" in namespace
         assert "diff_runs" not in namespace
 
-    def test_dir_covers_lazy_names(self):
-        for name in LEGACY_NAMES:
-            assert name in dir(repro)
+    def test_no_module_imports_numpy(self):
+        """Static companion of the subprocess check: no module of the
+        package, imported or not, names numpy in an import."""
+        offenders = []
+        for path in sorted(Path(REPO_SRC, "repro").rglob("*.py")):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                words = line.strip().replace(",", " ").split()
+                if words[:1] in (["import"], ["from"]) and any(
+                    word.split(".")[0] == "numpy" for word in words[1:]
+                ):
+                    offenders.append(f"{path.name}: {line.strip()}")
+        assert offenders == []
 
-    def test_unknown_attribute_still_raises(self):
-        with pytest.raises(AttributeError):
-            repro.definitely_not_an_export
+    def test_version_matches_pyproject(self):
+        pyproject = Path(REPO_SRC).parent / "pyproject.toml"
+        line = next(
+            line
+            for line in pyproject.read_text(encoding="utf-8").splitlines()
+            if line.startswith("version = ")
+        )
+        assert line == f'version = "{repro.__version__}"'
+        assert repro.__version__ == "2.0.0"
+
+
+class TestNoKernelKeyword:
+    """The DP has one convolution, so no layer takes a ``kernel``."""
+
+    @pytest.mark.parametrize(
+        "dotted",
+        [
+            "repro.core.api.diff_runs",
+            "repro.core.api.distance_only",
+            "repro.core.edit_distance.EditDistanceComputation",
+            "repro.core.memo.SharedTables",
+            "repro.core.deletion.DeletionTables",
+            "repro.corpus.service.DiffService",
+        ],
+    )
+    def test_signature_has_no_kernel(self, dotted):
+        module_name, attribute = dotted.rsplit(".", 1)
+        target = getattr(importlib.import_module(module_name), attribute)
+        assert "kernel" not in inspect.signature(target).parameters
 
 
 class TestDocumentation:

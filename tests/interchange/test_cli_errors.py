@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.pdiffview.session import PDiffViewSession
+from repro.workspace import Workspace
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,11 +45,11 @@ def assert_clean_failure(code, err):
 
 @pytest.fixture()
 def populated_store(tmp_path, fig2_spec):
-    session = PDiffViewSession(tmp_path / "store")
-    session.register_specification(fig2_spec)
-    session.generate_run("fig2", "a", seed=1)
-    session.generate_run("fig2", "b", seed=2)
-    return session.store
+    ws = Workspace(tmp_path / "store")
+    ws.register(fig2_spec)
+    ws.generate_run("a", "fig2", seed=1)
+    ws.generate_run("b", "fig2", seed=2)
+    return ws.store
 
 
 @pytest.mark.parametrize(

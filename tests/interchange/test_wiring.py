@@ -1,4 +1,4 @@
-"""Interchange wired through store, corpus service, session and query.
+"""Interchange wired through store, corpus service, workspace and query.
 
 Covers the acceptance path end-to-end: a checked-in non-series-parallel
 PROV fixture is SP-ized, ingested via ``DiffService.add_prov_document``,
@@ -11,12 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.corpus.service import DiffService
-from repro.errors import ReproError
+from repro.errors import ConflictError, ReproError
 from repro.interchange import export_run_json, import_document
-from repro.pdiffview.session import PDiffViewSession
 from repro.query.engine import QueryEngine
 from repro.query.predicates import Q
 from repro.workflow.execution import ExecutionParams, execute_workflow
+from repro.workspace import Workspace
 
 GOLDEN = Path(__file__).parent / "golden"
 SPARSE = ExecutionParams(prob_parallel=0.4)
@@ -77,17 +77,16 @@ def test_non_sp_fixture_ingested_and_queryable_end_to_end(tmp_path):
     assert any("imported" in doc.pair for doc in selected)
 
 
-def test_session_import_export_prov_round_trip(tmp_path, fig2_spec):
-    session = PDiffViewSession(tmp_path / "session")
-    session.register_specification(fig2_spec)
-    session.generate_run("fig2", "native", seed=11)
+def test_workspace_import_export_prov_round_trip(tmp_path, fig2_spec):
+    ws = Workspace(tmp_path / "workspace")
+    ws.register(fig2_spec)
+    ws.generate_run("native", "fig2", seed=11)
 
-    text = session.export_prov("fig2", "native")
-    result = session.import_prov(text, name="reimported")
+    text = ws.export_prov("native", spec="fig2")
+    result = ws.import_prov(text, name="reimported")
     assert result.origin == "embedded-plan"
-    assert set(session.runs("fig2")) == {"native", "reimported"}
-    view = session.diff("fig2", "native", "reimported")
-    assert view.diff.distance == 0.0
+    assert set(ws.runs("fig2")) == {"native", "reimported"}
+    assert ws.diff("native", "reimported", spec="fig2").distance == 0.0
 
     # Exported text parses as PROV-JSON with the expected sections.
     document = json.loads(text)
@@ -194,7 +193,7 @@ def test_qualified_activity_ids_survive_the_exact_round_trip():
     assert set(again.run.graph.nodes()) == set(first.run.graph.nodes())
 
 
-def test_store_and_session_refuse_conflicting_spec_overwrite(tmp_path):
+def test_workspace_refuses_conflicting_spec_overwrite(tmp_path):
     diamond = {
         "activity": {"a": {}, "b": {}, "c": {}, "d": {}},
         "wasInformedBy": {
@@ -210,16 +209,16 @@ def test_store_and_session_refuse_conflicting_spec_overwrite(tmp_path):
             "_:1": {"prov:informed": "y", "prov:informant": "x"}
         },
     }
-    session = PDiffViewSession(tmp_path / "s")
-    session.import_prov(diamond, name="monday")
-    with pytest.raises(ReproError, match="different specification"):
-        session.import_prov(chain, name="tuesday")
+    ws = Workspace(tmp_path / "s")
+    ws.import_prov(diamond, name="monday")
+    with pytest.raises(ConflictError, match="different specification"):
+        ws.import_prov(chain, name="tuesday")
     # The original spec and run are untouched.
-    assert session.runs("imported") == ["monday"]
-    assert session.run("imported", "monday").num_nodes == 4
+    assert ws.runs("imported") == ["monday"]
+    assert ws.run("monday", spec="imported").num_nodes == 4
     # Re-importing the *same* content under the name is fine.
-    session.import_prov(diamond, name="wednesday")
-    assert set(session.runs("imported")) == {"monday", "wednesday"}
+    ws.import_prov(diamond, name="wednesday")
+    assert set(ws.runs("imported")) == {"monday", "wednesday"}
 
 
 def test_import_document_rejects_garbage_early():

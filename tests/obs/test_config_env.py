@@ -1,5 +1,7 @@
 """``ReproConfig.from_env``: precedence, round trips, failure modes."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ReproConfig
@@ -55,10 +57,6 @@ class TestEnvironment:
     def test_cost_spec_resolves(self):
         config = ReproConfig.from_env(env={"REPRO_COST": "unit"})
         assert config.cost.name == "UnitCost"
-
-    def test_kernel_round_trip(self):
-        config = ReproConfig.from_env(env={"REPRO_KERNEL": "PYTHON"})
-        assert config.kernel == "python"
 
     def test_blank_values_are_unset(self):
         config = ReproConfig.from_env(
@@ -117,15 +115,47 @@ class TestMalformedValues:
         with pytest.raises(ReproError, match="backend"):
             ReproConfig.from_env(env={"REPRO_BACKEND": "gpu"})
 
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(ReproError, match="kernel"):
-            ReproConfig.from_env(env={"REPRO_KERNEL": "fortran"})
 
-    def test_kernel_default_is_auto(self):
-        assert ReproConfig().kernel == "auto"
+class _RecordingEnv(dict):
+    """An environment mapping that remembers every variable read."""
 
-    def test_kernel_flag_beats_environment(self):
-        config = ReproConfig.from_env(
-            env={"REPRO_KERNEL": "auto"}, kernel="python"
-        )
-        assert config.kernel == "python"
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class TestSurface:
+    """The configuration surface: one field per knob, one variable per
+    environment-settable field, and no convolution-kernel selector."""
+
+    def test_fields(self):
+        names = [field.name for field in dataclasses.fields(ReproConfig)]
+        assert len(names) == 11
+        assert "kernel" not in names
+
+    def test_from_env_reads_exactly_these_variables(self):
+        env = _RecordingEnv()
+        ReproConfig.from_env(env=env)
+        assert env.read == {
+            "REPRO_COST",
+            "REPRO_BACKEND",
+            "REPRO_JOBS",
+            "REPRO_CACHE_SIZE",
+            "REPRO_LOG_LEVEL",
+            "REPRO_LOG_FORMAT",
+            "REPRO_METRICS",
+            "REPRO_MAX_BODY_BYTES",
+            "REPRO_WORKERS",
+        }
+
+    def test_unknown_variables_are_ignored(self):
+        config = ReproConfig.from_env(env={"REPRO_KERNEL": "fortran"})
+        assert _fields(config) == _fields(ReproConfig())

@@ -1,18 +1,19 @@
-"""Tests for the PDiffView session facade."""
+"""Tests for the PDiffView diff view, driven through ``Workspace.view``."""
 
 import pytest
 
-from repro.errors import ReproError
-from repro.pdiffview.session import DiffView, PDiffViewSession
+import repro.pdiffview.session as session_module
+from repro.pdiffview.session import DiffView
 from repro.workflow.execution import ExecutionParams
 from repro.workflow.real_workflows import protein_annotation
+from repro.workspace import Workspace
 
 
 @pytest.fixture
-def session(tmp_path):
-    session = PDiffViewSession(tmp_path)
-    session.register_specification(protein_annotation())
-    return session
+def ws(tmp_path):
+    ws = Workspace(tmp_path)
+    ws.register(protein_annotation())
+    return ws
 
 
 VARIED = ExecutionParams(
@@ -20,41 +21,51 @@ VARIED = ExecutionParams(
 )
 
 
-class TestSession:
-    def test_register_and_list(self, session):
-        assert session.specifications() == ["PA"]
+def view_of(ws, a, b, seeds, **kwargs):
+    ws.generate_run(a, params=VARIED, seed=seeds[0])
+    ws.generate_run(b, params=VARIED, seed=seeds[1])
+    return ws.view(a, b, **kwargs)
 
-    def test_generate_and_list_runs(self, session):
-        session.generate_run("PA", "monday", VARIED, seed=1)
-        session.generate_run("PA", "tuesday", VARIED, seed=2)
-        assert session.runs("PA") == ["monday", "tuesday"]
 
-    def test_reload_from_store(self, session, tmp_path):
-        session.generate_run("PA", "monday", VARIED, seed=1)
-        fresh = PDiffViewSession(tmp_path)
+class TestWorkspaceHelpers:
+    def test_register_and_list(self, ws):
+        assert ws.specifications() == ["PA"]
+
+    def test_generate_and_list_runs(self, ws):
+        ws.generate_run("monday", params=VARIED, seed=1)
+        ws.generate_run("tuesday", params=VARIED, seed=2)
+        assert ws.runs("PA") == ["monday", "tuesday"]
+
+    def test_reload_from_store(self, ws, tmp_path):
+        ws.generate_run("monday", params=VARIED, seed=1)
+        fresh = Workspace(tmp_path)
         spec = fresh.specification("PA")
         assert spec.characteristics() == protein_annotation().characteristics()
-        run = fresh.run("PA", "monday")
-        assert run.num_edges >= 1
+        assert fresh.run("monday").num_edges >= 1
 
-    def test_show_helpers(self, session):
-        session.generate_run("PA", "r", VARIED, seed=3)
-        assert "BlastSwP" in session.show_specification("PA")
-        assert "nodes" in session.show_run("PA", "r")
+    def test_show_helpers(self, ws):
+        ws.generate_run("r", params=VARIED, seed=3)
+        assert "BlastSwP" in ws.show_specification()
+        assert "nodes" in ws.show_run("r")
 
-    def test_diff_view(self, session):
-        session.generate_run("PA", "a", VARIED, seed=4)
-        session.generate_run("PA", "b", VARIED, seed=5)
-        view = session.diff("PA", "a", "b")
+
+class TestOverview:
+    def test_overview_and_panes(self, ws):
+        view = view_of(ws, "a", "b", (4, 5))
         assert "delta(a, b)" in view.overview()
         assert "[a]" in view.panes()
 
+    def test_compact_overview_renders(self, ws):
+        view = view_of(ws, "a", "b", (4, 5))
+        text = view.compact_overview()
+        assert "delta(a, b)" in text
+        # The compact form never has more lines than elementary ops + 1.
+        assert len(text.splitlines()) <= len(view) + 1
+
 
 class TestStepping:
-    def test_forward_and_back(self, session):
-        session.generate_run("PA", "a", VARIED, seed=6)
-        session.generate_run("PA", "b", VARIED, seed=7)
-        view = session.diff("PA", "a", "b")
+    def test_forward_and_back(self, ws):
+        view = view_of(ws, "a", "b", (6, 7))
         if len(view) == 0:
             pytest.skip("seeds produced equivalent runs")
         first = view.step_forward()
@@ -64,10 +75,8 @@ class TestStepping:
         assert view.position == 0
         assert again == first
 
-    def test_snapshots(self, session):
-        session.generate_run("PA", "a", VARIED, seed=6)
-        session.generate_run("PA", "b", VARIED, seed=7)
-        view = session.diff("PA", "a", "b", record_intermediates=True)
+    def test_snapshots(self, ws):
+        view = view_of(ws, "a", "b", (6, 7), record_intermediates=True)
         initial = view.state_after_cursor()
         assert initial.num_edges >= 1
         if len(view):
@@ -75,40 +84,41 @@ class TestStepping:
             after = view.state_after_cursor()
             assert after is not None
 
-    def test_exhausted_cursor(self, session):
-        session.generate_run("PA", "a", VARIED, seed=6)
-        session.generate_run("PA", "same", VARIED, seed=6)
-        view = session.diff("PA", "a", "same")
+    def test_exhausted_cursor(self, ws):
+        view = view_of(ws, "a", "same", (6, 6))
         assert len(view) == 0
         assert view.current() is None
         assert view.step_forward() is None
         assert view.step_back() is None
 
 
-class TestCompactOverview:
-    def test_compact_overview_renders(self, session):
-        session.generate_run("PA", "a", VARIED, seed=4)
-        session.generate_run("PA", "b", VARIED, seed=5)
-        view = session.diff("PA", "a", "b")
-        text = view.compact_overview()
-        assert "delta(a, b)" in text
-        # The compact form never has more lines than elementary ops + 1.
-        assert len(text.splitlines()) <= len(view) + 1
-
-
 class TestDistanceMatrix:
-    def test_matrix_pairs(self, session):
+    def test_matrix_pairs(self, ws):
         for name, seed in (("a", 1), ("b", 2), ("c", 3)):
-            session.generate_run("PA", name, VARIED, seed=seed)
-        matrix = session.distance_matrix("PA")
+            ws.generate_run(name, params=VARIED, seed=seed)
+        matrix = ws.matrix("PA")
         assert set(matrix) == {("a", "b"), ("a", "c"), ("b", "c")}
         for value in matrix.values():
             assert value >= 0.0
 
-    def test_matrix_triangle_inequality(self, session):
+    def test_matrix_triangle_inequality(self, ws):
         for name, seed in (("a", 1), ("b", 2), ("c", 3)):
-            session.generate_run("PA", name, VARIED, seed=seed)
-        matrix = session.distance_matrix("PA")
+            ws.generate_run(name, params=VARIED, seed=seed)
+        matrix = ws.matrix("PA")
         ab, ac, bc = matrix[("a", "b")], matrix[("a", "c")], matrix[("b", "c")]
         assert ac <= ab + bc + 1e-9
         assert ab <= ac + bc + 1e-9
+
+
+def test_session_module_defines_only_diffview(ws):
+    """``Workspace.view`` is the one way to a view; the module holds
+    no session facade beside it."""
+    defined = {
+        name
+        for name, value in vars(session_module).items()
+        if isinstance(value, type) and value.__module__ == session_module.__name__
+    }
+    assert defined == {"DiffView"}
+    ws.generate_run("a", params=VARIED, seed=4)
+    ws.generate_run("b", params=VARIED, seed=5)
+    assert isinstance(ws.view("a", "b"), DiffView)

@@ -1,4 +1,4 @@
-"""The query engine: select vs scan, pruning, aggregations, session."""
+"""The query engine: select vs scan, pruning, aggregations, workspace."""
 
 import pytest
 
@@ -6,11 +6,11 @@ from repro.core.edit_script import PATH_DELETION, PATH_INSERTION
 from repro.corpus.service import DiffService
 from repro.costs.standard import CallableCost, LengthCost
 from repro.errors import ReproError
-from repro.pdiffview.session import PDiffViewSession
 from repro.query.aggregate import module_churn, op_kind_histogram
 from repro.query.engine import QueryEngine
 from repro.query.predicates import Q
 from repro.workflow.execution import execute_workflow
+from repro.workspace import Workspace
 
 
 def doc_payload(doc):
@@ -194,16 +194,14 @@ class TestAggregations:
         assert report.mean_cross > 0.0
 
 
-class TestSessionEntryPoint:
-    def test_session_query_matches_engine(self, pa_store):
-        session = PDiffViewSession(pa_store.root)
+class TestWorkspaceEntryPoint:
+    def test_workspace_query_matches_engine(self, pa_store):
+        ws = Workspace(pa_store.root)
         predicate = Q.cost(min=1.0)
-        docs = session.query("PA", predicate)
-        assert docs == list(
-            session.query_engine.select("PA", predicate)
-        )
+        docs = ws.query(predicate, spec="PA")
+        assert docs == list(ws.engine.select("PA", predicate))
         assert all(doc.distance >= 1.0 for doc in docs)
 
-    def test_session_engine_shares_the_service(self, pa_store):
-        session = PDiffViewSession(pa_store.root)
-        assert session.query_engine.service is session.diff_service
+    def test_workspace_engine_shares_the_service(self, pa_store):
+        ws = Workspace(pa_store.root)
+        assert ws.engine.service is ws.service

@@ -7,6 +7,7 @@ from repro.scale.gate import (
     DEFAULT_THRESHOLDS,
     evaluate_gate,
     gate_mode,
+    skip_reason,
 )
 
 
@@ -60,9 +61,47 @@ class TestEvaluate:
                 report(), report(), {"query.p95_ms": ("sideways", 1.0)}
             )
 
+    def test_cold_ms_is_never_gated(self):
+        """The untimed warm-up pass may top up edit scripts, so a
+        cold-pass blow-up alone is not a regression."""
+        baseline = report()
+        baseline["query"]["shapes"] = {"kind": {"cold_ms": 600.0}}
+        current = report()
+        current["query"]["shapes"] = {"kind": {"cold_ms": 60_000.0}}
+        assert evaluate_gate(current, baseline) == []
+        assert not any("cold_ms" in m for m in DEFAULT_THRESHOLDS)
+
     def test_default_thresholds_cover_the_three_workloads(self):
         prefixes = {m.split(".")[0] for m in DEFAULT_THRESHOLDS}
         assert prefixes == {"ingest", "matrix", "query"}
+
+
+class TestComparability:
+    def test_same_corpus_and_cores_is_gated(self):
+        baseline = dict(report(), corpus_runs=1000, cpu_cores=2)
+        assert skip_reason(dict(baseline), baseline) is None
+
+    def test_cpu_cores_mismatch_skips(self):
+        # A regression-sized slowdown on a different core count must
+        # not be judged: the gate skips and says why.
+        baseline = dict(report(), corpus_runs=1000, cpu_cores=2)
+        current = dict(report(p95=400.0), corpus_runs=1000, cpu_cores=8)
+        reason = skip_reason(current, baseline)
+        assert reason is not None and "cpu_cores" in reason
+        assert "2" in reason and "8" in reason
+
+    def test_corpus_runs_mismatch_skips(self):
+        baseline = dict(report(), corpus_runs=1000, cpu_cores=2)
+        current = dict(report(), corpus_runs=10000, cpu_cores=2)
+        assert "corpus_runs" in skip_reason(current, baseline)
+
+
+    def test_unrecorded_cores_skip(self):
+        # A report that does not say its core count cannot be compared
+        # with one that does.
+        baseline = dict(report(), corpus_runs=1000, cpu_cores=2)
+        current = dict(report(), corpus_runs=1000)
+        assert "cpu_cores" in skip_reason(current, baseline)
 
 
 class TestMode:

@@ -85,6 +85,49 @@ class TestEndToEnd:
         )
 
 
+class _QueryCounter:
+    """A workspace proxy noting ``computed_scripts`` after each query."""
+
+    def __init__(self, workspace):
+        self._workspace = workspace
+        self.scripts_after_query = []
+
+    def __getattr__(self, name):
+        return getattr(self._workspace, name)
+
+    def query(self, *args, **kwargs):
+        results = self._workspace.query(*args, **kwargs)
+        self.scripts_after_query.append(
+            self._workspace.stats["computed_scripts"]
+        )
+        return results
+
+
+class TestQueryWarmUp:
+    def test_timed_repeats_compute_no_scripts(self, tmp_path):
+        """Each shape's first query may top up edit scripts; that pass
+        is ``cold_ms``, and the timed repeats after it are warm."""
+        workspace = Workspace(
+            tmp_path / "store", ReproConfig(backend="serial")
+        )
+        CorpusBuilder(workspace, BuildPlan(runs=8, matrix_runs=6)).build()
+        spy = _QueryCounter(workspace)
+        repeats = 3
+        report = drive_workloads(
+            spy, DriverConfig(probe_runs=2, query_repeats=repeats)
+        )
+        counts = spy.scripts_after_query
+        shapes = report["query"]["shapes"]
+        # The first shape's warm-up is where the matrix pairs' scripts
+        # get generated.
+        assert counts[0] > 0
+        for index, label in enumerate(shapes):
+            block = counts[index * (repeats + 1):(index + 1) * (repeats + 1)]
+            warm_up, timed = block[0], block[1:]
+            assert timed == [warm_up] * repeats, label
+            assert shapes[label]["cold_ms"] >= 0
+
+
 class TestCli:
     def test_cli_build_then_run(self, tmp_path, capsys):
         store = tmp_path / "store"

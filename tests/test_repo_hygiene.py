@@ -49,7 +49,7 @@ class TestBenchmarksTree:
 
     def test_no_repr_named_paths_anywhere(self):
         offenders = [
-            path for path in tracked("") if "object at 0x" in path
+            path for path in tracked(".") if "object at 0x" in path
         ]
         assert offenders == []
 

@@ -67,26 +67,6 @@ class TestBackendFlags:
                 "query", store_root, "PA", "--backend", "serial",
             ])
 
-    def test_kernel_flag_round_trips(self, store_root, capsys):
-        """Both kernels price the matrix identically from the CLI."""
-        payloads = {}
-        for kernel in ("python", "auto"):
-            code, out, _ = run_cli(
-                capsys, "matrix", store_root, "PA", "--json",
-                "--backend", "serial", "--kernel", kernel,
-            )
-            assert code == 0
-            payloads[kernel] = json.loads(out)["distances"]
-        assert payloads["python"] == payloads["auto"]
-
-    def test_unknown_kernel_rejected_by_argparse(
-        self, store_root, capsys
-    ):
-        with pytest.raises(SystemExit):
-            main([
-                "matrix", store_root, "PA", "--kernel", "fortran",
-            ])
-
     def test_flags_share_the_persistent_cache(
         self, store_root, capsys, ws
     ):
@@ -104,3 +84,32 @@ class TestBackendFlags:
         )
         warm.matrix()
         assert warm.service.computed_pairs == 0
+
+
+class TestNoKernelFlag:
+    """One DP kernel: no subcommand offers a way to choose another."""
+
+    @pytest.mark.parametrize("command", ["diff", "matrix", "query", "serve"])
+    def test_help_lists_no_kernel_flag(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--backend" in out or command == "query"
+        assert "--kernel" not in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diff", "PA", "r01", "r02"],
+            ["matrix", "PA"],
+            ["query", "PA"],
+        ],
+        ids=["diff", "matrix", "query"],
+    )
+    def test_kernel_flag_is_a_usage_error(self, argv, store_root, capsys):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, store_root, *rest, "--kernel", "python"])
+        assert excinfo.value.code == 2
+        assert "--kernel" in capsys.readouterr().err

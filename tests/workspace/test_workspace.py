@@ -1,6 +1,7 @@
 """The unified :class:`repro.Workspace` client API."""
 
 import dataclasses
+import warnings
 
 import pytest
 
@@ -314,3 +315,21 @@ class TestBackendsThroughWorkspace:
             ws.store, ReproConfig(backend="serial", persistent=False)
         )
         assert ws.matrix() == reference.matrix()
+
+
+class TestWarningFree:
+    def test_end_to_end_emits_no_deprecation(self, tmp_path):
+        """A full workspace round trip — register, generate, diff,
+        matrix, query, view, export — runs with DeprecationWarning as
+        an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            ws = Workspace(tmp_path, ReproConfig(backend="serial"))
+            ws.register(protein_annotation())
+            ws.generate_run("a", seed=1)
+            ws.generate_run("b", seed=2)
+            ws.diff("a", "b")
+            ws.matrix()
+            ws.query()
+            ws.view("a", "b").overview()
+            ws.export_prov("a")
