@@ -1,32 +1,29 @@
 """Sharded multi-process serving cluster.
 
 This package scales the HTTP diff service past one coarse lock in
-three composable layers:
+two composable layers:
 
 - :mod:`repro.cluster.singleflight` — a keyed in-flight table so
   concurrent identical computations (a thundering herd on one cold
   ``GET /diff/{a}/{b}``) share a single DP instead of racing N copies.
-- :mod:`repro.cluster.results_log` — an append-only results log with
-  copy-on-write snapshots, letting readers resolve distances without
-  ever taking the writer lock.
 - :mod:`repro.cluster.server` — a pre-forked multi-process cluster
   (``repro serve --workers N``): a parent process routes requests by
   fingerprint-hash shard (:mod:`repro.cluster.shard`) to per-worker
   HTTP servers supervised by :mod:`repro.cluster.supervisor`, with
   scatter-gather merging for the cross-shard surfaces (``/matrix``,
-  ``/query``, ``/stats``, ``/metrics``).
+  ``/query``, ``/stats``, ``/metrics``).  Workers share the store's
+  derived-state database (:mod:`repro.corpus.derived`), so a restarted
+  worker starts warm and N workers warm once, not N times.
 
-The single-flight table and results log are also used by the
-single-process server — they are what make ``DiffService`` read-mostly
-instead of a monitor.  See ``docs/SCALING.md`` for the full design.
+The single-flight table is also used by the single-process server — it
+is what makes ``DiffService`` read-mostly instead of a monitor.  See
+``docs/SCALING.md`` for the full design.
 """
 
-from repro.cluster.results_log import ResultsLog
 from repro.cluster.shard import shard_for_name, shard_for_pair
 from repro.cluster.singleflight import SingleFlight
 
 __all__ = [
-    "ResultsLog",
     "SingleFlight",
     "shard_for_name",
     "shard_for_pair",

@@ -18,8 +18,8 @@ Routing, by endpoint:
   cost exactly one DP cluster-wide).
 * ``GET/PUT /runs/{name}`` and ``POST /prov/import?name=`` → the worker
   owning :func:`~repro.cluster.shard.shard_for_name`.
-* ``PUT /specs/{name}`` → broadcast to every worker (each keeps its own
-  in-memory derived state over the shared store).
+* ``PUT /specs/{name}`` → broadcast to every worker (each memoises
+  specifications and fingerprints in memory over the shared store).
 * ``POST /matrix`` / ``POST /query`` → scatter-gather: every worker
   receives the request plus a ``shard: {index, count}`` body parameter
   and evaluates only its own pairs; the parent merges the shard results
@@ -72,6 +72,7 @@ from repro.service.app import (
     HttpRequest,
     HttpResponse,
     _package_version,
+    wants_json_metrics,
 )
 
 __all__ = ["ClusterServer", "serve_cluster"]
@@ -587,16 +588,7 @@ class _ClusterApp:
 
     # -- aggregated metrics ------------------------------------------------
     def _metrics(self, request: HttpRequest) -> HttpResponse:
-        format_param = request.query.get("format", "").strip().lower()
-        if format_param not in ("", "json", "prometheus", "text"):
-            raise ReproError(
-                f"unknown metrics format {format_param!r} "
-                "(expected json, prometheus or text)"
-            )
-        wants_json = format_param == "json" or (
-            not format_param
-            and JSON_TYPE in request.header("accept")
-        )
+        wants_json = wants_json_metrics(request)
         scatter_request = HttpRequest(
             method="GET",
             path="/metrics",

@@ -9,14 +9,12 @@ directory — the sharding lives entirely in the routing parent, which
 only sends a worker the requests (and scatter sub-requests carrying a
 ``shard`` body parameter) its shard owns.
 
-Workers run with ``persistent=False``: derived state (distance/script
-caches, fingerprint and script indexes) stays in worker memory, so N
-processes never contend for — or corrupt — the single on-disk index the
-store directory could hold.  The store's *primary* artefacts (spec and
-run XML, metadata) are still written: distinct runs land in distinct
-files, which is safe across processes.  The trade-off is documented in
-``docs/SCALING.md``: a restarted worker re-derives its shard's caches
-from the primary artefacts instead of reloading them.
+Workers keep the configured persistence: every worker's derived state
+(distance and script caches, fingerprint and script indexes) goes
+through the store's one ``index/derived.db``
+(:mod:`repro.corpus.derived`), whose transactions keep concurrent
+writers from losing each other's rows.  A restarted worker therefore
+starts warm, reading what it — or any other worker — computed before.
 
 Shutdown: SIGTERM triggers the server's own graceful drain (finish
 in-flight, abort coalesced waiters with 503, close), exactly the
@@ -53,9 +51,7 @@ def worker_main(
     """
     from repro.service.server import DiffServer
 
-    worker_config = dataclasses.replace(
-        config, persistent=False, workers=0
-    )
+    worker_config = dataclasses.replace(config, workers=0)
     server = DiffServer(root, worker_config, host=host, port=port)
 
     def _drain(signum, frame):

@@ -5,8 +5,11 @@ collections of runs — the "which executions cluster together" workload
 from the paper's conclusions:
 
 * :mod:`repro.corpus.fingerprint` — content-addressed run/spec hashes;
+* :mod:`repro.corpus.derived` — the one SQLite database every derived
+  tier below persists through (``<store>/index/derived.db``);
 * :mod:`repro.corpus.index` — persistent fingerprint index over a store;
-* :mod:`repro.corpus.cache` — two-tier (LRU + JSON) distance cache;
+* :mod:`repro.corpus.cache` — two-tier (LRU + database table) distance
+  cache;
 * :mod:`repro.corpus.service` — the :class:`DiffService` facade with
   parallel batch queries and incremental updates;
 * :mod:`repro.corpus.script_cache` — persistent, directed edit-script

@@ -1,30 +1,31 @@
-"""Two-tier caches: in-memory LRU over an on-disk JSON store.
+"""Two-tier caches: an in-memory LRU over one table of the derived database.
 
-The hot tier is a bounded LRU dictionary; the cold tier is a JSON file
-written atomically through the :class:`~repro.io.store.WorkflowStore`
-idiom.  Keys are content-addressed strings (see
-:mod:`repro.corpus.fingerprint`), so cached entries survive run renames,
-store moves, and process restarts — a cache is addressed by *content*,
-never by file name.
+The hot tier is a bounded LRU dictionary; the cold tier is one table of
+the service's :class:`~repro.corpus.derived.DerivedDB` (a SQLite file
+under ``<store>/index/``, or a private in-memory database).  Keys are
+content-addressed strings (see :mod:`repro.corpus.fingerprint`), so
+cached entries survive run renames, store moves, and process restarts —
+a cache is addressed by *content*, never by file name.
 
-:class:`TwoTierCache` implements the machinery for any JSON-serialisable
-value type; subclasses pin down the value schema through the
-:meth:`~TwoTierCache._decode` hook (a persisted value failing to decode
-is simply a miss — everything here is derived, recomputable data).
+:class:`TwoTierCache` implements the machinery; subclasses name their
+table and pin down the value schema through the
+:meth:`~TwoTierCache._decode` hook (a stored value failing to decode is
+simply a miss — everything here is derived, recomputable data).
 :class:`DistanceCache` stores plain floats (edit distances);
 :class:`~repro.corpus.script_cache.ScriptCache` stores serialised edit
 scripts.
 
-Writes go to the hot tier immediately and are batched to disk on
-:meth:`TwoTierCache.flush` (the service flushes after every batch
-operation); a crash between flushes loses only recomputable values.
+Writes go to the hot tier and a dirty buffer immediately; a lookup that
+misses both reads through to the table.  :meth:`TwoTierCache.flush`
+commits only the dirty rows, in one transaction (the service flushes
+after every batch operation); a crash between flushes loses only
+recomputable values, and a flush that finds the database busy keeps
+its rows for the next one.
 
 Every public operation is thread-safe: one re-entrant lock per cache
 serialises tier lookups, inserts, and flushes, so the HTTP service
 layer can hammer one cache from many request threads without corrupting
-the LRU order or losing batched writes.  Disk I/O inside ``flush`` runs
-under the lock too — flushes are rare (once per batch), and the
-merge-read + atomic write must be indivisible against concurrent puts.
+the LRU order or losing batched writes.
 """
 
 from __future__ import annotations
@@ -32,15 +33,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.io.store import atomic_write
+from repro.corpus.derived import DerivedDB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
-
-import json
 
 
 @dataclass
@@ -113,19 +111,22 @@ class LRUCache:
 
 
 class TwoTierCache:
-    """An :class:`LRUCache` hot tier over a JSON-file cold tier.
+    """An :class:`LRUCache` hot tier over one table of a derived database.
 
     Parameters
     ----------
-    path:
-        Location of the cold tier.  ``None`` disables persistence — the
-        cache is then memory-only (used by tests and ephemeral services).
+    db:
+        The :class:`~repro.corpus.derived.DerivedDB` holding the cold
+        tier.  ``None`` opens a private in-memory database (used by
+        tests and ephemeral callers).
     maxsize:
         Bound of the hot tier.  The cold tier is unbounded.
 
-    Subclasses override :meth:`_decode` to validate values read from
-    disk (return ``None`` to reject — a rejected value is a miss) and
-    :meth:`_encode` to canonicalise values on write.
+    Subclasses set :attr:`table` and override :meth:`_decode` to
+    validate values read back from the table (return ``None`` to reject
+    — a rejected value is a miss), :meth:`_encode` to canonicalise
+    values on write and :meth:`_column` to turn a value into its stored
+    column form.
 
     When a :class:`~repro.obs.metrics.MetricsRegistry` is supplied the
     cache also feeds the shared ``cache_*`` metric families, labelled
@@ -133,22 +134,24 @@ class TwoTierCache:
     can carry every cache tier side by side.
     """
 
+    #: The table of :mod:`repro.corpus.derived` holding the cold tier
+    #: (set by each subclass).
+    table: str
+
     def __init__(
         self,
-        path: Optional[Path] = None,
+        db: Optional[DerivedDB] = None,
         maxsize: int = 4096,
         stats: Optional[CacheStats] = None,
         metrics: Optional["MetricsRegistry"] = None,
         name: str = "cache",
     ):
-        self.path = path
+        self.db = db if db is not None else DerivedDB()
         self.maxsize = maxsize
         self.name = name
         self.stats = stats if stats is not None else CacheStats()
         self._memory = LRUCache(self.maxsize)
-        self._disk: Dict[str, Any] = {}
         self._dirty: Dict[str, Any] = {}
-        self._loaded = False
         self._lock = threading.RLock()
         if metrics is None:
             from repro.obs.metrics import MetricsRegistry
@@ -183,109 +186,93 @@ class TwoTierCache:
 
     # -- value schema hooks ---------------------------------------------
     def _decode(self, raw: Any) -> Optional[Any]:
-        """Validate one raw JSON value from disk (``None`` rejects it)."""
+        """Validate one stored column value (``None`` rejects it)."""
         return raw
 
     def _encode(self, value: Any) -> Any:
         """Canonicalise a value before storing it."""
         return value
 
-    # -- cold tier ------------------------------------------------------
-    def _read_disk_file(self) -> Dict[str, Any]:
-        """Decode the cold-tier file (corrupt or absent → empty)."""
-        if self.path is None or not Path(self.path).exists():
-            return {}
-        try:
-            raw = json.loads(Path(self.path).read_text(encoding="utf8"))
-        except (OSError, ValueError):
-            return {}  # derived data: a corrupt cache is an empty cache
-        if not isinstance(raw, dict):
-            return {}
-        decoded: Dict[str, Any] = {}
-        for key, value in raw.items():
-            accepted = self._decode(value)
-            if accepted is not None:
-                decoded[str(key)] = accepted
-        return decoded
+    def _column(self, value: Any) -> Any:
+        """The stored column form of an encoded value."""
+        return value
 
-    def _load_disk(self) -> None:
-        if self._loaded:
-            return
-        self._loaded = True
-        self._disk = self._read_disk_file()
+    # -- cold tier ------------------------------------------------------
+    def _read(self, key: str) -> Optional[Any]:
+        """The decoded cold-tier value under ``key``, or ``None``."""
+        rows = self.db.rows(
+            f"SELECT value FROM {self.table} WHERE key = ?", (key,)
+        )
+        return self._decode(rows[0][0]) if rows else None
 
     def flush(self) -> None:
-        """Persist batched writes; merges with concurrent writers' work."""
+        """Commit the dirty rows in one transaction (kept when busy)."""
         with self._lock:
-            if self.path is None or not self._dirty:
-                self._dirty.clear()
+            if not self._dirty:
                 return
-            self._load_disk()
-            # Re-read so two services sharing a store lose neither's
-            # entries.
-            merged = self._read_disk_file()
-            merged.update(self._disk)
-            merged.update(self._dirty)
-            self._disk = merged
-            self._dirty = {}
-            atomic_write(
-                Path(self.path), json.dumps(merged, sort_keys=True)
-            )
-            self.stats.flushes += 1
+            rows = [
+                (key, self._column(value))
+                for key, value in self._dirty.items()
+            ]
+            if self.db.commit([(
+                f"INSERT OR REPLACE INTO {self.table} (key, value) "
+                "VALUES (?, ?)",
+                rows,
+            )]):
+                self._dirty.clear()
+                self.stats.flushes += 1
 
     # -- lookups --------------------------------------------------------
     def get(self, key: str) -> Optional[Any]:
-        """Two-tier lookup; disk hits are promoted into the hot tier."""
+        """Two-tier lookup; cold hits are promoted into the hot tier."""
         with self._lock:
             value = self._memory.get(key)
+            if value is None:
+                value = self._dirty.get(key)
             if value is not None:
                 self.stats.memory_hits += 1
                 return value
-            self._load_disk()
-            if key in self._dirty:
-                self.stats.memory_hits += 1
-                return self._dirty[key]
-            if key in self._disk:
+            value = self._read(key)
+            if value is not None:
                 self.stats.disk_hits += 1
-                value = self._disk[key]
                 self._memory.put(key, value)
                 return value
             self.stats.misses += 1
             return None
 
-    def peek(self, key: str) -> Optional[Any]:
+    def peek(self, key: str, read_through: bool = True) -> Optional[Any]:
         """A *non-counting* lookup: no stat updates, no LRU promotion.
 
         For opportunistic probes — the corpus service's triangle-bound
         pivots ask "do we happen to know this distance?" dozens of
         times per queried pair, and those probes must neither skew the
         hit/miss ratios operators alert on nor churn the hot tier's
-        recency order.
+        recency order.  ``read_through=False`` skips the table and
+        answers from what this process put (a single-flight leader's
+        double-check races only against its own process).
         """
         with self._lock:
             value = self._memory.peek(key)
-            if value is not None:
-                return value
-            self._load_disk()
-            if key in self._dirty:
-                return self._dirty[key]
-            return self._disk.get(key)
+            if value is None:
+                value = self._dirty.get(key)
+            if value is None and read_through:
+                value = self._read(key)
+            return value
 
     def put(self, key: str, value: Any) -> None:
-        """Record a freshly computed value in both tiers (disk lazily)."""
+        """Record a freshly computed value (the table at the next flush)."""
         with self._lock:
             self.stats.puts += 1
             encoded = self._encode(value)
             self._memory.put(key, encoded)
-            if self.path is not None:
-                self._dirty[key] = encoded
+            self._dirty[key] = encoded
 
     def __len__(self) -> int:
-        """Distinct keys across all tiers (incl. memory-only entries)."""
+        """Distinct keys across both tiers."""
         with self._lock:
-            self._load_disk()
+            stored = self.db.rows(f"SELECT key FROM {self.table}")
             return len(
-                set(self._disk)
+                {key for (key,) in stored}
                 | set(self._dirty)
                 | set(self._memory.keys())
             )
@@ -297,6 +284,8 @@ class DistanceCache(TwoTierCache):
     Keys are the ``fingerprint|fingerprint|cost_key`` strings from
     :func:`repro.corpus.fingerprint.pair_key`.
     """
+
+    table = "distances"
 
     def _decode(self, raw: Any) -> Optional[float]:
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):

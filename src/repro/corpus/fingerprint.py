@@ -99,6 +99,6 @@ def script_key(
     script transforms the first run into the second, and the reverse
     transformation is a different script (insertions and deletions swap
     roles and the operation order inverts).  The ``>`` separator makes
-    the direction legible in persisted index files.
+    the direction legible in persisted keys.
     """
     return f"{fingerprint_from}>{fingerprint_to}|{cost_key}"

@@ -3,7 +3,8 @@
 Fingerprinting a run requires parsing its XML and rebuilding the
 annotated SP-tree — exactly the per-query cost the corpus service exists
 to avoid.  :class:`FingerprintIndex` computes each run's fingerprint
-once and persists it in ``<root>/index/fingerprints.json``, keyed by
+once and persists it as one row of the ``fingerprints`` table of the
+service's derived database (:mod:`repro.corpus.derived`), keyed by
 specification and run name with the source file's size and mtime
 recorded for invalidation: an overwritten run file is transparently
 re-fingerprinted.  The stamp check shares the usual limitation of
@@ -13,11 +14,16 @@ is indistinguishable from no change.  Writes that go through the
 service (``DiffService.add_run``) re-fingerprint unconditionally and
 are immune.
 
-Each specification's section also records the *specification's own
-digest*: run fingerprints embed it, so when a specification is
-re-registered with different structure (same name, new content), the
-whole section is discarded and rebuilt rather than serving fingerprints
-minted under the old spec — even across processes.
+Each entry also records the *specification's own digest*: run
+fingerprints embed it, so when a specification is re-registered with
+different structure (same name, new content), entries minted under the
+old spec no longer validate and are rebuilt rather than served — even
+across processes.
+
+The whole table is loaded at open; :meth:`FingerprintIndex.flush`
+writes only the rows that changed since (upserts, plus deletes for
+forgotten entries), so processes sharing a store never overwrite each
+other's entries.
 
 The index also memoises loaded :class:`WorkflowRun` objects per spec for
 the lifetime of the service instance, so a batch query parses each run
@@ -32,9 +38,10 @@ never correctness.
 
 from __future__ import annotations
 
+import json
 import os
 import threading
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.core.bounds import (
     LeafProfile,
@@ -42,12 +49,14 @@ from repro.core.bounds import (
     encode_profile,
     leaf_profile,
 )
+from repro.corpus.derived import DerivedDB
 from repro.corpus.fingerprint import run_fingerprint, spec_fingerprint
 from repro.io.store import WorkflowStore
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
-INDEX_NAME = "fingerprints"
+#: ``(spec name, run name)``: the key of one index entry.
+EntryKey = Tuple[str, str]
 
 
 def _file_stamp(path) -> Optional[Tuple[int, int]]:
@@ -61,46 +70,61 @@ def _file_stamp(path) -> Optional[Tuple[int, int]]:
 
 
 class FingerprintIndex:
-    """Content-addressed run index persisted under the store's root."""
+    """Content-addressed run index persisted in a derived database.
 
-    def __init__(self, store: WorkflowStore):
+    ``db=None`` keeps the index in a private in-memory database.
+    """
+
+    def __init__(self, store: WorkflowStore, db: Optional[DerivedDB] = None):
         self.store = store
-        #: spec name -> {"spec": spec digest, "runs": {run name: entry}}
-        self._entries: Dict[str, dict] = {}
+        self.db = db if db is not None else DerivedDB()
+        #: (spec, run) -> {"spec": spec digest, "fingerprint", "profile",
+        #: "size", "mtime_ns"}
+        self._entries: Dict[EntryKey, dict] = {}
         self._spec_digests: Dict[str, str] = {}
-        self._runs: Dict[Tuple[str, str], WorkflowRun] = {}
-        self._dirty = False
-        # Guards the entry/digest tables and the dirty flag.  The run
+        self._runs: Dict[EntryKey, WorkflowRun] = {}
+        #: Entries changed since the last flush (deleted when absent).
+        self._dirty: Set[EntryKey] = set()
+        # Guards the entry/digest tables and the dirty set.  The run
         # memo stays on bare dict ops (peek/remember's first-writer-wins
         # contract): parsing happens outside any lock by design.
         self._lock = threading.RLock()
-        loaded = store.load_index(INDEX_NAME)
-        if loaded:
-            for spec_name, section in loaded.items():
-                if (
-                    isinstance(section, dict)
-                    and isinstance(section.get("spec"), str)
-                    and isinstance(section.get("runs"), dict)
-                ):
-                    self._entries[str(spec_name)] = {
-                        "spec": section["spec"],
-                        "runs": {
-                            str(name): entry
-                            for name, entry in section["runs"].items()
-                            if isinstance(entry, dict)
-                        },
-                    }
+        for spec_name, run_name, text in self.db.rows(
+            "SELECT spec, run, entry FROM fingerprints"
+        ):
+            try:
+                entry = json.loads(text)
+            except (TypeError, ValueError):
+                continue
+            if isinstance(entry, dict):
+                self._entries[(spec_name, run_name)] = entry
 
     # -- persistence ----------------------------------------------------
     def flush(self) -> None:
-        """Persist new/invalidated fingerprints (no-op when clean)."""
+        """Commit changed entries in one transaction (no-op when clean)."""
         with self._lock:
             if not self._dirty:
                 return
-            self.store.save_index(INDEX_NAME, self._entries)
-            self._dirty = False
+            upserts = [
+                (spec, run, json.dumps(self._entries[(spec, run)]))
+                for spec, run in self._dirty
+                if (spec, run) in self._entries
+            ]
+            deletes = [
+                key for key in self._dirty if key not in self._entries
+            ]
+            if self.db.commit([
+                (
+                    "INSERT OR REPLACE INTO fingerprints (spec, run, entry) "
+                    "VALUES (?, ?, ?)",
+                    upserts,
+                ),
+                ("DELETE FROM fingerprints WHERE spec = ? AND run = ?",
+                 deletes),
+            ]):
+                self._dirty.clear()
 
-    # -- sections --------------------------------------------------------
+    # -- entries ---------------------------------------------------------
     def spec_digest(self, spec: WorkflowSpecification) -> str:
         """Memoised :func:`spec_fingerprint` (keyed by spec name)."""
         key = spec.name
@@ -109,19 +133,18 @@ class FingerprintIndex:
                 self._spec_digests[key] = spec_fingerprint(spec)
             return self._spec_digests[key]
 
-    def _section(self, spec: WorkflowSpecification) -> dict:
-        """The spec's index section, discarded if minted under an older
-        version of the specification (run fingerprints embed the spec
-        digest, so they are all stale when it changes)."""
+    def _entry(
+        self, spec: WorkflowSpecification, run_name: str
+    ) -> Optional[dict]:
+        """The run's entry, unless minted under an older version of the
+        specification (run fingerprints embed the spec digest, so such
+        an entry is stale)."""
         digest = self.spec_digest(spec)
         with self._lock:
-            section = self._entries.get(spec.name)
-            if section is None or section.get("spec") != digest:
-                if section is not None:
-                    self._dirty = True
-                section = {"spec": digest, "runs": {}}
-                self._entries[spec.name] = section
-            return section
+            entry = self._entries.get((spec.name, run_name))
+            if entry is None or entry.get("spec") != digest:
+                return None
+            return entry
 
     def forget_spec(self, spec_name: str) -> None:
         """Drop everything memoised/indexed for one specification.
@@ -130,8 +153,9 @@ class FingerprintIndex:
         name; the next query re-fingerprints against the new content.
         """
         with self._lock:
-            if self._entries.pop(spec_name, None) is not None:
-                self._dirty = True
+            for key in [k for k in self._entries if k[0] == spec_name]:
+                del self._entries[key]
+                self._dirty.add(key)
             self._spec_digests.pop(spec_name, None)
             for key in [k for k in self._runs if k[0] == spec_name]:
                 del self._runs[key]
@@ -147,16 +171,15 @@ class FingerprintIndex:
         index entry refreshed.
         """
         stamp = _file_stamp(self.store.locate_run(spec.name, run_name))
-        with self._lock:
-            entry = self._section(spec)["runs"].get(run_name)
-            if (
-                entry is not None
-                and stamp is not None
-                and entry.get("size") == stamp[0]
-                and entry.get("mtime_ns") == stamp[1]
-                and isinstance(entry.get("fingerprint"), str)
-            ):
-                return entry["fingerprint"]
+        entry = self._entry(spec, run_name)
+        if (
+            entry is not None
+            and stamp is not None
+            and entry.get("size") == stamp[0]
+            and entry.get("mtime_ns") == stamp[1]
+            and isinstance(entry.get("fingerprint"), str)
+        ):
+            return entry["fingerprint"]
         run = self.load_run(spec, run_name, refresh=entry is not None)
         return self.record(run, as_name=run_name)
 
@@ -178,15 +201,17 @@ class FingerprintIndex:
         # counting leaf edges is linear, and persisting it lets warm
         # bound checks skip the XML parse entirely.
         entry = {
+            "spec": self.spec_digest(run.spec),
             "fingerprint": digest,
             "profile": encode_profile(leaf_profile(run.tree)),
         }
         if stamp is not None:
             entry["size"], entry["mtime_ns"] = stamp
+        key = (run.spec.name, name)
         with self._lock:
-            self._section(run.spec)["runs"][name] = entry
-            self._runs[(run.spec.name, name)] = run
-            self._dirty = True
+            self._entries[key] = entry
+            self._runs[key] = run
+            self._dirty.add(key)
         return digest
 
     def profile(
@@ -194,41 +219,37 @@ class FingerprintIndex:
     ) -> LeafProfile:
         """The run's leaf profile (Q-leaf label-pair counts).
 
-        Served from the persisted index entry when present — index
-        files written before profiles existed simply lack the field,
-        in which case the run is loaded (through the memo) and the
-        entry backfilled.  Freshness rides on :meth:`fingerprint`'s
-        stamp validation: a stale entry is refreshed there first, and
+        Served from the persisted index entry when it decodes;
+        otherwise the run is loaded (through the memo) and the entry
+        backfilled.  Freshness rides on :meth:`fingerprint`'s stamp
+        validation: a stale entry is refreshed there first, and
         :meth:`record` always writes the profile alongside.
         """
         self.fingerprint(spec, run_name)
-        with self._lock:
-            entry = self._section(spec)["runs"].get(run_name)
-            decoded = (
-                decode_profile(entry.get("profile"))
-                if entry is not None
-                else None
-            )
+        entry = self._entry(spec, run_name)
+        decoded = (
+            decode_profile(entry.get("profile"))
+            if entry is not None
+            else None
+        )
         if decoded is not None:
             return decoded
         run = self.load_run(spec, run_name)
         profile = leaf_profile(run.tree)
         with self._lock:
-            entry = self._section(spec)["runs"].get(run_name)
+            entry = self._entry(spec, run_name)
             if entry is not None:
                 entry["profile"] = encode_profile(profile)
-                self._dirty = True
+                self._dirty.add((spec.name, run_name))
         return profile
 
     def forget(self, spec_name: str, run_name: str) -> None:
         """Drop a run's index entry and memoised object (if any)."""
+        key = (spec_name, run_name)
         with self._lock:
-            section = self._entries.get(spec_name)
-            if section is not None and section["runs"].pop(
-                run_name, None
-            ):
-                self._dirty = True
-            self._runs.pop((spec_name, run_name), None)
+            if self._entries.pop(key, None) is not None:
+                self._dirty.add(key)
+            self._runs.pop(key, None)
 
     # -- run objects ----------------------------------------------------
     def load_run(
@@ -269,5 +290,4 @@ class FingerprintIndex:
 
     def cached_entry_count(self, spec_name: str) -> int:
         with self._lock:
-            section = self._entries.get(spec_name)
-            return len(section["runs"]) if section else 0
+            return sum(1 for key in self._entries if key[0] == spec_name)

@@ -2,15 +2,16 @@
 
 The distance cache (:class:`~repro.corpus.cache.DistanceCache`) lets a
 warm corpus answer *how far apart* two runs are without repaying the
-O(|E|³) DP — but until this module, inspecting *what changed* (the edit
-script itself) recomputed the whole diff every time.  :class:`ScriptCache`
-persists serialised edit scripts under ``<store>/index/query/``, keyed by
-the **directed** ``fingerprint>fingerprint|cost_key`` strings from
+O(|E|³) DP — but inspecting *what changed* (the edit script itself)
+would recompute the whole diff every time.  :class:`ScriptCache`
+persists serialised edit scripts in the ``scripts`` table of the
+service's derived database (:mod:`repro.corpus.derived`), keyed by the
+**directed** ``fingerprint>fingerprint|cost_key`` strings from
 :func:`repro.corpus.fingerprint.script_key`: scripts transform run A into
 run B, so unlike distances they are not symmetric.
 
 A cached value is one :data:`~repro.core.edit_script.SCRIPT_SCHEMA_VERSION`
-record::
+record, stored as JSON text::
 
     {"v": 1, "distance": <float>, "ops": [<PathOperation.to_dict()>, ...]}
 
@@ -21,6 +22,7 @@ is the decoded in-memory form handed to callers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -32,13 +34,6 @@ from repro.core.edit_script import (
 )
 from repro.corpus.cache import TwoTierCache
 from repro.errors import EditScriptError
-
-#: File stem of the cold tier under ``<store>/index/query/``.
-SCRIPTS_CACHE_NAME = "scripts"
-
-#: Namespace (subdirectory of ``index/``) the query subsystem writes to.
-QUERY_NAMESPACE = "query"
-
 
 @dataclass
 class ScriptRecord:
@@ -110,8 +105,17 @@ class ScriptCache(TwoTierCache):
     never leak mutable state into :class:`PathOperation` objects.
     """
 
+    table = "scripts"
+
     def _decode(self, raw: Any) -> Optional[dict]:
-        return raw if _valid_record(raw) else None
+        try:
+            record = json.loads(raw)
+        except (TypeError, ValueError):
+            return None
+        return record if _valid_record(record) else None
+
+    def _column(self, value: dict) -> str:
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
     def _encode(self, value: Any) -> dict:
         if not _valid_record(value):

@@ -14,10 +14,12 @@ predicate **before** loading a single script:
 
 The index is *built incrementally as diffs are computed*: the
 :class:`~repro.corpus.service.DiffService` calls :meth:`ScriptIndex.add`
-whenever it computes (or first re-reads) a script, and the postings are
-persisted under ``<store>/index/query/postings.json`` through the same
-merge-on-flush discipline as the caches — concurrent services lose
-neither's postings, and a corrupt file is an empty index to be rebuilt.
+whenever it computes (or first re-reads) a script.  Each indexed script
+is one row of the ``script_docs`` table of the service's derived
+database (:mod:`repro.corpus.derived`) — its distance, op count and
+terms — from which the posting sets are rebuilt at open; a flush writes
+only the rows added since, so concurrent services lose neither's
+scripts, and an unreadable database is an empty index to be rebuilt.
 
 Pruning is **conservative by construction**: a term's posting list is a
 superset test only — the engine always re-evaluates the full predicate
@@ -32,6 +34,7 @@ it in place.
 
 from __future__ import annotations
 
+import json
 import math
 import threading
 from typing import (
@@ -44,14 +47,10 @@ from typing import (
     Tuple,
 )
 
-from repro.io.store import WorkflowStore
+from repro.corpus.derived import DerivedDB
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.metrics import MetricsRegistry
-
-INDEX_NAME = "postings"
-INDEX_NAMESPACE = "query"
-INDEX_VERSION = 1
 
 KIND_PREFIX = "kind:"
 LABEL_PREFIX = "label:"
@@ -87,20 +86,20 @@ class ScriptIndex:
 
     The docs table records ``key → (distance, op count)`` so pure
     cost/op-count predicates can prune without touching the script
-    cache at all.
+    cache at all.  ``db=None`` keeps the index in a private in-memory
+    database.
     """
 
     def __init__(
         self,
-        store: WorkflowStore,
-        persistent: bool = True,
+        db: Optional[DerivedDB] = None,
         metrics: Optional["MetricsRegistry"] = None,
     ):
-        self.store = store
-        self.persistent = persistent
+        self.db = db if db is not None else DerivedDB()
         self._postings: Dict[str, Set[str]] = {}
         self._docs: Dict[str, Tuple[float, int]] = {}
-        self._dirty = False
+        #: Rows added since the last flush: key -> (distance, ops, terms).
+        self._pending: Dict[str, Tuple[float, int, str]] = {}
         # Posting sets are mutated in place; every public read and
         # write holds this re-entrant lock so concurrent request
         # threads can never observe a half-updated index.
@@ -117,83 +116,52 @@ class ScriptIndex:
             "script_index_size",
             "Distinct edit scripts currently indexed.",
         ).set_function(self.__len__)
-        if persistent:
-            self._ingest(
-                store.load_index(INDEX_NAME, namespace=INDEX_NAMESPACE)
-            )
+        for key, distance, ops, terms in self.db.rows(
+            "SELECT key, distance, ops, terms FROM script_docs"
+        ):
+            try:
+                decoded = json.loads(terms)
+                self._insert(
+                    key, float(distance), int(ops), map(str, decoded)
+                )
+            except (TypeError, ValueError):
+                continue  # derived data: a bad row is an unindexed script
 
     # -- persistence ----------------------------------------------------
-    def _ingest(self, payload: Optional[dict]) -> None:
-        """Merge one persisted payload into the in-memory maps."""
-        if not payload or payload.get("version") != INDEX_VERSION:
-            return
-        postings = payload.get("postings")
-        docs = payload.get("docs")
-        if isinstance(postings, dict):
-            for term, keys in postings.items():
-                if isinstance(keys, list):
-                    self._postings.setdefault(str(term), set()).update(
-                        str(key) for key in keys
-                    )
-        if isinstance(docs, dict):
-            for key, entry in docs.items():
-                if (
-                    isinstance(entry, list)
-                    and len(entry) == 2
-                    and isinstance(entry[0], (int, float))
-                    and not isinstance(entry[0], bool)
-                    and isinstance(entry[1], int)
-                ):
-                    self._docs.setdefault(
-                        str(key), (float(entry[0]), entry[1])
-                    )
-
     def flush(self) -> None:
-        """Persist the index, merging with concurrent writers' postings."""
+        """Commit the scripts indexed since the last flush."""
         with self._lock:
-            if not self.persistent or not self._dirty:
+            if not self._pending:
                 return
-            # Re-ingest the on-disk state so two services sharing a
-            # store union their postings instead of overwriting each
-            # other.
-            self._ingest(
-                self.store.load_index(
-                    INDEX_NAME, namespace=INDEX_NAMESPACE
-                )
-            )
-            payload = {
-                "version": INDEX_VERSION,
-                "postings": {
-                    term: sorted(keys)
-                    for term, keys in self._postings.items()
-                },
-                "docs": {
-                    key: [distance, ops]
-                    for key, (distance, ops) in self._docs.items()
-                },
-            }
-            self.store.save_index(
-                INDEX_NAME, payload, namespace=INDEX_NAMESPACE
-            )
-            self._dirty = False
+            if self.db.commit([(
+                "INSERT OR REPLACE INTO script_docs "
+                "(key, distance, ops, terms) VALUES (?, ?, ?, ?)",
+                [(key, *row) for key, row in self._pending.items()],
+            )]):
+                self._pending.clear()
 
     # -- building -------------------------------------------------------
     def has(self, key: str) -> bool:
         with self._lock:
             return key in self._docs
 
+    def _insert(
+        self, key: str, distance: float, ops: int, terms: Iterable[str]
+    ) -> None:
+        for term in terms:
+            self._postings.setdefault(term, set()).add(key)
+        self._docs[key] = (distance, ops)
+
     def add(self, key: str, record: dict) -> None:
         """Index one encoded script record (idempotent per key)."""
         with self._lock:
             if key in self._docs:
                 return
-            for term in script_terms(record):
-                self._postings.setdefault(term, set()).add(key)
-            self._docs[key] = (
-                float(record["distance"]),
-                len(record["ops"]),
-            )
-            self._dirty = True
+            terms = sorted(script_terms(record))
+            distance = float(record["distance"])
+            ops = len(record["ops"])
+            self._insert(key, distance, ops, terms)
+            self._pending[key] = (distance, ops, json.dumps(terms))
             self._indexed_metric.inc()
 
     # -- introspection ---------------------------------------------------

@@ -3,11 +3,15 @@
 :class:`DiffService` turns the pairwise differ into a corpus-scale
 engine over a :class:`~repro.io.store.WorkflowStore`:
 
-* every stored run is fingerprinted **once** (persisted in
-  ``<root>/index/fingerprints.json``, invalidated by file stamp);
+* every stored run is fingerprinted **once** (invalidated by file
+  stamp);
 * every computed distance lands in a two-tier cache keyed by
   ``(fingerprint, fingerprint, cost model)`` — a warm
   :meth:`distance_matrix` call performs **zero** edit-distance DPs;
+* all of that derived state persists through one SQLite database,
+  ``<root>/index/derived.db`` (:mod:`repro.corpus.derived`; a private
+  in-memory one for an ephemeral service), which processes sharing the
+  store share;
 * cold pairs fan out over a pluggable
   :class:`~repro.backends.base.ExecutorBackend` — the thread backend
   (default) overlaps the I/O share of a batch under the GIL, while the
@@ -46,9 +50,9 @@ Concurrency is **read-mostly with single-flight coalescing** (the HTTP
 service layer runs one thread per request):
 
 * warm reads never touch the service lock — the caches carry their own
-  fine-grained locks, and non-counting probes resolve through a
-  lock-free copy-on-write :class:`~repro.cluster.results_log.ResultsLog`
-  snapshot, so readers never block on a writer's DP batch;
+  fine-grained locks (non-counting probes go through
+  :meth:`~repro.corpus.cache.TwoTierCache.peek`), so readers never
+  block on a writer's DP batch;
 * cold work is coalesced through a keyed
   :class:`~repro.cluster.singleflight.SingleFlight` table: concurrent
   callers needing the same content-addressed pair elect one *leader*
@@ -87,7 +91,6 @@ from repro.backends.work import (
     compute_distance,
     compute_script,
 )
-from repro.cluster.results_log import ResultsLog
 from repro.cluster.singleflight import SingleFlight
 from repro.core.bounds import (
     distance_lower_bound,
@@ -99,11 +102,10 @@ from repro.core.bounds import (
 from repro.core.memo import SharedTables
 from repro.corpus.analytics import medoid, outliers
 from repro.corpus.cache import DistanceCache
+from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.fingerprint import cost_model_key, pair_key, script_key
 from repro.corpus.index import FingerprintIndex
 from repro.corpus.script_cache import (
-    QUERY_NAMESPACE,
-    SCRIPTS_CACHE_NAME,
     ScriptCache,
     ScriptRecord,
     decode_script,
@@ -119,8 +121,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runmeta import capture_run_metadata
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
-
-DISTANCES_INDEX_FILE = "distances.json"
 
 #: How many pivot runs a triangle-bound probe may consult per pair.
 #: Probes are dict lookups against already-known distances — cheap, but
@@ -155,8 +155,9 @@ class DiffService:
     cache_size:
         Bound of the in-memory distance-cache tier.
     persistent:
-        When ``False``, neither distances nor fingerprints are written
-        to disk — an ephemeral, memory-only service.
+        When ``False``, derived state lives in a private in-memory
+        database instead of ``<root>/index/derived.db`` — an
+        ephemeral service that never writes under ``index/``.
     backend:
         Where cold batches execute: a name from
         :data:`repro.backends.base.BACKEND_NAMES` or an
@@ -189,35 +190,23 @@ class DiffService:
             self.backend = backend
         else:
             self.backend = make_backend(backend, max_workers)
-        self.persistent = persistent
-        self.index = FingerprintIndex(self.store)
-        cache_path = (
-            self.store.index_dir / DISTANCES_INDEX_FILE
-            if persistent
-            else None
+        self.db = DerivedDB(
+            self.store.root / "index" / DB_FILE if persistent else None
         )
+        self.index = FingerprintIndex(self.store, self.db)
         self.cache = DistanceCache(
-            path=cache_path,
+            self.db,
             maxsize=cache_size,
             metrics=self.metrics,
             name="distance",
         )
-        script_path = (
-            self.store.index_path(
-                SCRIPTS_CACHE_NAME, namespace=QUERY_NAMESPACE
-            )
-            if persistent
-            else None
-        )
         self.script_cache = ScriptCache(
-            path=script_path,
+            self.db,
             maxsize=cache_size,
             metrics=self.metrics,
             name="script",
         )
-        self.script_index = ScriptIndex(
-            self.store, persistent=persistent, metrics=self.metrics
-        )
+        self.script_index = ScriptIndex(self.db, metrics=self.metrics)
         self.computed_pairs = 0
         self.computed_scripts = 0
         # DPs the fast path avoided: decided by the packing lower
@@ -238,10 +227,6 @@ class DiffService:
         # computations onto one leader DP (keys are content-derived:
         # ("distance"|"script", content key)).
         self._flights = SingleFlight()
-        # Copy-on-write results log: every published distance lands
-        # here too, so non-counting probes (bound pivots, leader
-        # double-checks) read lock-free.
-        self._results_log = ResultsLog()
         #: Requests served from another caller's in-flight computation.
         self.coalesced_requests = 0
         # Contention accounting: plain floats guarded by the monitor
@@ -276,10 +261,6 @@ class DiffService:
             "singleflight_coalesced_total",
             "Requests served from another caller's in-flight DP.",
         ).set_function(lambda: self.coalesced_requests)
-        self.metrics.counter(
-            "results_log_entries_total",
-            "Distances published to the copy-on-write results log.",
-        ).set_function(self._results_log.entries)
         self._batch_metric = self.metrics.histogram(
             "dp_batch_size",
             "Cold DP tasks dispatched per backend batch.",
@@ -390,8 +371,7 @@ class DiffService:
                 list(runs) if runs is not None else self.runs(spec_name)
             )
             _, fingerprints = self._resolve(spec_name, names)
-            if self.persistent:
-                self.index.flush()
+            self.index.flush()
             return fingerprints
 
     def _load_run(
@@ -461,8 +441,7 @@ class DiffService:
         with self._monitor():
             spec = self.specification(spec_name)
             packing = self._packing_bounds(spec, pair_list, cost)
-            if self.persistent:
-                self.index.flush()  # profile backfills
+            self.index.flush()  # profile backfills
         return {pair: packing.get(pair, 0.0) for pair in pair_list}
 
     def note_bound_skips(self, count: int) -> None:
@@ -496,13 +475,9 @@ class DiffService:
             return 0.0
         if cost_key is None:
             return None
-        key = pair_key(fingerprints[a], fingerprints[b], cost_key)
-        # Results-log snapshot first: a lock-free dict read, so bound
-        # probes resolve without touching any cache lock a concurrent
-        # writer might hold mid-batch.
-        value = self._results_log.get(key)
-        if value is None:
-            value = self.cache.peek(key)
+        value = self.cache.peek(
+            pair_key(fingerprints[a], fingerprints[b], cost_key)
+        )
         return value if isinstance(value, float) else None
 
     @staticmethod
@@ -629,7 +604,6 @@ class DiffService:
                     )
                     if self.cache.get(key) is None:
                         self.cache.put(key, 0.0)
-                        self._results_log.append(key, 0.0)
                         seeded = True
                 results[(a, b)] = 0.0
                 continue
@@ -664,11 +638,12 @@ class DiffService:
             if not leader:
                 followed.append((key, flight))
                 continue
-            # Double-check the results log: a prior leader may have
+            # Double-check the cache: a prior leader may have
             # published between our counting cache miss and begin().
             # (Non-counting on purpose — the classification above is
-            # the one accounted lookup per pair.)
-            value = self._results_log.get(key)
+            # the one accounted lookup per pair; and memory-only, as
+            # that lookup already read the table.)
+            value = self.cache.peek(key, read_through=False)
             if value is not None:
                 self._flights.finish(flight, value=value)
                 for name_pair in group:
@@ -759,10 +734,8 @@ class DiffService:
                     self._flights.finish(flight, error=exc)
                 raise
 
-            # Publish: counters and cache puts under the narrow lock,
-            # one results-log swap for the whole batch.
+            # Publish: counters and cache puts under the narrow lock.
             flight_values: Dict[str, float] = {}
-            published: List[Tuple[str, float]] = []
             performed = 0
             with self._monitor():
                 for (key, group), value in zip(compute_groups, distances):
@@ -776,13 +749,10 @@ class DiffService:
                     self.computed_pairs += 1
                     if cost_key is not None:
                         self.cache.put(key, value)
-                        published.append((key, value))
                         flight_values[key] = value
                     for name_pair in group:
                         results[name_pair] = value
                 self._dp_metric.inc(performed, kind="distance")
-            if published:
-                self._results_log.extend(published)
             for key, flight in led:
                 self._flights.finish(flight, value=flight_values[key])
             logger.debug(
@@ -790,11 +760,11 @@ class DiffService:
                 extra={"batch_size": len(directed),
                        "backend": backend_name},
             )
-            self._flush()
+            self.flush()
         elif seeded:
             # No cold DPs, but ≡ short-circuits seeded cache entries.
-            self._flush()
-        elif self.persistent:
+            self.flush()
+        else:
             # Even an all-warm query may have refreshed fingerprints.
             self.index.flush()
 
@@ -807,24 +777,21 @@ class DiffService:
                 value = flight.result()
                 for name_pair in pending[key]:
                     results[name_pair] = value
-        return results
-
-    def _flush(self) -> None:
-        with self._monitor():
-            if self.persistent:
-                self.cache.flush()
-                self.script_cache.flush()
-                self.script_index.flush()
-                self.index.flush()
+        # In the callers' pair order, however the pairs split between
+        # warm and cold: a matrix lists the same way in every process.
+        return {pair: results[pair] for pair in pairs}
 
     def flush(self) -> None:
-        """Persist every dirty cache tier now (no-op when ephemeral).
+        """Commit every dirty derived tier now.
 
-        Query methods flush themselves; this exists for callers that
-        batch with ``edit_scripts(..., flush=False)`` and settle once
-        at the end.
+        Query methods flush themselves; callers that batch with
+        ``edit_scripts(..., flush=False)`` call this once at the end.
         """
-        self._flush()
+        with self._monitor():
+            self.cache.flush()
+            self.script_cache.flush()
+            self.script_index.flush()
+            self.index.flush()
 
     # -- queries ---------------------------------------------------------
     def distance(
@@ -1031,9 +998,10 @@ class DiffService:
     def cached_script(self, key: str) -> Optional[ScriptRecord]:
         """The decoded script cached under a directed key, or ``None``.
 
-        Re-reading a script also backfills the inverted index (a cache
-        file can outlive a deleted index file) — any path that touches a
-        script keeps the index complete.
+        Re-reading a script also backfills the inverted index (the
+        scripts table can hold rows this process has not indexed, e.g.
+        another process's) — any path that touches a script keeps the
+        index complete.
         """
         with self._monitor():
             raw = self.script_cache.get(key)
@@ -1075,10 +1043,9 @@ class DiffService:
     ) -> Dict[Tuple[str, str], ScriptRecord]:
         """Cached edit scripts for a batch of directed name pairs.
 
-        The batch analogue of :meth:`edit_script` — one flush for the
-        whole batch instead of one per computed script, which is what
-        keeps corpus ingest linear in the number of pairs (a per-script
-        flush would rewrite the growing cache file quadratically).
+        The batch analogue of :meth:`edit_script` — one flush (one
+        durable commit per tier) for the whole batch instead of one per
+        computed script.
         Callers that chunk one logical sweep into many batches (the
         workspace's streaming ``diff_many``) pass ``flush=False`` per
         chunk and call :meth:`flush` once at the end, for the same
@@ -1137,7 +1104,7 @@ class DiffService:
                 continue
             # Double-check without counting: another leader may have
             # landed between our cached_script miss and begin().
-            raw = self.script_cache.peek(key)
+            raw = self.script_cache.peek(key, read_through=False)
             record = decode_script(raw) if raw is not None else None
             if record is not None:
                 self._flights.finish(
@@ -1197,7 +1164,6 @@ class DiffService:
                        "backend": backend_name},
             )
             flight_values: Dict[object, Tuple[float, list]] = {}
-            published: List[Tuple[str, float]] = []
             with self._monitor():
                 for (group_key, group), (distance, operations) in zip(
                     ordered, outcomes
@@ -1242,11 +1208,6 @@ class DiffService:
                                 cost_key,
                             )
                             self.cache.put(dist_key, record.distance)
-                            published.append(
-                                (dist_key, record.distance)
-                            )
-            if published:
-                self._results_log.extend(published)
             for key, flight in led:
                 self._flights.finish(flight, value=flight_values[key])
 
@@ -1265,7 +1226,7 @@ class DiffService:
                         ],
                     )
         if flush:
-            self._flush()
+            self.flush()
         return results
 
     # -- incremental updates ----------------------------------------------
@@ -1294,7 +1255,7 @@ class DiffService:
         with self._monitor():
             spec, run, fingerprints, pairs = self._adopt_run(run, meta)
         results = self._compute_pairs(spec, pairs, fingerprints, cost)
-        self._flush()
+        self.flush()
         return results
 
     def _adopt_run(self, run: WorkflowRun, meta=None):

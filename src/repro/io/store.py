@@ -8,12 +8,13 @@ storage half: a directory layout
 
     <root>/specs/<spec-name>.xml
     <root>/runs/<spec-name>/<run-name>.xml
-    <root>/index/<index-name>.json
+    <root>/index/derived.db
 
 with atomic writes (temp file + rename) so a crashed process never leaves
 a half-written catalog entry — the usual durability idiom for file-backed
-stores.  The ``index/`` area holds derived data maintained by the corpus
-subsystem (run fingerprints, distance caches); deleting it loses only
+stores.  The ``index/`` area holds the derived-state database the corpus
+subsystem maintains (:mod:`repro.corpus.derived`: run fingerprints,
+distance and script caches, the script index); deleting it loses only
 recomputable state, never a specification or run.
 
 Names containing characters outside ``[A-Za-z0-9._-]`` are sanitised for
@@ -53,8 +54,7 @@ def atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + fsync + rename).
 
     Readers never observe a partial file: they see either the previous
-    content or the full new content.  Shared by the store and by the
-    corpus subsystem's derived-data files (distance cache, sidecars).
+    content or the full new content.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, temp_name = tempfile.mkstemp(
@@ -353,64 +353,3 @@ class WorkflowStore:
             ),
         )
         return result
-
-    # -- derived indexes (corpus/query subsystems) ----------------------
-    @property
-    def index_dir(self) -> Path:
-        """Directory for derived, recomputable data (``<root>/index/``)."""
-        path = self.root / "index"
-        path.mkdir(parents=True, exist_ok=True)
-        return path
-
-    def index_path(
-        self, name: str, namespace: Optional[str] = None
-    ) -> Path:
-        """The file an index named ``name`` uses (without creating it).
-
-        ``namespace`` selects a subdirectory of ``index/`` — each
-        subsystem keeps its derived files in its own namespace (the
-        corpus distance cache lives at the top level for backwards
-        compatibility; the query engine's files live under
-        ``index/query/``).  Deleting a namespace directory loses only
-        that subsystem's recomputable state.
-        """
-        directory = self.root / "index"
-        if namespace is not None:
-            directory = directory / _safe_name(namespace)
-        return directory / f"{_safe_name(name)}.json"
-
-    def load_index(
-        self, name: str, namespace: Optional[str] = None
-    ) -> Optional[dict]:
-        """Read a JSON index by name; ``None`` when absent or corrupt.
-
-        A corrupt index is treated as missing — everything under
-        ``index/`` is derived data that callers rebuild on demand.
-        Reading never creates ``index/``, so ephemeral (read-only)
-        consumers leave the store untouched.
-        """
-        path = self.index_path(name, namespace)
-        if not path.exists():
-            return None
-        try:
-            loaded = json.loads(path.read_text(encoding="utf8"))
-        except (OSError, ValueError):
-            return None
-        return loaded if isinstance(loaded, dict) else None
-
-    def save_index(
-        self, name: str, payload: dict, namespace: Optional[str] = None
-    ) -> Path:
-        """Atomically persist a JSON index by name (and namespace)."""
-        path = self.index_path(name, namespace)
-        atomic_write(path, json.dumps(payload, sort_keys=True))
-        return path
-
-    def list_indexes(self, namespace: Optional[str] = None) -> List[str]:
-        """Names of the stored indexes in one namespace (sorted)."""
-        directory = self.root / "index"
-        if namespace is not None:
-            directory = directory / _safe_name(namespace)
-        if not directory.exists():
-            return []
-        return sorted(path.stem for path in directory.glob("*.json"))

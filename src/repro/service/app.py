@@ -192,6 +192,26 @@ def _run_list(value, what: str) -> Optional[List[str]]:
     return value
 
 
+def wants_json_metrics(request: HttpRequest) -> bool:
+    """Whether a ``/metrics`` request asks for the JSON rendering.
+
+    ``?format=json`` (or, without ``format``, ``Accept:
+    application/json``) selects JSON; ``prometheus`` and ``text`` select
+    the text exposition.  Any other format raises :class:`ReproError`
+    (a 400) — the one check the single-process server and the cluster
+    parent share, so both answer a bad format byte-identically.
+    """
+    format_param = request.query.get("format", "").strip().lower()
+    if format_param not in ("", "json", "prometheus", "text"):
+        raise ReproError(
+            f"unknown metrics format {format_param!r} "
+            "(expected 'prometheus' or 'json')"
+        )
+    return format_param == "json" or (
+        not format_param and JSON_TYPE in request.header("accept")
+    )
+
+
 def _error_response(envelope: ErrorEnvelope) -> HttpResponse:
     """The wire form of a structured error."""
     return HttpResponse.json(envelope.to_dict(), status=envelope.status)
@@ -459,16 +479,7 @@ class WorkspaceApp:
         JSON rendering; everything else gets text exposition 0.0.4.
         """
         registry = self.workspace.metrics
-        format_param = request.query.get("format", "").strip().lower()
-        if format_param not in ("", "json", "prometheus", "text"):
-            raise ReproError(
-                f"unknown metrics format {format_param!r} "
-                "(expected 'prometheus' or 'json')"
-            )
-        wants_json = format_param == "json" or (
-            not format_param and JSON_TYPE in request.header("accept")
-        )
-        if wants_json:
+        if wants_json_metrics(request):
             return HttpResponse.json(
                 {"v": WIRE_VERSION, "metrics": registry.snapshot()}
             )

@@ -5,11 +5,14 @@ uses (``tests/service/_fixture.py``), built once per session.  Two
 cluster shapes are offered: a module-scoped cluster for read-mostly
 assertions, and a function-scoped one for tests that must start from
 cold caches / zero counters (coalescing) or that kill workers
-(restart supervision).
+(restart supervision).  Workers persist derived state in the store's
+``index/derived.db``, so the function-scoped cluster serves its own
+copy of the corpus, without that database.
 """
 
 from __future__ import annotations
 
+import shutil
 import sys
 from pathlib import Path
 
@@ -48,11 +51,21 @@ def cluster(corpus_root):
 
 
 @pytest.fixture
-def fresh_cluster(corpus_root):
+def fresh_corpus(corpus_root, tmp_path):
+    """A private copy of the corpus with no derived state."""
+    root = tmp_path / "corpus"
+    shutil.copytree(
+        corpus_root, root, ignore=shutil.ignore_patterns("index")
+    )
+    return root
+
+
+@pytest.fixture
+def fresh_cluster(fresh_corpus):
     """A per-test cluster: cold caches, zero counters, killable."""
     from repro.cluster.server import ClusterServer
 
     with ClusterServer(
-        corpus_root, _cluster_config(), workers=2
+        fresh_corpus, _cluster_config(), workers=2
     ) as live:
         yield live

@@ -20,6 +20,7 @@ import pytest
 from _util import get_json, http_get, http_post, metric_total
 
 from repro.backends.base import SerialBackend
+from repro.cluster.shard import shard_for_pair
 from repro.config import ReproConfig
 from repro.errors import ReproError
 from repro.service.server import DiffServer
@@ -174,6 +175,23 @@ class TestClusterSurface:
         assert status == 400
         assert "format" in json.loads(body)["error"]["message"]
 
+    @pytest.mark.parametrize("fmt", ["xml", "Openmetrics"])
+    def test_bad_metrics_format_envelope_matches_single_process(
+        self, cluster, corpus_root, fmt
+    ):
+        config = ReproConfig(backend="serial", log_format="off")
+        with DiffServer(corpus_root, config) as single:
+            envelopes = []
+            for base in (cluster.url, single.url):
+                status, _, body = http_get(f"{base}/metrics?format={fmt}")
+                error = json.loads(body)["error"]
+                envelopes.append(
+                    (status, error["type"], error["message"],
+                     error["status"])
+                )
+        assert envelopes[0] == envelopes[1]
+        assert envelopes[0][0] == 400
+
 
 class TestCoalescing:
     def test_concurrent_identical_cold_diffs_one_dp(
@@ -281,6 +299,44 @@ class TestSupervision:
             assert status == 200
         stats = get_json(f"{fresh_cluster.url}/stats")
         assert stats["counters"]["cluster_worker_restarts"] >= 1
+
+    def test_restarted_worker_answers_from_the_shared_database(
+        self, fresh_cluster
+    ):
+        """A worker killed after computing a pair answers it again,
+        once restarted, without a new DP: workers persist derived state
+        in the store's database, so a restart starts warm."""
+        a, b = "r01", "r03"
+        url = f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
+        status, _, before = http_get(url)
+        assert status == 200
+        counters = get_json(f"{fresh_cluster.url}/stats")["counters"]
+        computed = (counters["computed_pairs"], counters["computed_scripts"])
+        assert computed == (0, 1)
+
+        owner = shard_for_pair(a, b, 2)
+        health = get_json(f"{fresh_cluster.url}/healthz")
+        victim = health["cluster"]["members"][owner]
+        os.kill(victim["pid"], signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            block = get_json(f"{fresh_cluster.url}/healthz")["cluster"]
+            if block["alive"] == 2 and block["restarts"] >= 1:
+                break
+            time.sleep(0.2)
+        else:
+            pytest.fail("worker was not restarted")
+
+        status, _, after = http_get(url)
+        assert (status, after) == (200, before)
+        counters = get_json(f"{fresh_cluster.url}/stats")["counters"]
+        # The restarted owner's counters start at zero and the other
+        # worker never saw the pair: no DP ran anywhere, and the answer
+        # came out of the database.
+        assert (
+            counters["computed_pairs"], counters["computed_scripts"]
+        ) == (0, 0)
+        assert counters["script_disk_hits"] == 1
 
     def test_healthz_degraded_while_worker_down(self, fresh_cluster):
         """Between the crash and the restart the cluster self-reports

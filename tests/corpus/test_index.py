@@ -1,8 +1,14 @@
 """The persistent fingerprint index: reuse, invalidation, memoisation."""
 
+from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.fingerprint import run_fingerprint
 from repro.corpus.index import FingerprintIndex
 from repro.workflow.execution import execute_workflow
+
+
+def open_index(store):
+    """An index over the store's database (a fresh connection)."""
+    return FingerprintIndex(store, DerivedDB(store.root / "index" / DB_FILE))
 
 
 class TestFingerprintIndex:
@@ -14,23 +20,23 @@ class TestFingerprintIndex:
 
     def test_entries_persist_across_instances(self, pa_store):
         spec = pa_store.load_specification("PA")
-        first = FingerprintIndex(pa_store)
+        first = open_index(pa_store)
         digest = first.fingerprint(spec, "r01")
         first.flush()
-        second = FingerprintIndex(pa_store)
+        second = open_index(pa_store)
         assert second.cached_entry_count("PA") == 1
         assert second.fingerprint(spec, "r01") == digest
 
     def test_persisted_entry_skips_the_parser(self, pa_store, monkeypatch):
         spec = pa_store.load_specification("PA")
-        first = FingerprintIndex(pa_store)
+        first = open_index(pa_store)
         digest = first.fingerprint(spec, "r01")
         first.flush()
 
         def explode(*args, **kwargs):  # any XML parse fails the test
             raise AssertionError("run was re-parsed despite a valid index")
 
-        second = FingerprintIndex(pa_store)
+        second = open_index(pa_store)
         monkeypatch.setattr(pa_store, "load_run", explode)
         assert second.fingerprint(spec, "r01") == digest
 
@@ -66,7 +72,7 @@ class TestFingerprintIndex:
 
         index = FingerprintIndex(pa_store)
         digest = index.fingerprint(spec, stem)
-        entry = index._entries["PA"]["runs"][stem]
+        entry = index._entries[("PA", stem)]
         assert entry["fingerprint"] == digest
         assert "mtime_ns" in entry and "size" in entry
 
@@ -77,3 +83,66 @@ class TestFingerprintIndex:
         assert index.cached_entry_count("PA") == 1
         index.forget("PA", "r01")
         assert index.cached_entry_count("PA") == 0
+
+    def test_forget_persists_as_a_deleted_row(self, pa_store):
+        spec = pa_store.load_specification("PA")
+        first = open_index(pa_store)
+        first.fingerprint(spec, "r01")
+        first.fingerprint(spec, "r02")
+        first.flush()
+        first.forget("PA", "r01")
+        first.flush()
+        assert open_index(pa_store).cached_entry_count("PA") == 1
+
+    def test_two_writers_keep_each_others_rows(self, pa_store):
+        spec = pa_store.load_specification("PA")
+        one = open_index(pa_store)
+        two = open_index(pa_store)
+        one.fingerprint(spec, "r01")
+        one.flush()
+        two.fingerprint(spec, "r02")
+        two.flush()
+        assert open_index(pa_store).cached_entry_count("PA") == 2
+
+    def test_entry_of_an_older_spec_is_not_served(
+        self, pa_store, monkeypatch
+    ):
+        spec = pa_store.load_specification("PA")
+        first = open_index(pa_store)
+        digest = first.fingerprint(spec, "r01")
+        first.flush()
+        second = open_index(pa_store)
+        # The persisted entry names another spec digest: stale.
+        monkeypatch.setattr(
+            second, "spec_digest", lambda spec: "another-digest"
+        )
+        calls = []
+        original = second.load_run
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(second, "load_run", counting)
+        assert second.fingerprint(spec, "r01") != digest
+        assert calls  # re-fingerprinted from the XML
+
+    def test_flush_writes_only_changed_rows(self, pa_store):
+        spec = pa_store.load_specification("PA")
+        index = open_index(pa_store)
+        index.fingerprint(spec, "r01")
+        index.flush()
+        written = []
+        original = index.db.commit
+
+        def spy(writes):
+            writes = [(sql, list(rows)) for sql, rows in writes]
+            written.extend(row[1] for _, rows in writes for row in rows)
+            return original(writes)
+
+        index.db.commit = spy
+        index.fingerprint(spec, "r01")  # valid entry: nothing changes
+        index.flush()
+        index.fingerprint(spec, "r02")
+        index.flush()
+        assert written == ["r02"]

@@ -1,15 +1,17 @@
 """CLI failure paths: nonzero exits, clear messages, never a traceback.
 
 ``repro diff`` / ``query`` / ``import`` are exercised in a subprocess
-against a missing store, corrupted index files, corrupted catalog XML,
-and malformed PROV documents.  Corrupted *index* files are derived data
-and recover silently (documented store behaviour); everything else must
+against a missing store, a corrupted derived-state database, corrupted
+catalog XML, and malformed PROV documents.  The database under
+``index/`` is derived data and recovers silently (documented store
+behaviour); everything else must
 fail with a stable nonzero exit code (1 for ReproErrors, 2 for usage
 errors) and a one-line diagnostic on stderr.
 """
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
 from pathlib import Path
@@ -115,13 +117,9 @@ def test_corrupt_index_files_recover_without_tracebacks(
 ):
     # Derived data under index/ is rebuilt on demand: corruption must
     # neither crash nor poison the answers.
-    index_dir = populated_store.index_dir
-    (index_dir / "fingerprints.json").write_text(garbage, "utf8")
-    (index_dir / "distances.json").write_text(garbage, "utf8")
-    query_dir = index_dir / "query"
-    query_dir.mkdir(exist_ok=True)
-    for name in ("scripts.json", "postings.json"):
-        (query_dir / name).write_text(garbage, "utf8")
+    index_dir = populated_store.root / "index"
+    index_dir.mkdir(exist_ok=True)
+    (index_dir / "derived.db").write_text(garbage, "utf8")
 
     code, out, err = run_cli(
         "diff", populated_store.root, "fig2", "a", "b"
@@ -132,6 +130,14 @@ def test_corrupt_index_files_recover_without_tracebacks(
     code, out, err = run_cli("query", populated_store.root, "fig2")
     assert (code, err) == (0, "")
     assert "matching pair" in out
+
+    # The garbage was replaced by a sound database holding the results.
+    conn = sqlite3.connect(str(index_dir / "derived.db"))
+    try:
+        assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        assert conn.execute("SELECT COUNT(*) FROM scripts").fetchone()[0]
+    finally:
+        conn.close()
 
 
 def test_corrupt_run_xml_fails_cleanly(populated_store):

@@ -136,15 +136,7 @@ class TestIndexArea:
         saved = store.save_run(fig2_r1)
         assert store.run_path("fig2", "R1") == saved
 
-    def test_index_roundtrip(self, tmp_path):
+    def test_store_never_creates_the_index_area(self, tmp_path, fig2_r1):
         store = WorkflowStore(tmp_path)
-        assert store.load_index("fingerprints") is None
-        payload = {"PA": {"r01": {"fingerprint": "ab", "size": 1}}}
-        path = store.save_index("fingerprints", payload)
-        assert path.parent == store.index_dir
-        assert store.load_index("fingerprints") == payload
-
-    def test_corrupt_index_treated_as_missing(self, tmp_path):
-        store = WorkflowStore(tmp_path)
-        (store.index_dir / "broken.json").write_text("[oops", encoding="utf8")
-        assert store.load_index("broken") is None
+        store.save_run(fig2_r1)
+        assert not (tmp_path / "index").exists()

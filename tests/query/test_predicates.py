@@ -12,7 +12,6 @@ from repro.core.edit_script import (
     PathOperation,
 )
 from repro.errors import ReproError
-from repro.io.store import WorkflowStore
 from repro.query.engine import ScriptDoc
 from repro.query.predicates import MatchAll, Q
 
@@ -109,8 +108,8 @@ class TestMatching:
 
 class TestCandidates:
     @pytest.fixture
-    def populated(self, tmp_path):
-        index = ScriptIndex(WorkflowStore(tmp_path), persistent=False)
+    def populated(self):
+        index = ScriptIndex()
         index.add(
             "small", encode_script(1.0, [op()])
         )

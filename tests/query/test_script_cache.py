@@ -10,6 +10,7 @@ from repro.core.edit_script import (
     operations_from_payload,
     operations_to_payload,
 )
+from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.script_cache import (
     ScriptCache,
     decode_script,
@@ -93,30 +94,47 @@ class TestScriptRecordCodec:
 
 class TestScriptCache:
     def test_persists_across_instances(self, tmp_path):
-        path = tmp_path / "scripts.json"
+        path = tmp_path / DB_FILE
         raw = encode_script(2.0, [make_op()])
-        warm = ScriptCache(path=path)
+        warm = ScriptCache(DerivedDB(path))
         warm.put("k", raw)
         warm.flush()
-        cold = ScriptCache(path=path)
+        cold = ScriptCache(DerivedDB(path))
         assert cold.get("k") == raw
         assert cold.stats.disk_hits == 1
 
     def test_rejects_invalid_put(self):
-        cache = ScriptCache(path=None)
+        cache = ScriptCache()
         with pytest.raises(EditScriptError):
             cache.put("k", {"not": "a record"})
 
-    def test_invalid_disk_entries_are_misses(self, tmp_path):
-        path = tmp_path / "scripts.json"
+    def test_invalid_stored_entries_are_misses(self, tmp_path):
+        db = DerivedDB(tmp_path / DB_FILE)
         good = encode_script(1.0, [make_op()])
         stale = dict(good, v=SCRIPT_SCHEMA_VERSION + 9)
-        path.write_text(
-            json.dumps({"good": good, "stale": stale}), encoding="utf8"
-        )
-        cache = ScriptCache(path=path)
+        db.commit([(
+            "INSERT INTO scripts (key, value) VALUES (?, ?)",
+            [
+                ("good", json.dumps(good)),
+                ("stale", json.dumps(stale)),
+                ("garbage", "{not json"),
+            ],
+        )])
+        cache = ScriptCache(db)
         assert cache.get("good") == good
         assert cache.get("stale") is None
+        assert cache.get("garbage") is None
+
+    def test_records_stored_as_compact_json(self, tmp_path):
+        cache = ScriptCache(DerivedDB(tmp_path / DB_FILE))
+        raw = encode_script(2.5, [make_op(cost=2.5)])
+        cache.put("k", raw)
+        cache.flush()
+        ((text,),) = cache.db.rows(
+            "SELECT value FROM scripts WHERE key = ?", ("k",)
+        )
+        assert json.loads(text) == raw
+        assert " " not in text
 
 
 class TestServiceScriptAccounting:

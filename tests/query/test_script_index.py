@@ -1,18 +1,17 @@
-"""The inverted script index: terms, buckets, persistence, merging."""
+"""The inverted script index: terms, buckets, persistence."""
+
+import json
 
 import pytest
 
+from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.script_cache import encode_script
 from repro.corpus.script_index import (
-    INDEX_NAME,
-    INDEX_NAMESPACE,
-    INDEX_VERSION,
     ScriptIndex,
     cost_bucket,
     script_terms,
 )
 from repro.core.edit_script import PathOperation
-from repro.io.store import WorkflowStore
 
 
 def op(kind="path-insertion", path=("A", "X", "B"), cost=1.0):
@@ -27,8 +26,14 @@ def op(kind="path-insertion", path=("A", "X", "B"), cost=1.0):
 
 
 @pytest.fixture
-def store(tmp_path):
-    return WorkflowStore(tmp_path)
+def db_path(tmp_path):
+    return tmp_path / "index" / DB_FILE
+
+
+def open_index(db_path):
+    """A fresh index over the database at ``db_path`` (a new connection,
+    as another process would open it)."""
+    return ScriptIndex(DerivedDB(db_path))
 
 
 class TestCostBuckets:
@@ -65,8 +70,8 @@ class TestTermExtraction:
 
 
 class TestScriptIndex:
-    def test_add_and_candidates(self, store):
-        index = ScriptIndex(store)
+    def test_add_and_candidates(self):
+        index = ScriptIndex()
         index.add("k1", encode_script(1.0, [op()]))
         index.add(
             "k2",
@@ -82,72 +87,78 @@ class TestScriptIndex:
         assert index.candidates_for_cost(0.5, 8.0) == {"k1", "k2"}
         assert index.candidates_for_op_count(1, 1) == {"k1", "k2"}
 
-    def test_add_is_idempotent(self, store):
-        index = ScriptIndex(store)
+    def test_add_is_idempotent(self):
+        index = ScriptIndex()
         record = encode_script(1.0, [op()])
         index.add("k", record)
         index.add("k", encode_script(99.0, [op(kind="path-deletion")]))
         assert index.doc("k") == (1.0, 1)
         assert index.candidates_for_kinds(["path-deletion"]) == set()
 
-    def test_flush_and_reload(self, store):
-        index = ScriptIndex(store)
+    def test_flush_and_reload(self, db_path):
+        index = open_index(db_path)
         index.add("k", encode_script(2.0, [op()]))
         index.flush()
-        path = store.index_path(INDEX_NAME, namespace=INDEX_NAMESPACE)
-        assert path.exists()
-        reloaded = ScriptIndex(store)
+        assert db_path.exists()
+        reloaded = open_index(db_path)
         assert reloaded.has("k")
         assert reloaded.doc("k") == (2.0, 1)
         assert reloaded.candidates_for_labels(["X"]) == {"k"}
+        assert reloaded.terms() == index.terms()
 
-    def test_flush_merges_concurrent_writers(self, store):
-        one = ScriptIndex(store)
-        two = ScriptIndex(store)
-        one.add("a", encode_script(1.0, [op()]))
-        one.flush()
-        two.add("b", encode_script(2.0, [op(path=("P", "Q"))]))
-        two.flush()
-        merged = ScriptIndex(store)
-        assert merged.keys() == {"a", "b"}
+    def test_flush_writes_only_new_rows(self, db_path):
+        index = open_index(db_path)
+        index.add("a", encode_script(1.0, [op()]))
+        index.flush()
+        written = []
+        original = index.db.commit
 
-    def test_unknown_version_ignored(self, store):
-        store.save_index(
-            INDEX_NAME,
-            {"version": INDEX_VERSION + 1, "postings": {}, "docs": {}},
-            namespace=INDEX_NAMESPACE,
-        )
-        assert len(ScriptIndex(store)) == 0
+        def spy(writes):
+            writes = [(sql, list(rows)) for sql, rows in writes]
+            written.extend(row[0] for _, rows in writes for row in rows)
+            return original(writes)
 
-    def test_corrupt_payload_ignored(self, store):
-        path = store.index_path(INDEX_NAME, namespace=INDEX_NAMESPACE)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{broken", encoding="utf8")
-        index = ScriptIndex(store)
+        index.db.commit = spy
+        index.add("b", encode_script(2.0, [op(path=("P", "Q"))]))
+        index.flush()
+        index.flush()  # clean: nothing to write
+        assert written == ["b"]
+        assert open_index(db_path).keys() == {"a", "b"}
+
+    def test_corrupt_terms_row_ignored(self, db_path):
+        index = open_index(db_path)
+        index.add("good", encode_script(1.0, [op()]))
+        index.flush()
+        index.db.commit([(
+            "INSERT INTO script_docs (key, distance, ops, terms) "
+            "VALUES (?, ?, ?, ?)",
+            [("bad", 1.0, 1, "{broken")],
+        )])
+        reloaded = open_index(db_path)
+        assert reloaded.keys() == {"good"}
+
+    def test_corrupt_database_is_an_empty_index(self, db_path):
+        db_path.parent.mkdir(parents=True)
+        db_path.write_text("{broken", encoding="utf8")
+        index = open_index(db_path)
         assert len(index) == 0
         index.add("k", encode_script(1.0, [op()]))
         index.flush()
-        assert ScriptIndex(store).has("k")
+        assert open_index(db_path).has("k")
 
-    def test_non_persistent_index_never_writes(self, store):
-        index = ScriptIndex(store, persistent=False)
+    def test_memory_index_never_writes(self, tmp_path):
+        index = ScriptIndex()
         index.add("k", encode_script(1.0, [op()]))
         index.flush()
-        assert not store.index_path(
-            INDEX_NAME, namespace=INDEX_NAMESPACE
-        ).exists()
+        assert index.has("k")
+        assert list(tmp_path.iterdir()) == []
 
-
-class TestStoreNamespaces:
-    def test_namespaced_indexes_are_isolated(self, store):
-        store.save_index("postings", {"top": 1})
-        store.save_index("postings", {"nested": 2}, namespace="query")
-        assert store.load_index("postings") == {"top": 1}
-        assert store.load_index("postings", namespace="query") == {
-            "nested": 2
-        }
-        assert store.list_indexes(namespace="query") == ["postings"]
-        assert "postings" in store.list_indexes()
-
-    def test_missing_namespace_lists_empty(self, store):
-        assert store.list_indexes(namespace="nope") == []
+    def test_stored_terms_match_script_terms(self, db_path):
+        record = encode_script(3.0, [op(), op(path=("B", "C"))])
+        index = open_index(db_path)
+        index.add("k", record)
+        index.flush()
+        (terms,) = index.db.rows(
+            "SELECT terms FROM script_docs WHERE key = ?", ("k",)
+        )[0]
+        assert json.loads(terms) == sorted(script_terms(record))
