@@ -14,14 +14,14 @@ of the differencing pipeline:
 * node and edge iteration order is insertion order, which keeps canonical
   SP-tree construction reproducible;
 * conversion helpers to :mod:`networkx` are provided for interoperability
-  and for reusing its generic algorithms in tests.
+  and for reusing its generic algorithms in tests; networkx is imported
+  only when :meth:`FlowNetwork.to_networkx` runs, so no other code path
+  pays for loading it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.errors import GraphStructureError
 
@@ -335,6 +335,8 @@ class FlowNetwork:
 
     def to_networkx(self) -> "nx.MultiDiGraph":
         """Convert to a :class:`networkx.MultiDiGraph` with ``label`` attrs."""
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for node, label in self._labels.items():
             graph.add_node(node, label=label)

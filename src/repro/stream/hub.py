@@ -30,12 +30,15 @@ specification was itself *derived* by an earlier import should pass
 ``mode="derive"`` explicitly.
 
 Analytics are **label-surplus lower bounds** (see
-:class:`~repro.stream.events.LiveStatus`): cheap fingerprint-style
-bounds kept per corpus run, updated in O(corpus) per event — no DP
-runs while a session is open.  Because the bound is monotone
-non-decreasing, a run whose nearest-run bound crosses the session
-threshold is **provably diverging no matter how it completes** (under
-the length cost model), and is flagged before its ``run_close``.
+:class:`~repro.stream.events.LiveStatus`) kept per corpus run, exact
+after every event at O(corpus) per label-count change it makes — no DP
+runs while a session is open.  The flag is checked after every event,
+so a run whose nearest-run bound crosses the session threshold is
+**provably diverging no matter how it completes** (under the length
+cost model), and is flagged before its ``run_close``.  Only the ack's
+``LiveStatus`` needs a snapshot (a full SP-ization) of the partial
+run: one per batch, as of its last event, none when it ends in
+``run_close``.
 
 Every mutation updates the hub's counters and the ``stream_*`` metric
 families in the same locked region, so ``GET /stats`` (via
@@ -56,7 +59,6 @@ from repro.errors import (
     StreamProtocolError,
 )
 from repro.graphs.flow_network import FlowNetwork
-from repro.interchange.prov_json import local_name
 from repro.obs.runmeta import capture_run_metadata
 from repro.stream.events import (
     ActivityEvent,
@@ -67,7 +69,7 @@ from repro.stream.events import (
     StreamAck,
     StreamEvent,
 )
-from repro.stream.incremental import IncrementalNormalizer
+from repro.stream.incremental import IncrementalNormalizer, LabelChange
 from repro.workflow.run import WorkflowRun
 
 #: Closed sessions retained for idempotent replay of their final ack.
@@ -76,7 +78,6 @@ MAX_CLOSED_RETAINED = 64
 MODE_AUTO = "auto"
 MODE_VALIDATED = "validated"
 MODE_DERIVE = "derive"
-SESSION_MODES = (MODE_AUTO, MODE_VALIDATED, MODE_DERIVE)
 
 
 class _Session:
@@ -102,43 +103,25 @@ class _Session:
         #: Frozen corpus view: per-run label multisets at open time.
         self.corpus_counters = corpus_counters
         self.medoid_run = medoid_run
-        #: Label-surplus bound per corpus run, maintained per event.
-        self.bounds: Dict[str, int] = {
-            name: 0 for name in corpus_counters
-        }
-        self.open_counts: Counter = Counter()
-        self._counted_nodes = set()
+        #: Label-surplus bound per corpus run, exact after every event.
+        self.bounds: Dict[str, int] = dict.fromkeys(corpus_counters, 0)
         self.flagged = False
         self.flagged_at_seq: Optional[int] = None
         self.opened_meta = capture_run_metadata(origin="stream")
 
     # -- online bounds ---------------------------------------------------
-    def count_node(self, node: str) -> None:
-        """Fold one new activity instance into the live bounds."""
-        if node in self._counted_nodes:
-            return
-        self._counted_nodes.add(node)
-        label = self.normalizer.effective_label(node)
-        self.open_counts[label] += 1
-        count = self.open_counts[label]
-        for run_name, counters in self.corpus_counters.items():
-            if count > counters.get(label, 0):
-                self.bounds[run_name] += 1
+    def update_bounds(self, changes: List[LabelChange]) -> None:
+        """Fold the normaliser's label-count changes into the bounds.
 
-    def reconcile_bounds(self) -> None:
-        """Recompute bounds exactly from the normaliser's label multiset.
-
-        The per-event update can go momentarily stale when a
-        referenced-only activity is later declared under a different
-        label; acks reconcile so the reported numbers are exact.
+        A run's bound sums ``max(0, open[l] - have[l])`` over labels,
+        so moving ``open[l]`` from ``old`` to ``new`` moves it by the
+        difference of the two surpluses.
         """
-        open_counts = self.normalizer.label_counts()
-        self.open_counts = open_counts
-        for run_name, counters in self.corpus_counters.items():
-            self.bounds[run_name] = sum(
-                max(0, count - counters.get(label, 0))
-                for label, count in open_counts.items()
-            )
+        for label, old, new in changes:
+            for run_name, counters in self.corpus_counters.items():
+                have = counters.get(label, 0)
+                surplus = max(0, new - have) - max(0, old - have)
+                self.bounds[run_name] += surplus
 
     def nearest(self) -> Tuple[Optional[str], float]:
         if not self.bounds:
@@ -158,8 +141,6 @@ class _Session:
         return False
 
     def live_status(self) -> LiveStatus:
-        self.reconcile_bounds()
-        self.check_flag(self.last_seq)
         nearest_run, nearest_bound = self.nearest()
         outlier = (
             sum(self.bounds.values()) / len(self.bounds)
@@ -291,6 +272,7 @@ class StreamHub:
         :class:`~repro.errors.ReproError`), leaving the already-applied
         prefix acknowledged — the client re-handshakes with
         ``run_open`` and resumes from the acked sequence number.
+        An open session's ack carries the batch's one ``LiveStatus``.
         """
         if not events:
             raise StreamProtocolError("empty event batch")
@@ -315,6 +297,8 @@ class StreamHub:
                 raise
             ack.duplicates = duplicates
             ack.resumed = resumed
+            if ack.status == "open":
+                ack.live = self._sessions[ack.session].live_status()
             return ack
 
     def _apply_locked(self, event: StreamEvent) -> StreamAck:
@@ -336,24 +320,27 @@ class StreamHub:
             )
         if isinstance(event, RunClose):
             return self._close(session, event)
+        normalizer = session.normalizer
         if isinstance(event, ActivityEvent):
-            session.normalizer.add_activity(event.node, event.label)
-            session.count_node(event.node)
+            changes = normalizer.add_activity(event.node, event.label)
         elif isinstance(event, EdgeEvent):
-            session.normalizer.add_edge(event.src, event.dst)
-            session.count_node(event.src)
-            session.count_node(event.dst)
+            changes = normalizer.add_edge(event.src, event.dst)
         else:  # pragma: no cover - event_from_dict is exhaustive
             raise StreamProtocolError(
                 f"unknown event kind {event.kind!r}"
             )
+        session.update_bounds(changes)
+        self._ingested(session, event)
+        return self._ack(session)
+
+    def _ingested(self, session: _Session, event: StreamEvent) -> None:
+        """Count one applied event, then check the divergence flag."""
         session.last_seq = event.seq
         self._counters["events_ingested"] += 1
         self._events_metric.inc(kind=event.kind)
         if session.check_flag(event.seq):
             self._counters["flagged"] += 1
             self._flags_metric.inc()
-        return self._ack(session)
 
     def _event_without_session(self, event: StreamEvent) -> StreamAck:
         retained = self._closed.get(event.session)
@@ -397,21 +384,22 @@ class StreamHub:
             self._counters["resumed"] += 1
             self._resumed_metric.inc()
             return self._copy_final(final_ack, resumed=True)
-        mode = self._resolve_mode(event)
-        corpus_counters, medoid_run = self._corpus_view(event)
-        session = _Session(event, mode, corpus_counters, medoid_run)
-        self._sessions[event.session] = session
-        self._counters["sessions_opened"] += 1
-        self._counters["events_ingested"] += 1
-        self._opened_metric.inc()
-        self._events_metric.inc(kind=event.kind)
-        return self._ack(session)
-
-    def _resolve_mode(self, event: RunOpen) -> str:
-        mode = event.mode
         spec_known = event.spec_name in set(
             self.workspace.specifications()
         )
+        mode = self._resolve_mode(event, spec_known)
+        corpus_counters, medoid_run = (
+            self._corpus_view(event) if spec_known else ({}, None)
+        )
+        session = _Session(event, mode, corpus_counters, medoid_run)
+        self._sessions[event.session] = session
+        self._counters["sessions_opened"] += 1
+        self._opened_metric.inc()
+        self._ingested(session, event)
+        return self._ack(session)
+
+    def _resolve_mode(self, event: RunOpen, spec_known: bool) -> str:
+        mode = event.mode
         if mode == MODE_AUTO:
             return MODE_VALIDATED if spec_known else MODE_DERIVE
         if mode == MODE_VALIDATED and not spec_known:
@@ -424,12 +412,7 @@ class StreamHub:
     def _corpus_view(
         self, event: RunOpen
     ) -> Tuple[Dict[str, Counter], Optional[str]]:
-        """Freeze the corpus for a new session's online bounds."""
-        spec_known = event.spec_name in set(
-            self.workspace.specifications()
-        )
-        if not spec_known:
-            return {}, None
+        """Freeze a registered spec's corpus for online bounds."""
         run_names = self.workspace.runs(spec=event.spec_name)
         if event.run_name in run_names:
             raise ConflictError(
@@ -480,10 +463,8 @@ class StreamHub:
             report_lines=report_lines,
             new_pairs=dict(distances),
         )
-        session.last_seq = event.seq
-        self._counters["events_ingested"] += 1
+        self._ingested(session, event)
         self._counters["runs_closed"] += 1
-        self._events_metric.inc(kind=event.kind)
         self._closed_metric.inc()
         final_ack = StreamAck(
             session=session.session_id,
@@ -519,19 +500,19 @@ class StreamHub:
         return run, {}, lines
 
     # -- ack assembly ------------------------------------------------------
+    @staticmethod
     def _ack(
-        self,
         session: _Session,
         duplicates: int = 0,
         resumed: bool = False,
     ) -> StreamAck:
+        """An open session's ack; :meth:`apply_batch` adds its live view."""
         return StreamAck(
             session=session.session_id,
             acked_seq=session.last_seq,
             status="open",
             resumed=resumed,
             duplicates=duplicates,
-            live=session.live_status(),
         )
 
     @staticmethod

@@ -15,17 +15,21 @@ expensive intermediate state **incrementally**:
 * **forward and backward reachability closures**, extended per edge —
   which also makes cycle rejection an O(1) set test *at event time*
   instead of a whole-graph Kahn pass at close;
-* the raw/deduplicated edge accounting of the normalisation report.
+* the raw/deduplicated edge accounting of the normalisation report;
+* the effective-label multiset, whose changes the event methods
+  return as ``(label, old, new)`` (the hub's exact live bounds).
 
 :meth:`IncrementalNormalizer.snapshot` then assembles the normalised
 run through the *same* ``_assemble`` tail the whole-document importer
 uses, injecting the maintained depths and reachability so the layering
-and the forced-serialisation scan skip their recomputation.  Injected
-depths are uniformly shifted (+1 when the graph has a real unique
-source) relative to the source-seeded computation; the layer partition
-is shift-invariant, so the output is **bit-identical** to importing
-the accumulated document whole — the invariant the Hypothesis property
-suite (``tests/stream/test_stream_property.py``) pins down.
+and the forced-serialisation scan skip their recomputation (still
+O(full graph), so the hub takes one snapshot per batch, not per
+event).  Injected depths are uniformly shifted (+1 when the graph has
+a real unique source) relative to the source-seeded computation; the
+layer partition is shift-invariant, so the output is **bit-identical**
+to importing the accumulated document whole — the invariant the
+Hypothesis property suite (``tests/stream/test_stream_property.py``)
+pins down.
 
 A snapshot of an *open* run is a valid normalised run of its partial
 derived specification — the live SP-tree view ``GET /stream/live``
@@ -46,8 +50,12 @@ from repro.interchange.normalize import (
 from repro.interchange.prov_json import (
     ProvDocument,
     ProvRelation,
+    activity_label,
     local_name,
 )
+
+#: One label-count change: ``(label, old count, new count)``.
+LabelChange = Tuple[str, int, int]
 
 
 class IncrementalNormalizer:
@@ -88,12 +96,22 @@ class IncrementalNormalizer:
             self._reach[node] = set()
             self._coreach[node] = set()
 
-    def add_activity(self, node: str, label: str = "") -> None:
+    def _count(self, label: str, delta: int) -> LabelChange:
+        """Move ``label``'s count by ``delta``; the change made."""
+        old = self._label_counts[label]
+        new = old + delta
+        if new:
+            self._label_counts[label] = new
+        else:
+            del self._label_counts[label]
+        return label, old, new
+
+    def add_activity(self, node: str, label: str = "") -> List[LabelChange]:
         """Declare one activity (idempotent for an identical redeclare).
 
         Redeclaring an id with a *different* label is refused — the
         stream would otherwise silently disagree with itself about what
-        executed.
+        executed.  Returns the label-count changes made.
         """
         effective = label or local_name(node)
         if node in self.doc.activities:
@@ -103,48 +121,47 @@ class IncrementalNormalizer:
                     f"activity {node!r} redeclared with label "
                     f"{effective!r} (was {existing!r})"
                 )
-            return
+            return []
         attrs: Dict[str, object] = {}
         if label:
             attrs["repro:label"] = label
-        previously_referenced = node in self._depth
-        if previously_referenced:
+        changes: List[LabelChange] = []
+        if node not in self._depth:
+            changes.append(self._count(effective, 1))
+        elif local_name(node) != effective:
             # Referenced-only activities were counted under their local
-            # name; the declaration may rename them.
-            old = local_name(node)
-            if old != effective:
-                self._label_counts[old] -= 1
-                if self._label_counts[old] <= 0:
-                    del self._label_counts[old]
-                self._label_counts[effective] += 1
-        else:
-            self._label_counts[effective] += 1
+            # name; the declaration renames them.
+            changes.append(self._count(local_name(node), -1))
+            changes.append(self._count(effective, 1))
         self.doc.activities[node] = attrs
         self._ensure(node)
         self._snapshot_cache = None
+        return changes
 
-    def add_edge(self, src: str, dst: str) -> None:
+    def add_edge(self, src: str, dst: str) -> List[LabelChange]:
         """Record one dependency ``src`` before ``dst``.
 
         Duplicates and self-dependencies are recorded (they feed the
         report's raw-edge accounting) but do not change the DAG, as in
         :meth:`ProvDocument.dependency_pairs`.  An edge that would
         close a cycle between distinct activities is rejected
-        immediately — an O(1) reachability test, where the whole-
-        document importer only discovers the cycle at import time.
+        immediately, before any state changes — an O(1) reachability
+        test, where the whole-document importer only discovers the
+        cycle at import time.  Returns the label-count changes made.
         """
+        if src != dst and src in self._reach.get(dst, ()):
+            raise InterchangeError(
+                f"dependency {src!r} -> {dst!r} would close a cycle; "
+                "cannot interpret the stream as a workflow run"
+            )
+        changes: List[LabelChange] = []
         for node in (src, dst):
             if node not in self._depth:
                 # Referenced-only activity: labelled by local name,
                 # exactly as the whole-document importer labels ids
                 # that appear in relations without a declaration.
                 self._ensure(node)
-                self._label_counts[local_name(node)] += 1
-        if src != dst and src in self._reach[dst]:
-            raise InterchangeError(
-                f"dependency {src!r} -> {dst!r} would close a cycle; "
-                "cannot interpret the stream as a workflow run"
-            )
+                changes.append(self._count(local_name(node), 1))
         # The relation lands in the accumulated document regardless —
         # arrival order is the document's relation order.
         self.doc.relations.append(
@@ -154,7 +171,7 @@ class IncrementalNormalizer:
         self._snapshot_cache = None
         pair = (src, dst)
         if src == dst or pair in self._pair_set:
-            return
+            return changes
         self._pair_set.add(pair)
         self._pairs.append(pair)
         self._succ[src].add(dst)
@@ -178,6 +195,7 @@ class IncrementalNormalizer:
                     if base > self._depth[other]:
                         self._depth[other] = base
                         stack.append(other)
+        return changes
 
     # -- introspection ----------------------------------------------------
     @property
@@ -191,14 +209,12 @@ class IncrementalNormalizer:
 
     def effective_label(self, node: str) -> str:
         """The label the importer would give ``node`` right now."""
-        from repro.interchange.prov_json import activity_label
-
         return activity_label(self.doc, node)
 
     def label_counts(self) -> Counter:
         """Multiset of effective activity labels streamed so far.
 
-        Maintained incrementally; feeds the live label-surplus bounds.
+        Maintained incrementally; the event methods return each change.
         (Raw labels — the derived specification may still rename
         duplicates ``base~N`` at assembly time.)
         """
@@ -211,7 +227,8 @@ class IncrementalNormalizer:
         Bit-identical to ``normalize_document`` over the accumulated
         document; the layering and forced-serialisation scan reuse the
         incrementally maintained depths and reachability instead of
-        recomputing.  Cached until the next event.
+        recomputing.  Cached until the next event, but still a full
+        assembly: take one per batch of events, not one per event.
         """
         if self._snapshot_cache is not None:
             return self._snapshot_cache

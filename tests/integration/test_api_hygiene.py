@@ -91,6 +91,27 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         assert "clean" in proc.stdout
 
+    def test_imports_leave_networkx_unloaded(self):
+        """networkx is loaded only by ``FlowNetwork.to_networkx``, so
+        the library, the CLI and both servers never pay for it."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.service.server\n"
+            "import repro.cluster.server\n"
+            "assert 'networkx' not in sys.modules, 'networkx was imported'\n"
+            "print('clean')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "clean" in proc.stdout
+
     def test_star_import_is_warning_free(self):
         """``from repro import *`` resolves every ``__all__`` name
         silently and brings none of the removed entry points along."""

@@ -262,6 +262,71 @@ def test_live_bounds_flag_a_diverging_run_before_close(corpus_ws, spec_name):
     assert hub.summary().flagged == flags_before + 1
 
 
+def _flags_metric(workspace) -> float:
+    family = workspace.metrics.snapshot()["stream_flags_total"]
+    return sum(sample["value"] for sample in family["samples"])
+
+
+def test_flag_armed_by_a_late_relabel_is_counted(corpus_ws, spec_name):
+    """A referenced-only activity declared under a new label raises the
+    bound on the declaring event; that flag counts like any other."""
+    hub = corpus_ws.stream_hub
+    flags_before = hub.summary().flagged
+    metric_before = _flags_metric(corpus_ws)
+    hub.apply(
+        RunOpen(
+            session="late1",
+            spec_name=spec_name,
+            run_name="hub-late1",
+            threshold=0.5,
+        )
+    )
+    # Both endpoints are undeclared; their local names are labels every
+    # fixture run executes, so no run is exceeded yet.
+    ack = hub.apply(
+        EdgeEvent(
+            session="late1",
+            seq=2,
+            src="ex:getProteinSeq",
+            dst="ex:FastaFormat",
+        )
+    )
+    assert ack.live.nearest_bound == 0.0
+    assert ack.live.flagged is False
+    # Declaring one of them under a label no run has moves its count.
+    ack = hub.apply(
+        ActivityEvent(
+            session="late1", seq=3, node="ex:getProteinSeq", label="alien"
+        )
+    )
+    assert ack.live.nearest_bound == 1.0
+    assert ack.live.flagged is True
+    assert ack.live.flagged_at_seq == 3
+    assert hub.summary().flagged == flags_before + 1
+    assert _flags_metric(corpus_ws) == metric_before + 1
+    # Reading the live view does not count it a second time.
+    hub.live()
+    assert hub.summary().flagged == flags_before + 1
+
+
+def test_flag_armed_by_run_open_is_counted(corpus_ws, spec_name):
+    """Every bound starts at 0, so a negative threshold fires on the
+    run_open itself — checked and counted like any other event."""
+    hub = corpus_ws.stream_hub
+    ack = hub.apply(
+        RunOpen(
+            session="neg1",
+            spec_name=spec_name,
+            run_name="hub-neg1",
+            threshold=-1.0,
+        )
+    )
+    assert ack.live.flagged is True
+    assert ack.live.flagged_at_seq == 1
+    assert hub.summary().flagged == 1
+    assert _flags_metric(corpus_ws) == 1
+
+
 def test_live_view_lists_open_sessions_with_bounds(corpus_ws, spec_name):
     hub = corpus_ws.stream_hub
     text = random_prov_document(

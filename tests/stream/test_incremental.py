@@ -58,13 +58,23 @@ def test_relabel_is_refused_but_identical_redeclare_is_idempotent():
 
 
 def test_referenced_then_declared_adjusts_label_counts():
+    """Each event returns the ``(label, old, new)`` changes it made."""
     inc = IncrementalNormalizer("S", "r")
-    inc.add_edge("ex:a", "ex:b")  # both referenced-only: local names
+    # Both referenced-only: counted under their local names.
+    assert inc.add_edge("ex:a", "ex:b") == [("a", 0, 1), ("b", 0, 1)]
     assert inc.label_counts() == {"a": 1, "b": 1}
-    inc.add_activity("ex:a", "align")  # late declaration renames
+    assert inc.add_edge("ex:a", "ex:b") == []  # duplicate edge
+    # A late declaration renames.
+    assert inc.add_activity("ex:a", "align") == [
+        ("a", 1, 0),
+        ("align", 0, 1),
+    ]
     assert inc.label_counts() == {"align": 1, "b": 1}
-    inc.add_activity("ex:b")  # empty label keeps the local name
+    # An empty label keeps the local name; a redeclare changes nothing.
+    assert inc.add_activity("ex:b") == []
+    assert inc.add_activity("ex:b") == []
     assert inc.label_counts() == {"align": 1, "b": 1}
+    assert inc.add_activity("ex:c", "align") == [("align", 1, 2)]
 
 
 def test_empty_session_cannot_normalise():
