@@ -87,7 +87,7 @@ def main() -> None:
            seconds, serial.computed_pairs)
 
     store = fresh_store(base, "parallel", n_runs)
-    parallel = DiffService(store)
+    parallel = DiffService(store, backend="thread")
     seconds, parallel_matrix = timed(parallel.distance_matrix, "PA")
     record("matrix_cold_parallel", "matrix, cold cache, parallel",
            seconds, parallel.computed_pairs)

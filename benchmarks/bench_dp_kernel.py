@@ -5,9 +5,10 @@ landed: load the corpus, then — per pair — realign specifications,
 build both :class:`DeletionTables` and the :class:`SpecCostTables`
 from scratch, and fill the DP table *eagerly* over the full product of
 homologous node pairs (the original ``_run`` loop).  The optimised
-side is a cold :meth:`DiffService.distance_matrix`, which layers
-fingerprint seeding, lazy demand-driven cells, the ``≡``-shortcut,
-batch-shared tables and batch-shared origin interning.
+side is a cold :meth:`DiffService.distance_matrix` on the serial
+backend, which layers fingerprint seeding, lazy demand-driven cells,
+the ``≡``-shortcut, batch-shared tables and shapes, and batch-shared
+distance-only cells.
 
 The optimised matrix is asserted bit-identical to the baseline; the
 speedup is written to ``benchmarks/results/BENCH_dp.json`` so later

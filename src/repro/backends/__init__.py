@@ -1,19 +1,22 @@
 """Pluggable execution backends for corpus-scale differencing.
 
 The edit-distance DP is pure Python and O(|E|³), so *where* a batch of
-pairwise diffs executes determines how the corpus layer scales:
+pairwise diffs executes decides what the batch can share and what it
+pays in overhead:
 
-* :class:`SerialBackend` — in-process, one pair at a time.  Zero
-  overhead, deterministic scheduling; the baseline every other backend
-  is checked against.
+* :class:`SerialBackend` — in-process, one pair at a time.  The
+  default and the reference every other backend is checked against:
+  zero overhead, deterministic scheduling, and one batch-wide
+  :class:`~repro.core.memo.SharedTables` of tables and DP cells.
 * :class:`ThreadBackend` — a :class:`concurrent.futures`
-  ``ThreadPoolExecutor``.  Under the GIL only the I/O/parsing share of
-  a batch overlaps, but the backend is cheap to spin up and never
-  requires picklable payloads.
+  ``ThreadPoolExecutor``.  Under the GIL the pure-Python DP gains no
+  speed from threads (they only contend), but the backend is cheap to
+  spin up and never requires picklable payloads.
 * :class:`ProcessBackend` — a ``ProcessPoolExecutor``.  Payloads are
-  pickled to worker processes, so the DP itself runs on every core;
-  this is the backend that makes a cold ``distance_matrix`` scale with
-  the machine (see ``benchmarks/bench_backends.py``).
+  pickled to worker processes, so the DP runs in parallel; each batch
+  starts a fresh pool and pickles every payload, and on a 2-core
+  machine a cold ``distance_matrix`` measured slower than serial (see
+  ``benchmarks/bench_backends.py``).
 
 All three implement the :class:`ExecutorBackend` contract — ``map`` a
 module-level worker function over picklable task payloads — and are

@@ -19,9 +19,10 @@ Process workers cannot share the parent's memo (it is not picklable and
 would not help across address spaces anyway); they keep a module-level
 per-worker memo instead, keyed by cost-model identity.  Because a chunk
 unpickles as one unit, the runs of a chunk alias each other's trees and
-the chunk's pairs share tables exactly like the in-process path; the
-memo holds strong references (no id reuse while an entry lives) and
-dies with the worker — pools are created fresh per dispatch.
+specification, so the chunk's pairs share tables, shapes and cells
+exactly like the in-process path; the memo holds strong references (no
+id reuse while an entry lives) and dies with the worker — pools are
+created fresh per dispatch.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ when ``--remote URL`` replaces the STORE argument — ``repro diff
 --remote http://host:8321 SPEC A B`` runs the same code path against a
 server.  ``serve`` hosts a store over HTTP
 (:mod:`repro.service`); ``--backend``/``--jobs`` pick where cold
-batches execute (``process`` runs the O(|E|³) DP on every core).
+batches execute (``serial`` by default; ``process`` runs the O(|E|³)
+DP in worker processes).
 ``import`` ingests a PROV-JSON/OPM document (SP-izing foreign graphs,
 with a report of any forced serialisations) and computes the new run's
 distances to the corpus; ``export`` writes a stored run — or, with
@@ -589,8 +590,9 @@ def _parser() -> argparse.ArgumentParser:
             "--backend",
             choices=list(BACKEND_NAMES),
             default=None,
-            help="where cold diff batches execute (default thread, or "
-            "REPRO_BACKEND; process uses every core)",
+            help="where cold diff batches execute (default serial, or "
+            "REPRO_BACKEND; the pure-Python DP gains nothing from "
+            "threads, and process pays off only with cores to spare)",
         )
         sub.add_argument(
             "--jobs",

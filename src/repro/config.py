@@ -76,10 +76,12 @@ class ReproConfig:
         Default cost model ``γ`` for every operation that accepts one
         (each call can still override it per invocation).
     backend:
-        Execution substrate for cold batches: ``"serial"``,
-        ``"thread"``, ``"process"``, or an
+        Execution substrate for cold batches: ``"serial"`` (the
+        default), ``"thread"``, ``"process"``, or an
         :class:`~repro.backends.base.ExecutorBackend` instance (shared
-        as-is, e.g. to reuse one process pool across workspaces).
+        as-is, e.g. to reuse one process pool across workspaces).  The
+        DP is pure Python, so threads only contend for the GIL, and on
+        two cores the process backend measured slower than serial.
     jobs:
         Parallelism for a backend given by name; ``None`` picks for the
         machine.  Must be ``None`` when ``backend`` is an instance.
@@ -118,7 +120,7 @@ class ReproConfig:
     """
 
     cost: CostModel = field(default_factory=UnitCost)
-    backend: Union[str, ExecutorBackend] = "thread"
+    backend: Union[str, ExecutorBackend] = "serial"
     jobs: Optional[int] = None
     cache_size: int = 4096
     persistent: bool = True

@@ -128,7 +128,8 @@ def diff_runs(
         Keep (and structurally validate) a graph snapshot per operation.
     shared:
         Optional per-batch :class:`~repro.core.memo.SharedTables` so one
-        run's deletion tables are built once across a batch of pairs.
+        run's deletion tables and shapes are built once across a batch
+        of pairs (scripts never read its distance-only cells).
 
     Returns
     -------
@@ -182,7 +183,7 @@ def distance_only(
     check entirely; callers assert that both runs were annotated against
     the *same* specification object (the corpus layer guarantees this by
     loading every run of a batch through one spec).  ``shared`` reuses
-    per-batch deletion/spec tables.
+    the batch's tables, node shapes and DP cells.
     """
     if cost is None:
         cost = shared.cost if shared is not None else UnitCost()

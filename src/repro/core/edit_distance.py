@@ -20,22 +20,32 @@ The total work is O(|E|³) as analysed in Section V-D.
 
 Cells are computed **lazily**: :meth:`decision` memoises on demand from
 the root pair down, so only reachable homologous pairs are ever priced.
-Two fast-path options trim the reachable set further without changing a
-single bit of any produced value:
+Three fast paths trim the work further without changing a single bit
+of any produced value.  All three live in one batch-wide
+:class:`~repro.core.memo.SharedTables`; a computation built without one
+gets a private instance.
 
-* ``shared=`` reuses per-run :class:`DeletionTables` and the per-spec
-  :class:`SpecCostTables` across the pairs of a batch
-  (:class:`~repro.core.memo.SharedTables`) — the tables are pure
-  functions of ``(tree, cost)``, sharing merely avoids rebuilding them;
-* ``distance_only=True`` enables the ``≡``-shortcut: a homologous pair
-  whose subtrees agree on the *origin-annotated* structure key maps at
-  cost exactly ``0.0`` (induction over the recurrences: every branch
-  bottoms out in same-origin Q pairs, and all intermediate sums/minima
-  are sums and minima of exact ``0.0``s), so the whole subtree product
-  is skipped.  The returned cell carries no ``matched`` list, which is
-  why the shortcut is confined to distance-only use — mapping and
-  script extraction need the lists and must construct the computation
-  without it.
+* **Shared tables** — per-run
+  :class:`~repro.core.deletion.DeletionTables` and the per-spec
+  :class:`~repro.core.spec_costs.SpecCostTables` are built once per
+  batch.  They are pure functions of ``(tree, cost)``; sharing merely
+  avoids rebuilding them.
+* **The ``≡``-shortcut** (``distance_only=True``) — a homologous pair
+  whose subtrees have the same *shape* (ordered, origin-annotated
+  structure) maps at cost exactly ``0.0``: every branch bottoms out in
+  same-origin Q pairs, and every intermediate sum and minimum is taken
+  over exact zeros.  ``≡`` subtrees whose P or F children arrive in a
+  different order have different shapes; they reach the DP, which
+  still returns exactly ``0.0``.
+* **Shared cells** (``distance_only=True``) — any other non-root pair
+  is decided once per batch and stored under its two shapes; later
+  pairs of the batch read the cost back.  Equal shapes feed every
+  recurrence identical inputs in identical order, so a stored cost is
+  bit-identical to a recomputed one (see :mod:`repro.core.memo`).
+
+Distance-only pricing produces costs only; mapping and script
+extraction need each pair's ``matched`` list and must construct the
+computation without it.
 """
 
 from __future__ import annotations
@@ -44,9 +54,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.deletion import DeletionTables
 from repro.core.memo import SharedTables
-from repro.core.spec_costs import SpecCostTables
 from repro.costs.base import CostModel
 from repro.errors import EditScriptError
 from repro.matching.hungarian import match_children
@@ -79,12 +87,13 @@ class EditDistanceComputation:
     spec, tree1, tree2, cost:
         The specification, the two annotated run trees, and ``γ``.
     shared:
-        An optional :class:`~repro.core.memo.SharedTables` carrying
-        memoised deletion/spec tables for a batch; must be bound to the
-        same cost model object.
+        The batch's :class:`~repro.core.memo.SharedTables` (tables,
+        shapes, cells); must be bound to the same cost model object.
+        ``None`` builds a private one.
     distance_only:
-        Enables the ``≡``-shortcut (see the module docstring).  The
-        resulting cells are unfit for mapping extraction.
+        Prices pairs through the ``≡``-shortcut and the shared cells
+        (see the module docstring).  Such a computation is for
+        :attr:`distance`, not for mapping extraction.
     """
 
     def __init__(
@@ -100,72 +109,21 @@ class EditDistanceComputation:
         self.tree1 = tree1
         self.tree2 = tree2
         self.cost = cost
-        if shared is not None:
-            if shared.cost is not cost:
-                raise EditScriptError(
-                    "shared tables are bound to a different cost model "
-                    "object; build one SharedTables per (batch, cost)"
-                )
-            self.deletions1 = shared.deletions(tree1)
-            self.deletions2 = shared.deletions(tree2)
-            self.spec_tables = shared.spec_tables(spec)
-        else:
-            self.deletions1 = DeletionTables(tree1, cost)
-            self.deletions2 = DeletionTables(tree2, cost)
-            self.spec_tables = SpecCostTables(spec, cost)
-        self._distance_only = distance_only
+        if shared is None:
+            shared = SharedTables(cost)
+        elif shared.cost is not cost:
+            raise EditScriptError(
+                "shared tables are bound to a different cost model "
+                "object; build one SharedTables per (batch, cost)"
+            )
+        shared.intern(tree1)
+        shared.intern(tree2)
+        self._shape_of = shared.shape_of
+        self._cells = shared.cells if distance_only else None
+        self.deletions1 = shared.deletions(tree1)
+        self.deletions2 = shared.deletions(tree2)
+        self.spec_tables = shared.spec_tables(spec)
         self._pairs: Dict[Tuple[int, int], PairDecision] = {}
-        # ``≡``-shortcut state: per-node interned origin-structure keys
-        # (equal ids ⇔ equal (origin, structure) recursively).
-        if shared is not None:
-            # Batch-shared interning: each tree's keys are built once
-            # per batch, not once per pair.  The merged map covers every
-            # node of both trees, so ``_origin_id`` never falls through
-            # to the (empty) per-instance intern table.  The walk also
-            # validated the origins.
-            merged = dict(shared.origin_ids(tree1))
-            merged.update(shared.origin_ids(tree2))
-            self._origin_ids = merged
-            self._key_intern: Dict[tuple, int] = {}
-        else:
-            self._origin_ids = {}
-            self._key_intern = {}
-            self._validate_origins(tree1)
-            self._validate_origins(tree2)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _validate_origins(tree: SPTree) -> None:
-        for node in tree.iter_nodes("pre"):
-            if node.origin is None:
-                raise EditScriptError(
-                    "run tree node lacks an origin; build trees via "
-                    "annotate_run_tree or the executor"
-                )
-
-    def _origin_id(self, node: SPTree) -> int:
-        """Interned origin-annotated structure key of a subtree.
-
-        Equal ids certify that two subtrees are ``≡`` *and* pair up
-        origin-for-origin — the condition under which the DP's optimal
-        mapping cost is exactly ``0.0`` (not merely close to it).
-        """
-        memo = self._origin_ids
-        cached = memo.get(id(node))
-        if cached is not None:
-            return cached
-        if node.kind is NodeType.Q:
-            key: tuple = ("Q", id(node.origin))
-        else:
-            child_ids = [self._origin_id(c) for c in node.children]
-            if node.kind in (NodeType.P, NodeType.F):
-                child_ids.sort()
-            key = (node.kind.value, id(node.origin), tuple(child_ids))
-        interned = self._key_intern.setdefault(
-            key, len(self._key_intern)
-        )
-        memo[id(node)] = interned
-        return interned
 
     # ------------------------------------------------------------------
     def decision(self, v1: SPTree, v2: SPTree) -> PairDecision:
@@ -173,20 +131,29 @@ class EditDistanceComputation:
         key = (id(v1), id(v2))
         cell = self._pairs.get(key)
         if cell is None:
-            if self._distance_only and self._origin_id(
-                v1
-            ) == self._origin_id(v2):
-                # ``≡``-shortcut: exact 0.0, no matched list (see the
-                # module docstring for why this is distance-only).
-                cell = PairDecision(0.0)
-            else:
-                cell = self._decide(v1, v2)
+            cell = self._decide(v1, v2)
             self._pairs[key] = cell
         return cell
 
     def pair_cost(self, v1: SPTree, v2: SPTree) -> float:
-        """``γ(M(v1, v2))`` — minimum mapping cost for the pair."""
-        return self.decision(v1, v2).cost
+        """``γ(M(v1, v2))`` — minimum mapping cost for the pair.
+
+        Distance-only computations price the pair by its two shapes:
+        the ``≡``-shortcut, then the batch's shared cells.  The root
+        pair is unique to this computation, so it is never stored.
+        """
+        cells = self._cells
+        if cells is None:
+            return self.decision(v1, v2).cost
+        key = (self._shape_of[id(v1)], self._shape_of[id(v2)])
+        if key[0] == key[1]:
+            return 0.0
+        cost = cells.get(key)
+        if cost is None:
+            cost = self._decide(v1, v2).cost
+            if v1 is not self.tree1:
+                cells[key] = cost
+        return cost
 
     @property
     def distance(self) -> float:

@@ -1,29 +1,41 @@
-"""Per-batch sharing of DP support tables across pair computations.
+"""Per-batch sharing of DP work across pair computations.
 
 A cold ``distance_matrix`` over ``N`` runs performs ``N·(N−1)/2`` DPs,
-and each historically rebuilt its two :class:`DeletionTables` (one per
-run) and the per-spec :class:`SpecCostTables` from scratch — ``N−1``
-redundant table builds per run, and the S-node convolution inside the
-tables is the DP's stated O(|E|³) bottleneck.  A :class:`SharedTables`
-instance memoises those tables for the lifetime of one batch: the
-corpus service constructs one per cold dispatch and threads it through
-the in-process backends (serial/thread), so every run's tables are
-built exactly once per batch.
+and the runs of one specification repeat most of their subtrees.  A
+:class:`SharedTables` instance memoises, for the lifetime of one batch,
+what those DPs have in common:
 
-Sharing is sound because the tables are pure functions of
-``(tree, cost)`` (respectively ``(spec, cost)``) and immutable once
-built — results are bit-identical to per-pair construction, the same
-objects merely get reused.  Cross-pair *DP cell* sharing is
-deliberately absent: P-node accumulation order follows each pair's
-child order, so cells keyed by anything weaker than object identity
-would not be bit-stable.
+* each run's :class:`DeletionTables` and the per-spec
+  :class:`SpecCostTables`, built once per batch instead of once per
+  pair — the tables are pure functions of ``(tree, cost)``
+  (respectively ``(spec, cost)``), and the S-node convolution inside
+  them is the DP's stated O(|E|³) bottleneck;
+* each node's **shape**: an interned id of its ordered,
+  origin-annotated subtree, ``(kind, id(origin), source_label,
+  sink_label, child shapes in child order)``.  Each tree is walked once
+  per batch, and the walk doubles as origin validation;
+* the distance-only DP **cells**, ``(shape1, shape2) → cost``.
 
-The memo keys by ``id()`` and keeps strong references to the keyed
-objects, which makes id reuse impossible while an entry lives — the
-lookup verifies identity anyway, out of caution.  A lock serialises
-construction (thread backends race to build the same run's tables);
-table building is O(runs), negligible against the O(pairs) DP work it
-amortises.
+An order-preserving shape key is exactly strong enough for sharing a
+cell.  Everything a cell reads is a function of the two ordered
+subtrees: the X/Y deletion tables (labels, leaf counts, sums in child
+order), ``W_TG`` (origins), and the Hungarian and non-crossing
+matchings (cost matrices in child order).  Equal shapes feed identical
+inputs through identical float operations, so a stored cost is
+bit-identical to a recomputed one.  Children are never sorted: two
+``≡`` subtrees whose P or F children arrive in different orders sum
+and match in different orders, which is exact in real arithmetic but
+not in floats, so they get distinct shapes.
+
+The corpus service constructs one instance per cold dispatch and
+threads it through the in-process backends (serial/thread).  Trees are
+memoised by ``id()`` behind strong references, which makes id reuse
+impossible while an entry lives — lookups verify identity anyway, out
+of caution.  A lock serialises table builds and shape walks (O(runs)
+per batch, negligible against the O(pairs) DP work they amortise).
+``cells`` and ``shape_of`` are read without it: their keys are ints
+and tuples of ints, so each dict operation is atomic under the GIL,
+and a race on a cell merely computes the same value twice.
 
 The process backend cannot share memory; its workers keep an analogous
 per-worker memo (:mod:`repro.backends.work`), fresh per pool.
@@ -38,24 +50,28 @@ from repro.core.deletion import DeletionTables
 from repro.core.spec_costs import SpecCostTables
 from repro.costs.base import CostModel
 from repro.errors import EditScriptError
-from repro.sptree.nodes import NodeType, SPTree
+from repro.sptree.nodes import SPTree
 
 
 class SharedTables:
-    """One batch's memo of :class:`DeletionTables`/:class:`SpecCostTables`.
+    """One batch's memo of tables, node shapes and distance-only cells.
 
-    Bound to a single cost model; the edit-distance DP
-    refuses a mismatched cost at construction time rather than serving
-    tables priced under a different ``γ``.
+    Bound to a single cost model; the edit-distance DP refuses a
+    mismatched cost at construction time rather than serving tables
+    priced under a different ``γ``.
     """
 
     def __init__(self, cost: CostModel):
         self.cost = cost
+        #: ``id(node) → shape`` for every node of every interned tree.
+        self.shape_of: Dict[int, int] = {}
+        #: Distance-only DP cells: ``(shape1, shape2) → γ(M(v1, v2))``.
+        self.cells: Dict[Tuple[int, int], float] = {}
         self._lock = threading.Lock()
         self._deletions: Dict[int, Tuple[SPTree, DeletionTables]] = {}
         self._spec_tables: Dict[int, Tuple[object, SpecCostTables]] = {}
-        self._origin_ids: Dict[int, Tuple[SPTree, Dict[int, int]]] = {}
-        self._origin_intern: Dict[tuple, int] = {}
+        self._interned: Dict[int, SPTree] = {}
+        self._shapes: Dict[tuple, int] = {}
 
     def deletions(self, tree: SPTree) -> DeletionTables:
         """The (memoised) deletion tables for one run tree."""
@@ -79,44 +95,35 @@ class SharedTables:
             self._spec_tables[key] = (spec, tables)
             return tables
 
-    def origin_ids(self, tree: SPTree) -> Dict[int, int]:
-        """Per-node interned origin-structure keys for one run tree.
+    def intern(self, tree: SPTree) -> None:
+        """Record the shape of every node of ``tree`` in :attr:`shape_of`.
 
-        The intern table is batch-wide, so equal ids certify ``≡``
-        across *any* two trees served by this instance — exactly the
-        property the DP's ``≡``-shortcut compares.  Each tree's keys
-        are built once per batch instead of once per pair, which is
-        where the per-pair DP spent a quarter of its time.  The walk
-        doubles as origin validation, letting callers skip a separate
-        pre-order pass.
+        Equal shapes certify ordered, origin-for-origin equal subtrees
+        across *any* two trees this instance interned.  Raises
+        :class:`~repro.errors.EditScriptError` for a node without an
+        origin.
         """
-        key = id(tree)
         with self._lock:
-            entry = self._origin_ids.get(key)
-            if entry is not None and entry[0] is tree:
-                return entry[1]
-            intern = self._origin_intern
-            ids: Dict[int, int] = {}
-            for node in tree.iter_nodes("post"):
-                if node.origin is None:
-                    raise EditScriptError(
-                        "run tree node lacks an origin; build trees via "
-                        "annotate_run_tree or the executor"
-                    )
-                if node.kind is NodeType.Q:
-                    node_key: tuple = ("Q", id(node.origin))
-                else:
-                    child_ids = [ids[id(c)] for c in node.children]
-                    if node.kind in (NodeType.P, NodeType.F):
-                        child_ids.sort()
-                    node_key = (
-                        node.kind.value,
-                        id(node.origin),
-                        tuple(child_ids),
-                    )
-                ids[id(node)] = intern.setdefault(node_key, len(intern))
-            self._origin_ids[key] = (tree, ids)
-            return ids
+            if self._interned.get(id(tree)) is not tree:
+                self._shape(tree)
+                self._interned[id(tree)] = tree
+
+    def _shape(self, node: SPTree) -> int:
+        if node.origin is None:
+            raise EditScriptError(
+                "run tree node lacks an origin; build trees via "
+                "annotate_run_tree or the executor"
+            )
+        key = (
+            node.kind,
+            id(node.origin),
+            node.source_label,
+            node.sink_label,
+            tuple([self._shape(child) for child in node.children]),
+        )
+        shapes = self._shapes
+        shape = self.shape_of[id(node)] = shapes.setdefault(key, len(shapes))
+        return shape
 
     def __len__(self) -> int:
         with self._lock:

@@ -12,11 +12,10 @@ engine over a :class:`~repro.io.store.WorkflowStore`:
   ``<root>/index/derived.db`` (:mod:`repro.corpus.derived`; a private
   in-memory one for an ephemeral service), which processes sharing the
   store share;
-* cold pairs fan out over a pluggable
-  :class:`~repro.backends.base.ExecutorBackend` — the thread backend
-  (default) overlaps the I/O share of a batch under the GIL, while the
-  process backend pickles ``(run, run, cost)`` payloads to worker
-  processes so the pure-Python O(|E|³) DP itself scales with cores;
+* cold pairs run on a pluggable
+  :class:`~repro.backends.base.ExecutorBackend` — serial by default,
+  because the pure-Python O(|E|³) DP gains nothing from threads under
+  the GIL; the thread and process backends stay available;
 * :meth:`add_run` is incremental: growing an ``N``-run corpus computes
   exactly the ``N`` new pairs, never the existing ``N x (N-1) / 2``;
 * analytics (:meth:`medoid`, :meth:`outliers`, :meth:`nearest_runs`)
@@ -40,8 +39,9 @@ Three further layers keep corpus-scale distance work off the DP:
 * **triangle-inequality bounds** over already-cached distances tighten
   those floors (and give :meth:`outliers` its ceilings) before any DP;
 * one :class:`~repro.core.memo.SharedTables` per cold batch builds each
-  run's deletion tables once instead of once per pair — every layer
-  bit-identical to the plain per-pair evaluation.
+  run's deletion tables once instead of once per pair, and prices each
+  distinct pair of subtree shapes once — every layer bit-identical to
+  the plain per-pair evaluation.
 
 ``dp_skipped_by_bound`` / ``dp_pruned_by_triangle`` count the DPs these
 layers avoided (exposed via :attr:`stats_counters` and ``/metrics``).
@@ -80,11 +80,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.base import (
-    ExecutorBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.backends.base import ExecutorBackend, make_backend
 from repro.backends.work import (
     DistanceTask,
     ScriptTask,
@@ -162,8 +158,9 @@ class DiffService:
         Where cold batches execute: a name from
         :data:`repro.backends.base.BACKEND_NAMES` or an
         :class:`~repro.backends.base.ExecutorBackend` instance.
-        Defaults to the thread backend (the historical behaviour);
-        ``"process"`` runs the DP itself on every core.
+        Defaults to the serial backend: the DP is pure Python, so
+        threads only contend for the GIL, and serial batches share
+        one :class:`~repro.core.memo.SharedTables` without contention.
     """
 
     def __init__(
@@ -182,14 +179,12 @@ class DiffService:
             metrics if metrics is not None else MetricsRegistry()
         )
         self.max_workers = max_workers
-        if backend is None:
-            self.backend: ExecutorBackend = ThreadBackend(max_workers)
-        elif isinstance(backend, ExecutorBackend):
+        if isinstance(backend, ExecutorBackend):
             # An instance carries its own width; max_workers is the
             # by-name convenience knob and is documented as ignored.
-            self.backend = backend
+            self.backend: ExecutorBackend = backend
         else:
-            self.backend = make_backend(backend, max_workers)
+            self.backend = make_backend(backend or "serial", max_workers)
         self.db = DerivedDB(
             self.store.root / "index" / DB_FILE if persistent else None
         )
@@ -717,7 +712,8 @@ class DiffService:
                     # Resolve inside the workers: threads overlap
                     # parsing.  One SharedTables for the whole batch —
                     # each run's deletion tables are built once, not
-                    # once per pair.
+                    # once per pair, and each distinct pair of subtree
+                    # shapes is priced once.
                     shared = SharedTables(cost)
                     distances = self.backend.map(
                         lambda pair: compute_distance(task(pair), shared),

@@ -81,7 +81,7 @@ class Workspace:
         existing :class:`~repro.io.store.WorkflowStore` to share.
     config:
         A :class:`~repro.config.ReproConfig`; defaults to
-        ``ReproConfig()`` (unit cost, thread backend, persistent
+        ``ReproConfig()`` (unit cost, serial backend, persistent
         caches).
 
     Attributes

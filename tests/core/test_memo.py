@@ -1,23 +1,38 @@
-"""Shared DP tables (:mod:`repro.core.memo`) and the alignment hoist.
+"""Shared DP work (:mod:`repro.core.memo`) and the alignment hoist.
 
-Sharing tables across a batch's pairs must be invisible in the
-results — the tables are pure functions of ``(tree, cost)``, so a
-shared computation returns the *bit-identical* distance of an unshared
-one, just without rebuilding anything.  The alignment hoist
+Sharing tables, shapes and distance-only cells across a batch's pairs
+must be invisible in the results — each is a pure function of the
+ordered subtrees and the cost model, so a shared computation returns
+the *bit-identical* distance of an unshared one, just without
+recomputing anything.  The alignment hoist
 (``assume_aligned``) likewise skips per-pair work that the corpus
 layer has already done once, without touching the DP's inputs.
 """
 
+import random
+import sys
+import threading
+
 import pytest
 
+from repro import ReproConfig, Workspace
+from repro.backends.base import ThreadBackend
 from repro.core import api as core_api
 from repro.core import deletion as core_deletion
 from repro.core.api import diff_runs, distance_only
+from repro.core.edit_distance import EditDistanceComputation
 from repro.core.memo import SharedTables
 from repro.errors import EditScriptError
+from repro.scale.workloads import make_workload
+from repro.sptree.nodes import NodeType, SPTree
 from repro.workflow.execution import ExecutionParams, execute_workflow
-from repro.workflow.real_workflows import protein_annotation
-from repro.costs.standard import LengthCost, PowerCost, UnitCost
+from repro.workflow.real_workflows import emboss, protein_annotation
+from repro.costs.standard import (
+    CallableCost,
+    LengthCost,
+    PowerCost,
+    UnitCost,
+)
 
 VARIED = ExecutionParams(
     prob_parallel=0.7,
@@ -28,12 +43,29 @@ VARIED = ExecutionParams(
 )
 
 
-def _corpus(n):
-    spec = protein_annotation()
+def _corpus(n, factory=protein_annotation):
+    spec = factory()
     return spec, [
         execute_workflow(spec, VARIED, seed=seed, name=f"r{seed}")
         for seed in range(1, n + 1)
     ]
+
+
+def _label_priced(length, source_label, sink_label):
+    """A label-dependent γ whose prices are not dyadic fractions, so a
+    changed summation order would show in the low bits."""
+    weight = 1.0 + (len(source_label) + 2 * len(sink_label)) % 5 / 7.0
+    return length ** 0.75 * weight
+
+
+def _reverse_parallels(node):
+    """A copy of ``node`` with every P node's children reversed."""
+    if node.kind is NodeType.Q:
+        return node
+    children = tuple(_reverse_parallels(c) for c in node.children)
+    if node.kind is NodeType.P:
+        children = children[::-1]
+    return SPTree(node.kind, children, origin=node.origin)
 
 
 def _pairs(runs):
@@ -43,18 +75,35 @@ def _pairs(runs):
 
 
 class TestSharedTables:
+    @pytest.mark.parametrize("factory", [protein_annotation, emboss])
     @pytest.mark.parametrize(
-        "cost", [UnitCost(), LengthCost(), PowerCost(0.5)]
+        "cost",
+        [
+            UnitCost(),
+            LengthCost(),
+            PowerCost(0.5),
+            CallableCost(_label_priced, name="label-priced"),
+        ],
+        ids=["unit", "length", "power", "label-priced"],
     )
-    def test_shared_distances_are_bit_identical(self, cost):
-        spec, runs = _corpus(4)
+    def test_shared_distances_are_bit_identical(self, cost, factory):
+        # Forks, loops and parallel branches; both directions of every
+        # pair, visited in a seeded shuffled order so the shared cells
+        # fill in an order unrelated to the listing.  The oracle runs
+        # the mapping DP, which uses neither the shortcut nor cells.
+        spec, runs = _corpus(16, factory)
+        directed = [(a, b) for a in runs for b in runs if a is not b]
+        random.Random(16).shuffle(directed)
         shared = SharedTables(cost)
-        for run_a, run_b in _pairs(runs):
-            alone = distance_only(run_a, run_b, cost=cost)
+        for run_a, run_b in directed:
+            oracle = diff_runs(
+                run_a, run_b, cost=cost, with_script=False
+            ).distance
             together = distance_only(
                 run_a, run_b, cost=cost, shared=shared
             )
-            assert together == alone  # ==, not approx: same bits
+            assert together == oracle  # ==, not approx: same bits
+        assert shared.cells
 
     def test_shared_scripts_are_identical(self):
         spec, runs = _corpus(3)
@@ -95,6 +144,128 @@ class TestSharedTables:
         # 6 pairs x 2 trees = 12 unshared builds; shared builds 4.
         assert built["count"] == len(runs)
         assert len(shared) == len(runs)
+
+    def test_child_order_is_part_of_the_shape(self):
+        # Sums and matchings follow child order, so two ≡ subtrees
+        # whose P children arrive in a different order must not share
+        # a cell — yet the DP still prices them at exactly 0.0.
+        spec, runs = _corpus(8)
+        tree = max((run.tree for run in runs), key=lambda t: t.num_nodes)
+        mirror = _reverse_parallels(tree)
+        assert tree.equivalent(mirror)
+        cost = UnitCost()
+        shared = SharedTables(cost)
+        shared.intern(tree)
+        shared.intern(mirror)
+        shapes = shared.shape_of
+        reordered = [
+            (p1, p2)
+            for p1, p2 in zip(tree.iter_nodes(), mirror.iter_nodes())
+            if p1.kind is NodeType.P
+            and shapes[id(p1.children[0])] != shapes[id(p1.children[-1])]
+        ]
+        assert reordered
+        for p1, p2 in reordered:
+            assert p1.equivalent(p2)
+            assert shapes[id(p1)] != shapes[id(p2)]
+        assert shapes[id(tree)] != shapes[id(mirror)]
+        fast = EditDistanceComputation(
+            spec, tree, mirror, cost, shared=shared, distance_only=True
+        )
+        assert fast.distance == 0.0
+        assert EditDistanceComputation(
+            spec, tree, mirror, cost
+        ).distance == 0.0
+
+    def test_cells_price_each_shape_pair_once(self, tmp_path, monkeypatch):
+        # A seeded pipeline family from the generator the repository
+        # benchmark uses: its runs repeat most subtrees, so a shared
+        # distance-only sweep decides few pairs beyond each root.
+        workload = make_workload("pipeline", "family", seed=7, runs=24)
+        ws = Workspace(tmp_path, ReproConfig(persistent=False))
+        for document in workload.documents():
+            ws.import_prov(
+                document.document, name=document.run_name, diff=False
+            )
+        spec = ws.store.load_specification("family")
+        runs = [
+            ws.store.load_run(spec, name)
+            for name in sorted(ws.store.list_runs("family"))
+        ]
+        pairs = _pairs(runs)
+        calls = {"count": 0}
+        original = EditDistanceComputation._decide
+
+        def counting(self, v1, v2):
+            calls["count"] += 1
+            return original(self, v1, v2)
+
+        monkeypatch.setattr(EditDistanceComputation, "_decide", counting)
+        cost = UnitCost()
+        shared = SharedTables(cost)
+        for run_a, run_b in pairs:
+            distance_only(run_a, run_b, cost=cost, shared=shared)
+        assert calls["count"] <= 2.5 * len(pairs)
+        assert len(shared.cells) < len(pairs)
+
+    def test_threads_share_shapes_and_cells_without_loss(self):
+        # Thread workers intern trees under the lock and read/write the
+        # cells without it.  More threads than cores and a tiny switch
+        # interval provoke interleavings; a lost or duplicated shape id
+        # would merge or split shape classes, and a torn cell would
+        # change a distance.
+        spec, runs = _corpus(24)
+        directed = [(a, b) for a in runs for b in runs if a is not b]
+        nodes = [node for run in runs for node in run.tree.iter_nodes()]
+        cost = LengthCost()
+        serial = SharedTables(cost)
+        expected = [
+            distance_only(a, b, cost=cost, shared=serial)
+            for a, b in directed
+        ]
+
+        def same_classes(threaded):
+            classes = {}
+            for node in nodes:
+                classes.setdefault(serial.shape_of[id(node)], set()).add(
+                    threaded.shape_of[id(node)]
+                )
+            return all(len(ids) == 1 for ids in classes.values()) and len(
+                {threaded.shape_of[id(node)] for node in nodes}
+            ) == len(classes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                threaded = SharedTables(cost)
+                barrier = threading.Barrier(len(runs))
+
+                def intern(tree):
+                    barrier.wait(timeout=10)
+                    threaded.intern(tree)
+
+                workers = [
+                    threading.Thread(target=intern, args=(run.tree,))
+                    for run in runs
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=10)
+                assert not any(worker.is_alive() for worker in workers)
+                assert same_classes(threaded)
+            threaded = SharedTables(cost)
+            got = ThreadBackend(16).map(
+                lambda pair: distance_only(
+                    pair[0], pair[1], cost=cost, shared=threaded
+                ),
+                directed,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert same_classes(threaded)
 
     def test_mismatched_cost_model_refused(self):
         spec, runs = _corpus(2)

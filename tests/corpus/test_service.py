@@ -74,7 +74,9 @@ class TestDistanceMatrix:
 
     def test_parallel_matches_serial(self, pa_store):
         serial = DiffService(pa_store, max_workers=1, persistent=False)
-        parallel = DiffService(pa_store, max_workers=4, persistent=False)
+        parallel = DiffService(
+            pa_store, max_workers=4, persistent=False, backend="thread"
+        )
         assert serial.distance_matrix("PA") == parallel.distance_matrix(
             "PA"
         )

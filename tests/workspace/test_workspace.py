@@ -20,10 +20,10 @@ from repro.workspace import DiffOutcome, Workspace
 class TestConstruction:
     def test_default_config(self, tmp_path):
         ws = Workspace(tmp_path)
-        assert ws.config.backend == "thread"
+        assert ws.config.backend == "serial"
         assert ws.config.cost.name == "UnitCost"
         assert ws.config.persistent is True
-        assert ws.backend.name == "thread"
+        assert ws.backend.name == "serial"
 
     def test_config_backend_is_wired_through(self, tmp_path):
         ws = Workspace(tmp_path, ReproConfig(backend="process", jobs=2))
