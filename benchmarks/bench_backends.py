@@ -1,23 +1,19 @@
-"""Execution-backend benchmark: serial vs thread vs process.
+"""Execution-backend benchmark: serial vs thread.
 
 Times a **cold** ``distance_matrix`` (and a cold batch of edit
 scripts) over a generated protein-annotation corpus on each
 :mod:`repro.backends` implementation, against ``serial`` — the
 reference and the default.  The edit-distance DP is pure Python, so
-threads only contend for the GIL.  The process backend pickles
-``(run, run, cost)`` payloads to a fresh worker pool per batch and
-runs the DP in parallel; whether that beats serial depends on the
-cores it gets and on what the serial batch shares (one
-:class:`~repro.core.memo.SharedTables` of tables and DP cells, which
-each worker process rebuilds for itself).  All backends must produce
-identical matrices (asserted here and in the equivalence property
-suite).
+threads only contend for the GIL; both backends share one
+:class:`~repro.core.memo.SharedTables` of tables and DP cells per
+batch.  Both must produce identical matrices (asserted here and in the
+equivalence property suite).
 
 Besides the printed table, the run emits machine-readable
 ``benchmarks/results/BENCH_backends.json`` recording per-backend
-wall-clock, the DP counts, the host's CPU count, each backend's
-cold-matrix speedup over serial (``<backend>_vs_serial``, above 1 when
-it wins) and the ``fastest`` backend.
+wall-clock, the DP counts, the host's CPU count, the thread backend's
+cold-matrix speedup over serial (``thread_vs_serial``, above 1 when it
+wins) and the ``fastest`` backend.
 
 Scale with ``REPRO_BENCH_SCALE`` (default corpus: 20 runs — the cold
 matrix is 190 pairs) or pass ``--quick`` for CI smoke (8 runs).
@@ -40,9 +36,8 @@ from repro.io.store import WorkflowStore
 from repro.workflow.execution import ExecutionParams, execute_workflow
 from repro.workflow.real_workflows import protein_annotation
 
-# Heavier runs than the corpus-service benchmark: the O(|E|³) DP must
-# dominate per-pair pickling overhead, or the process backend's
-# multi-core gains would be masked by serialisation cost.
+# Heavier runs than the corpus-service benchmark, so the O(|E|³) DP
+# dominates each pair's cost.
 PARAMS = ExecutionParams(
     prob_parallel=0.9,
     max_fork=5,
@@ -118,30 +113,23 @@ def main() -> None:
             f"{service.computed_pairs:>6}"
         )
 
-    for name in ("thread", "process"):
-        assert matrices[name] == matrices["serial"], (
-            f"{name} backend disagrees with serial"
-        )
-    lines.append("all backends produced identical matrices")
+    assert matrices["thread"] == matrices["serial"], (
+        "thread backend disagrees with serial"
+    )
+    lines.append("both backends produced identical matrices")
 
     seconds = {
         name: timing["matrix_seconds"]
         for name, timing in results["backends"].items()
     }
-    for name in ("thread", "process"):
-        speedup = seconds["serial"] / seconds[name]
-        results[f"{name}_vs_serial"] = speedup
-        lines.append(
-            f"{name} vs serial on the cold matrix: {speedup:.2f}x "
-            + ("(faster)" if speedup > 1 else "(slower)")
-        )
+    speedup = seconds["serial"] / seconds["thread"]
+    results["thread_vs_serial"] = speedup
+    lines.append(
+        f"thread vs serial on the cold matrix: {speedup:.2f}x "
+        + ("(faster)" if speedup > 1 else "(slower)")
+    )
     results["fastest"] = min(seconds, key=seconds.get)
     lines.append(f"fastest on the cold matrix: {results['fastest']}")
-    if cores == 1 and results["fastest"] != "process":
-        lines.append(
-            "(a single cpu: process workers pay pickling with no "
-            "second core to run on)"
-        )
 
     emit("BENCH_backends", lines)
     RESULTS_DIR.mkdir(exist_ok=True)

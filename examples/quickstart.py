@@ -42,8 +42,9 @@ def build_specification() -> WorkflowSpecification:
 def main() -> None:
     with tempfile.TemporaryDirectory() as root:
         # One config wires everything: cost model, execution backend,
-        # parallelism, caches.  backend="process" runs cold batches on
-        # every core; "serial" and "thread" are drop-in equivalents.
+        # parallelism, caches.  "serial" (the default) and "thread"
+        # are drop-in equivalents; `repro serve --workers N` is the
+        # way to use more than one core.
         ws = Workspace(
             root, ReproConfig(cost=UnitCost(), backend="thread")
         )

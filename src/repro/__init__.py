@@ -15,7 +15,7 @@ differencing, querying, interchange and viewing, configured by a single
 caches):
 
 >>> from repro import ReproConfig, Workspace, protein_annotation
->>> ws = Workspace(path, ReproConfig(backend="process"))  # doctest: +SKIP
+>>> ws = Workspace(path, ReproConfig(backend="thread"))  # doctest: +SKIP
 >>> ws.register(protein_annotation())
 >>> ws.generate_run("monday", seed=1)
 >>> ws.generate_run("tuesday", seed=2)
@@ -36,7 +36,6 @@ from repro.api_types import (
 )
 from repro.backends.base import (
     ExecutorBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
@@ -123,7 +122,7 @@ from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 from repro.workspace import Workspace
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -159,7 +158,6 @@ __all__ = [
     "ExecutorBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "make_backend",
     # -- core differencing ----------------------------------------------
     "edit_distance",

@@ -1,21 +1,12 @@
-"""The :class:`ExecutorBackend` contract and its three implementations.
+"""The :class:`ExecutorBackend` contract and its two implementations.
 
-A backend executes a *batch*: a module-level worker function applied to
-a sequence of task payloads, returning results in input order.  The
-contract is deliberately tiny — ``map(func, tasks)`` — so the corpus
-layer can route every CPU-heavy batch (distance sweeps, batch script
-generation) through one seam, and so new substrates (a cluster RPC, an
-async gateway) can slot in without touching the services above.
-
-Requirements on ``func`` and ``tasks`` differ per backend:
-
-* serial/thread backends accept any callable and any objects;
-* the process backend requires ``func`` to be an importable
-  module-level function and every task to be picklable (see
-  :mod:`repro.backends.work` for the payload types the corpus layer
-  sends).  Unpicklable work is rejected up front with a
-  :class:`~repro.errors.ReproError` naming the offending payload,
-  instead of a cryptic pool crash mid-batch.
+A backend executes a *batch*: a function applied to a sequence of
+task payloads, returning results in input order.  The contract is
+deliberately tiny — ``map(func, tasks)`` — so the corpus layer can
+route every CPU-heavy batch (distance sweeps, batch script generation)
+through one seam.  Both built-ins run in-process, so ``func`` may be
+any callable (the corpus layer passes closures that load runs inside
+the workers) and tasks may be any objects.
 """
 
 from __future__ import annotations
@@ -23,7 +14,6 @@ from __future__ import annotations
 import abc
 import concurrent.futures
 import os
-import pickle
 from typing import Callable, List, Optional, Sequence, TypeVar
 
 from repro.errors import ReproError
@@ -32,7 +22,7 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: The names :func:`make_backend` (and the CLI ``--backend`` flag) accept.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "thread")
 
 
 def _default_jobs() -> int:
@@ -49,19 +39,13 @@ class ExecutorBackend(abc.ABC):
     Attributes
     ----------
     name:
-        Stable identifier (``"serial"``, ``"thread"``, ``"process"`` for
-        the built-ins); benchmarks and the CLI key on it.
+        Stable identifier (``"serial"`` or ``"thread"`` for the
+        built-ins); benchmarks and the CLI key on it.
     jobs:
         Degree of parallelism, ``None`` meaning "pick for the machine".
     """
 
     name: str = "abstract"
-
-    #: True when tasks cross a process boundary: the caller must send
-    #: picklable payloads and an importable worker function.  In-process
-    #: backends accept closures, which lets callers defer per-task
-    #: resolution (e.g. store reads) into the workers to overlap I/O.
-    requires_pickling: bool = False
 
     def __init__(self, jobs: Optional[int] = None):
         if jobs is not None and jobs < 1:
@@ -85,7 +69,7 @@ class ExecutorBackend(abc.ABC):
         """
 
     def describe(self) -> str:
-        """Human-readable identity, e.g. ``process(jobs=8)``."""
+        """Human-readable identity, e.g. ``thread(jobs=8)``."""
         jobs = self.jobs if self.jobs is not None else "auto"
         return f"{self.name}(jobs={jobs})"
 
@@ -115,89 +99,16 @@ class ThreadBackend(ExecutorBackend):
     name = "thread"
 
     def map(self, func, tasks):
-        """Fan the batch over a thread pool (inline when trivial)."""
+        """Fan the batch over :attr:`effective_jobs` threads (inline
+        when trivial)."""
         tasks = list(tasks)
-        if len(tasks) <= 1 or self.jobs == 1:
+        width = self.effective_jobs
+        if len(tasks) <= 1 or width == 1:
             return [func(task) for task in tasks]
         with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.jobs
+            max_workers=width
         ) as pool:
             return list(pool.map(func, tasks))
-
-
-class ProcessBackend(ExecutorBackend):
-    """A process pool: the DP runs on every core, payloads are pickled.
-
-    Tasks are dispatched in chunks (``~4`` chunks per worker) so the
-    per-task pickling overhead amortises — a chunk is pickled as one
-    unit, letting the pickle memo share the specification object across
-    the pairs of a chunk instead of re-serialising it per pair.
-    """
-
-    name = "process"
-    requires_pickling = True
-
-    def map(self, func, tasks):
-        """Fan the batch over worker processes.
-
-        Raises
-        ------
-        ReproError
-            When a payload (or the worker function) is unpicklable, or
-            when the pool dies mid-batch.
-        """
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        self._check_picklable(func, tasks)
-        workers = min(self.effective_jobs, len(tasks))
-        chunksize = max(1, len(tasks) // (workers * 4))
-        try:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                return list(pool.map(func, tasks, chunksize=chunksize))
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            # A task past the probe (or a worker's return value)
-            # refused to pickle mid-batch.  Unpicklable objects raise
-            # TypeError ("cannot pickle ... object") or AttributeError
-            # ("Can't pickle local object ...") as often as
-            # PicklingError, so those types are claimed only when the
-            # message is about pickling — a worker's own
-            # TypeError/AttributeError propagates untouched.
-            if "pickle" not in str(exc).lower():
-                raise
-            raise ReproError(
-                "process backend requires picklable tasks and "
-                f"results; a payload failed mid-batch: {exc}"
-            ) from exc
-        except concurrent.futures.process.BrokenProcessPool as exc:
-            raise ReproError(
-                "process backend lost its worker pool mid-batch "
-                f"({exc}); re-run with backend='thread' to diagnose "
-                "in-process"
-            ) from exc
-
-    @staticmethod
-    def _check_picklable(func, tasks) -> None:
-        """Reject the common unpicklable work up front, precisely.
-
-        Only the first task is probed (probing all would double the
-        pickling cost of every batch): corpus batches share one payload
-        type and cost model, so this catches the typical failures — a
-        lambda-based ``CallableCost``, an unpicklable worker function —
-        before any worker starts.  A payload that only fails deeper in
-        the batch is still rejected as a :class:`ReproError` by the
-        mid-batch handler in :meth:`map`.
-        """
-        for label, probe in (("worker function", func), ("task", tasks[0])):
-            try:
-                pickle.dumps(probe)
-            except Exception as exc:
-                raise ReproError(
-                    f"process backend requires a picklable {label}; "
-                    f"{probe!r} failed to pickle: {exc}"
-                ) from exc
 
 
 def make_backend(
@@ -219,7 +130,6 @@ def make_backend(
     table = {
         "serial": SerialBackend,
         "thread": ThreadBackend,
-        "process": ProcessBackend,
     }
     try:
         factory = table[str(backend).strip().lower()]

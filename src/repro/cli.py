@@ -9,9 +9,9 @@ Subcommands over a store directory (the layout
 .. code-block:: sh
 
     repro diff   STORE SPEC RUN_A RUN_B [--cost unit|length|power:E] [--ops]
-                 [--backend serial|thread|process] [--jobs N]
+                 [--backend serial|thread] [--jobs N]
     repro matrix STORE SPEC [--cost ...] [--json]
-                 [--backend serial|thread|process] [--jobs N]
+                 [--backend serial|thread] [--jobs N]
     repro query  STORE SPEC [--kind K] [--touches L] [--min-cost X]
                  [--max-cost X] [--min-ops N] [--max-ops N]
                  [--histogram] [--churn] [--json]
@@ -19,7 +19,7 @@ Subcommands over a store directory (the layout
     repro export STORE SPEC RUN [--output FILE] [--script RUN_B]
     repro tail   STORE [--follow] [--interval S] [--json]
     repro serve  STORE [--host H] [--port N] [--workers N]
-                 [--backend serial|thread|process] [--jobs N]
+                 [--backend serial|thread] [--jobs N]
                  [--log-level L] [--log-format json|text|off]
                  [--drain-timeout S] [--max-body-bytes N]
     repro scale build STORE [--runs N] [--seed N] [--prefix P]
@@ -36,8 +36,9 @@ when ``--remote URL`` replaces the STORE argument — ``repro diff
 --remote http://host:8321 SPEC A B`` runs the same code path against a
 server.  ``serve`` hosts a store over HTTP
 (:mod:`repro.service`); ``--backend``/``--jobs`` pick where cold
-batches execute (``serial`` by default; ``process`` runs the O(|E|³)
-DP in worker processes).
+batches execute in-process (``serial`` by default), and ``serve
+--workers N`` is the one path that runs the O(|E|³) DP on more than
+one core.
 ``import`` ingests a PROV-JSON/OPM document (SP-izing foreign graphs,
 with a report of any forced serialisations) and computes the new run's
 distances to the corpus; ``export`` writes a stored run — or, with
@@ -592,7 +593,7 @@ def _parser() -> argparse.ArgumentParser:
             default=None,
             help="where cold diff batches execute (default serial, or "
             "REPRO_BACKEND; the pure-Python DP gains nothing from "
-            "threads, and process pays off only with cores to spare)",
+            "threads)",
         )
         sub.add_argument(
             "--jobs",

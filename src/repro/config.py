@@ -6,7 +6,7 @@ persistence — so a workspace (and the CLI) wires store, diff service,
 query engine and view layers consistently from a single object::
 
     from repro import ReproConfig, Workspace
-    ws = Workspace(path, ReproConfig(backend="process", jobs=8))
+    ws = Workspace(path, ReproConfig(backend="thread", jobs=8))
 
 Configs are plain frozen dataclasses: build variants with
 :func:`dataclasses.replace` and pass them around freely — a config
@@ -77,11 +77,10 @@ class ReproConfig:
         (each call can still override it per invocation).
     backend:
         Execution substrate for cold batches: ``"serial"`` (the
-        default), ``"thread"``, ``"process"``, or an
-        :class:`~repro.backends.base.ExecutorBackend` instance (shared
-        as-is, e.g. to reuse one process pool across workspaces).  The
-        DP is pure Python, so threads only contend for the GIL, and on
-        two cores the process backend measured slower than serial.
+        default), ``"thread"``, or an
+        :class:`~repro.backends.base.ExecutorBackend` instance (used
+        as-is).  The DP is pure Python, so threads only contend for the
+        GIL; :attr:`workers` is the multi-core path.
     jobs:
         Parallelism for a backend given by name; ``None`` picks for the
         machine.  Must be ``None`` when ``backend`` is an instance.

@@ -36,9 +36,6 @@ per batch, negligible against the O(pairs) DP work they amortise).
 ``cells`` and ``shape_of`` are read without it: their keys are ints
 and tuples of ints, so each dict operation is atomic under the GIL,
 and a race on a cell merely computes the same value twice.
-
-The process backend cannot share memory; its workers keep an analogous
-per-worker memo (:mod:`repro.backends.work`), fresh per pool.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ engine over a :class:`~repro.io.store.WorkflowStore`:
   ``<root>/index/derived.db`` (:mod:`repro.corpus.derived`; a private
   in-memory one for an ephemeral service), which processes sharing the
   store share;
-* cold pairs run on a pluggable
+* cold pairs run on a pluggable, in-process
   :class:`~repro.backends.base.ExecutorBackend` — serial by default,
   because the pure-Python O(|E|³) DP gains nothing from threads under
-  the GIL; the thread and process backends stay available;
+  the GIL; ``repro serve --workers N`` is the multi-core path;
 * :meth:`add_run` is incremental: growing an ``N``-run corpus computes
   exactly the ``N`` new pairs, never the existing ``N x (N-1) / 2``;
 * analytics (:meth:`medoid`, :meth:`outliers`, :meth:`nearest_runs`)
@@ -547,20 +547,15 @@ class DiffService:
         pairs: Sequence[Tuple[str, str]],
         fingerprints: Dict[str, str],
         cost: CostModel,
-        bounds: Optional[Dict[Tuple[str, str], float]] = None,
-        cutoff: Optional[float] = None,
     ) -> Dict[Tuple[str, str], float]:
         """Cache-aware distances for name pairs; cold pairs fan out.
 
         Equal-fingerprint pairs short-circuit to 0; cacheable pairs are
         deduplicated by content key so two name pairs backed by the same
         graphs cost one DP; the remaining work runs on the configured
-        :class:`~repro.backends.base.ExecutorBackend`.  In-process
-        backends load runs *inside* the workers (threads overlap the
-        XML-parsing share of a cold batch under the GIL); the process
-        backend gets pre-resolved, picklable
-        :class:`~repro.backends.work.DistanceTask` payloads, so its
-        workers receive ready trees and never touch the store.
+        :class:`~repro.backends.base.ExecutorBackend`, which loads runs
+        *inside* its workers (threads overlap the XML-parsing share of
+        a cold batch under the GIL).
 
         Cold groups are coalesced through the single-flight table:
         concurrent callers needing the same content key elect one
@@ -568,17 +563,9 @@ class DiffService:
         caller leads *all* its cold keys in one dispatch, publishes
         them, and only then waits on keys other callers lead — the
         ordering that makes cross-caller waits deadlock-free.
-
-        ``bounds``/``cutoff`` (from :meth:`nearest_runs`'s pruning
-        pass) ship per-pair packing bounds and the threshold ``τ``
-        into the workers; a worker whose bound strictly exceeds ``τ``
-        skips its DP and returns ``inf``, which is credited to
-        ``dp_skipped_by_bound``, never cached, and never coalesced
-        (cutoff batches bypass the flight table — a gated ``inf`` is
-        an answer to *this* query's ``τ``, not to the pair).
         """
         cost_key = cost_model_key(cost)
-        use_flights = cost_key is not None and cutoff is None
+        use_flights = cost_key is not None
         results: Dict[Tuple[str, str], float] = {}
         pending: Dict[str, List[Tuple[str, str]]] = {}
         seeded = False
@@ -675,9 +662,6 @@ class DiffService:
                 a, b = pair
                 run_a = self._load_run(spec, a)
                 run_b = self._load_run(spec, b)
-                bound = 0.0
-                if bounds is not None:
-                    bound = bounds.get((a, b), bounds.get((b, a), 0.0))
                 return DistanceTask(
                     run_a=run_a,
                     run_b=run_b,
@@ -688,8 +672,6 @@ class DiffService:
                     # run annotated elsewhere falls back to the old
                     # per-pair alignment.
                     assume_aligned=run_a.spec is run_b.spec,
-                    bound=bound,
-                    cutoff=cutoff,
                 )
 
             backend_name = type(self.backend).__name__
@@ -699,26 +681,16 @@ class DiffService:
                     len(directed), backend=backend_name
                 )
                 dispatch_started = time.perf_counter()
-                if self.backend.requires_pickling:
-                    # Resolve every run here: workers get ready trees
-                    # (and per-worker table memos — a chunk unpickles
-                    # as one unit, so its pairs alias and share
-                    # tables).
-                    distances = self.backend.map(
-                        compute_distance,
-                        [task(pair) for pair in directed],
-                    )
-                else:
-                    # Resolve inside the workers: threads overlap
-                    # parsing.  One SharedTables for the whole batch —
-                    # each run's deletion tables are built once, not
-                    # once per pair, and each distinct pair of subtree
-                    # shapes is priced once.
-                    shared = SharedTables(cost)
-                    distances = self.backend.map(
-                        lambda pair: compute_distance(task(pair), shared),
-                        directed,
-                    )
+                # Resolve inside the workers: threads overlap parsing.
+                # One SharedTables for the whole batch — each run's
+                # deletion tables are built once, not once per pair,
+                # and each distinct pair of subtree shapes is priced
+                # once.
+                shared = SharedTables(cost)
+                distances = self.backend.map(
+                    lambda pair: compute_distance(task(pair), shared),
+                    directed,
+                )
                 self._backend_busy_metric.inc(
                     time.perf_counter() - dispatch_started,
                     backend=backend_name,
@@ -732,27 +704,19 @@ class DiffService:
 
             # Publish: counters and cache puts under the narrow lock.
             flight_values: Dict[str, float] = {}
-            performed = 0
             with self._monitor():
                 for (key, group), value in zip(compute_groups, distances):
-                    if cutoff is not None and value == _INF:
-                        # The worker's bound gate skipped this DP.
-                        self.dp_skipped_by_bound += 1
-                        for name_pair in group:
-                            results[name_pair] = _INF
-                        continue
-                    performed += 1
                     self.computed_pairs += 1
                     if cost_key is not None:
                         self.cache.put(key, value)
                         flight_values[key] = value
                     for name_pair in group:
                         results[name_pair] = value
-                self._dp_metric.inc(performed, kind="distance")
+                self._dp_metric.inc(len(directed), kind="distance")
             for key, flight in led:
                 self._flights.finish(flight, value=flight_values[key])
             logger.debug(
-                "computed %d cold distance pairs", performed,
+                "computed %d cold distance pairs", len(directed),
                 extra={"batch_size": len(directed),
                        "backend": backend_name},
             )
@@ -875,20 +839,13 @@ class DiffService:
         others = [other for other in names if other != run_name]
         pairs = [(run_name, other) for other in others]
         spec, fingerprints = self._resolve(spec_name, names)
-        survivors, bounds, cutoff = pairs, None, None
+        survivors = pairs
         if k is not None and 0 < k < len(others):
             with self._monitor():
-                survivors, bounds, cutoff = self._prune_nearest(
-                    spec, fingerprints, run_name, pairs, k, cost,
-                    # Process workers apply the packing gate themselves
-                    # (the bound travels with the task); in-process
-                    # backends keep the cheaper parent-side drop.
-                    ship=self.backend.requires_pickling,
+                survivors = self._prune_nearest(
+                    spec, fingerprints, run_name, pairs, k, cost
                 )
-        distances = self._compute_pairs(
-            spec, survivors, fingerprints, cost,
-            bounds=bounds, cutoff=cutoff,
-        )
+        distances = self._compute_pairs(spec, survivors, fingerprints, cost)
         ranked = sorted(
             ((other, distances[(run_name, other)]) for _, other in survivors),
             key=lambda item: (item[1], item[0]),
@@ -903,14 +860,9 @@ class DiffService:
         pairs: List[Tuple[str, str]],
         k: int,
         cost: CostModel,
-        ship: bool = False,
-    ) -> Tuple[
-        List[Tuple[str, str]],
-        Optional[Dict[Tuple[str, str], float]],
-        Optional[float],
-    ]:
-        """``(survivors, bounds, cutoff)`` for a top-``k`` query
-        (caller holds the service lock).
+    ) -> List[Tuple[str, str]]:
+        """The pairs of a top-``k`` query that survive pruning (caller
+        holds the service lock).
 
         Non-counting probes split the pairs into already-known and
         unknown; with at least ``k`` known distances the ``k``-th best
@@ -920,16 +872,9 @@ class DiffService:
         ``k``-th distance — not even on a tie).  The survivors keep
         the original listing order, and the known pairs re-enter
         through the ordinary counting cache path, so hit statistics
-        match the unpruned query's.
-
-        With ``ship=False`` packing-doomed pairs are dropped here and
-        credited to ``dp_skipped_by_bound`` immediately; with
-        ``ship=True`` (process backends) they *stay* in the batch and
-        the returned ``(bounds, τ)`` travel with the tasks so each
-        worker applies the same strict gate in its own address space —
-        the skip is credited when the worker's ``inf`` comes back.
-        Triangle pruning always happens parent-side: it needs the
-        adjacency of every known distance, which workers don't have.
+        match the unpruned query's.  Packing-doomed pairs are dropped
+        before dispatch and credited to ``dp_skipped_by_bound``;
+        triangle-doomed ones to ``dp_pruned_by_triangle``.
         """
         cost_key = cost_model_key(cost)
         known: Dict[Tuple[str, str], float] = {}
@@ -943,17 +888,14 @@ class DiffService:
             else:
                 known[pair] = exact
         if len(known) < k or not unknown:
-            return pairs, None, None
+            return pairs
         tau = sorted(known.values())[k - 1]
         packing = self._packing_bounds(spec, unknown, cost)
-        shipping = ship and bool(packing)
         adjacency: Optional[Dict[str, Dict[str, float]]] = None
         dropped = set()
         for pair in unknown:
             bound = packing.get(pair, 0.0)
             if bound > tau:
-                if shipping:
-                    continue  # the worker-side gate skips its DP
                 self.dp_skipped_by_bound += 1
                 dropped.add(pair)
                 continue
@@ -969,9 +911,7 @@ class DiffService:
                 dropped.add(pair)
         if dropped:
             pairs = [pair for pair in pairs if pair not in dropped]
-        if shipping:
-            return pairs, packing, tau
-        return pairs, None, None
+        return pairs
 
     def _known_pair_graph(
         self,
@@ -1048,9 +988,10 @@ class DiffService:
         reason.
         Content-duplicate pairs cost one diff (cold work is deduped by
         directed content key before dispatch), and the cold diffs of a
-        batch fan out as :class:`~repro.backends.work.ScriptTask`
-        payloads on the configured backend — batch script generation
-        parallelises exactly like the distance sweeps.  Cold groups
+        batch run as :class:`~repro.backends.work.ScriptTask` payloads
+        on the configured backend, sharing one
+        :class:`~repro.core.memo.SharedTables` exactly like the
+        distance sweeps.  Cold groups
         coalesce through the single-flight table keyed on the directed
         content key, so concurrent identical ``GET /diff`` requests
         share one diff: the leader computes and publishes; followers
@@ -1134,17 +1075,11 @@ class DiffService:
                     len(ordered), backend=backend_name
                 )
                 dispatch_started = time.perf_counter()
-                if self.backend.requires_pickling:
-                    outcomes = self.backend.map(
-                        compute_script,
-                        [task(group) for _, group in ordered],
-                    )
-                else:
-                    shared = SharedTables(cost)
-                    outcomes = self.backend.map(
-                        lambda item: compute_script(task(item[1]), shared),
-                        ordered,
-                    )
+                shared = SharedTables(cost)
+                outcomes = self.backend.map(
+                    lambda item: compute_script(task(item[1]), shared),
+                    ordered,
+                )
                 self._backend_busy_metric.inc(
                     time.perf_counter() - dispatch_started,
                     backend=backend_name,

@@ -12,11 +12,7 @@ of the differencing pipeline:
 * edges are identified by ``(u, v, key)`` triples so that parallel
   composition may create multi-edges (Definition 3.2 allows multigraphs);
 * node and edge iteration order is insertion order, which keeps canonical
-  SP-tree construction reproducible;
-* conversion helpers to :mod:`networkx` are provided for interoperability
-  and for reusing its generic algorithms in tests; networkx is imported
-  only when :meth:`FlowNetwork.to_networkx` runs, so no other code path
-  pays for loading it.
+  SP-tree construction reproducible.
 """
 
 from __future__ import annotations
@@ -332,31 +328,6 @@ class FlowNetwork:
         for u, v, key in self._edges:
             clone.add_edge(u, v, key)
         return clone
-
-    def to_networkx(self) -> "nx.MultiDiGraph":
-        """Convert to a :class:`networkx.MultiDiGraph` with ``label`` attrs."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph(name=self.name)
-        for node, label in self._labels.items():
-            graph.add_node(node, label=label)
-        for u, v, key in self._edges:
-            graph.add_edge(u, v, key=key)
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: "nx.DiGraph") -> "FlowNetwork":
-        """Build from a (multi-)digraph; missing labels default to node ids."""
-        network = cls(name=graph.name if isinstance(graph.name, str) else "")
-        for node, data in graph.nodes(data=True):
-            network.add_node(node, data.get("label", str(node)))
-        if graph.is_multigraph():
-            for u, v, key in graph.edges(keys=True):
-                network.add_edge(u, v, key if isinstance(key, int) else None)
-        else:
-            for u, v in graph.edges():
-                network.add_edge(u, v)
-        return network
 
     @classmethod
     def from_edge_list(

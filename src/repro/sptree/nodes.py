@@ -238,10 +238,10 @@ class SPTree:
     def __getstate__(self):
         """Slot state minus the ``structure_key`` memo.
 
-        Trees travel to process-pool workers (and into persisted
-        payloads) constantly; the memo is derived data that can hold a
-        large nested tuple, so dropping it keeps pickles lean and makes
-        a pickle byte-stable regardless of which queries ran before it.
+        :func:`copy.deepcopy` and :mod:`pickle` both go through this
+        hook.  The memo is derived data that can hold a large nested
+        tuple, so dropping it keeps copies and pickles lean and makes a
+        pickle byte-stable regardless of which queries ran before it.
         """
         return {
             slot: getattr(self, slot)

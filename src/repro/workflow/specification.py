@@ -207,8 +207,10 @@ class WorkflowSpecification:
     def __getstate__(self):
         """Instance state minus the run-annotation tables.
 
-        The tables are derived data keyed by node identity, which does
-        not survive a pickle; dropping them also keeps a pickle
+        :func:`copy.deepcopy` and :mod:`pickle` both go through this
+        hook.  The tables are derived data keyed by the ids of this
+        specification's tree nodes, which a copy does not share, so a
+        copy must not carry them; dropping them also keeps a pickle
         byte-stable whether or not runs were annotated before it.
         """
         state = self.__dict__.copy()

@@ -8,13 +8,13 @@ interchange layer and the PDiffView rendering layer, and exposes one
 documented API:
 
 >>> from repro import ReproConfig, Workspace          # doctest: +SKIP
->>> ws = Workspace(path, ReproConfig(backend="process"))
+>>> ws = Workspace(path, ReproConfig(backend="thread"))
 >>> ws.register(protein_annotation())
 >>> ws.generate_run("monday", seed=1)
 >>> ws.generate_run("tuesday", seed=2)
 >>> ws.diff("monday", "tuesday").distance
 4.0
->>> ws.matrix()                       # all pairs, cached, parallel
+>>> ws.matrix()                       # all pairs, cached
 >>> ws.query(Q.op_kind("path-deletion"))
 >>> ws.view("monday", "tuesday").overview()
 
@@ -318,12 +318,7 @@ class Workspace:
         """
         cost = cost or self.config.cost
         spec_name = self._spec_name(spec)
-        # Process pools are built per dispatched batch, so chunks on a
-        # pickling backend are sized much larger — amortising pool
-        # startup over ~64 pairs per worker instead of paying a full
-        # fork/teardown cycle every 4.
-        per_job = 64 if self.backend.requires_pickling else 4
-        chunk_size = max(1, per_job * self.backend.effective_jobs)
+        chunk_size = max(1, 4 * self.backend.effective_jobs)
         batch: List[Tuple[str, str]] = []
 
         def drain(batch: List[Tuple[str, str]]):

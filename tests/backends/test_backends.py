@@ -1,38 +1,25 @@
 """Unit tests for the execution backends and their factory."""
 
+import threading
+import time
+
 import pytest
 
+import repro.backends
 from repro.backends import (
     BACKEND_NAMES,
-    DistanceTask,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    compute_distance,
     make_backend,
 )
-from repro.costs.standard import CallableCost, UnitCost
+from repro.config import ReproConfig
 from repro.errors import ReproError
-from repro.workflow.execution import ExecutionParams, execute_workflow
-from repro.workflow.real_workflows import protein_annotation
 
-PARAMS = ExecutionParams(
-    prob_parallel=0.7,
-    max_fork=3,
-    prob_fork=0.6,
-    max_loop=2,
-    prob_loop=0.6,
-)
-
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
+ALL_BACKENDS = [SerialBackend(), ThreadBackend(2)]
 
 
 def _square(x):
     return x * x
-
-
-def _first(x):
-    return x[0] if isinstance(x, list) else x
 
 
 class TestMapContract:
@@ -71,33 +58,6 @@ class TestMapContract:
         ]
 
 
-class TestProcessBackend:
-    def test_distance_task_roundtrip(self):
-        spec = protein_annotation()
-        a = execute_workflow(spec, PARAMS, seed=1, name="a")
-        b = execute_workflow(spec, PARAMS, seed=2, name="b")
-        task = DistanceTask(run_a=a, run_b=b, cost=UnitCost())
-        expected = compute_distance(task)
-        assert ProcessBackend(1).map(compute_distance, [task]) == [
-            expected
-        ]
-
-    def test_unpicklable_task_rejected_up_front(self):
-        spec = protein_annotation()
-        a = execute_workflow(spec, PARAMS, seed=1, name="a")
-        bad = DistanceTask(
-            run_a=a,
-            run_b=a,
-            cost=CallableCost(lambda l, s, t: 1.0),
-        )
-        with pytest.raises(ReproError, match="picklable"):
-            ProcessBackend(1).map(compute_distance, [bad])
-
-    def test_unpicklable_function_rejected(self):
-        with pytest.raises(ReproError, match="worker function"):
-            ProcessBackend(1).map(lambda x: x, [1, 2])
-
-
 class TestFactory:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_names_resolve(self, name):
@@ -126,36 +86,13 @@ class TestFactory:
             SerialBackend(0)
 
     def test_describe_mentions_name_and_jobs(self):
-        assert ProcessBackend(2).describe() == "process(jobs=2)"
+        assert ThreadBackend(2).describe() == "thread(jobs=2)"
         assert SerialBackend().describe() == "serial(jobs=auto)"
 
     def test_effective_jobs_positive(self):
         assert SerialBackend().effective_jobs == 1  # never parallel
         assert ThreadBackend(5).effective_jobs == 5
         assert ThreadBackend().effective_jobs >= 1
-
-    def test_mid_batch_pickling_failure_is_a_repro_error(self):
-        """A payload that escapes the first-task probe still surfaces
-        as ReproError, not a raw PicklingError."""
-        tasks = [1, lambda x: x, 2]  # unpicklable in position 1
-        with pytest.raises(ReproError, match="mid-batch"):
-            ProcessBackend(1).map(_square, tasks)
-
-    def test_mid_batch_typeerror_pickling_failure_wrapped(self):
-        """Unpicklable objects commonly raise TypeError ('cannot
-        pickle ... object'); those wrap too, while a worker's own
-        TypeError propagates untouched."""
-        import threading
-
-        tasks = [[1], [2], threading.Lock()]
-        with pytest.raises(ReproError, match="mid-batch"):
-            ProcessBackend(2).map(_first, tasks)
-
-        def raises_typeerror(x):
-            raise TypeError("not about serialisation")
-
-        with pytest.raises(TypeError, match="serialisation"):
-            SerialBackend().map(raises_typeerror, [1])
 
     def test_instance_backend_ignores_service_max_workers(self, tmp_path):
         """DiffService's documented contract: max_workers is the
@@ -168,9 +105,39 @@ class TestFactory:
         )
         assert service.backend is backend
 
-    def test_only_process_requires_pickling(self):
-        """In-process backends accept closures (the corpus layer defers
-        store reads into their workers); process does not."""
-        assert SerialBackend().requires_pickling is False
-        assert ThreadBackend().requires_pickling is False
-        assert ProcessBackend().requires_pickling is True
+
+class TestThreadWidth:
+    """A thread backend runs exactly :attr:`effective_jobs` threads,
+    the width ``Workspace.diff_many`` sizes its chunks by."""
+
+    @pytest.mark.parametrize("jobs", [None, 1, 3])
+    def test_pool_size_is_effective_jobs(self, jobs):
+        backend = ThreadBackend(jobs)
+
+        def sleeper(_):
+            time.sleep(0.005)
+            return threading.get_ident()
+
+        tasks = range(8 * backend.effective_jobs)
+        assert len(set(backend.map(sleeper, tasks))) == backend.effective_jobs
+
+
+class TestTwoBackends:
+    """``serial`` and ``thread`` are the only backends; ``process`` is
+    refused through the ordinary unknown-backend paths."""
+
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("serial", "thread")
+        assert not hasattr(repro.backends, "ProcessBackend")
+
+    def test_make_backend_refuses_process(self):
+        with pytest.raises(ReproError, match="serial, thread"):
+            make_backend("process")
+
+    def test_config_refuses_process(self):
+        with pytest.raises(ReproError, match="serial, thread"):
+            ReproConfig(backend="process")
+
+    def test_environment_refuses_process(self):
+        with pytest.raises(ReproError, match="serial, thread"):
+            ReproConfig.from_env(env={"REPRO_BACKEND": "process"})

@@ -1,12 +1,15 @@
-"""Pickle round-trips: the process backend's foundation.
+"""Pickle and deep-copy round-trips of runs, specifications and costs.
 
-``ProcessBackend`` ships ``(run, run, cost)`` payloads to worker
-processes, so :class:`WorkflowRun`, :class:`WorkflowSpecification` and
-every standard :class:`CostModel` must survive ``pickle.dumps`` /
-``loads`` with full behavioural fidelity — same structure keys, same
-prices, same distances — and without dragging derived memo state along.
+Callers persist, ship and copy these objects, and :func:`copy.deepcopy`
+goes through the same ``__getstate__``/``__setstate__`` hooks as
+:mod:`pickle`.  So :class:`WorkflowRun`, :class:`WorkflowSpecification`
+and every standard :class:`CostModel` must survive ``pickle.dumps`` /
+``loads`` (and a deep copy) with full behavioural fidelity — same
+structure keys, same prices, same distances — and without dragging
+derived memo state along.
 """
 
+import copy
 import pickle
 
 import pytest
@@ -21,6 +24,7 @@ from repro.costs.standard import (
 )
 from repro.workflow.execution import ExecutionParams, execute_workflow
 from repro.workflow.real_workflows import protein_annotation
+from repro.workflow.run import WorkflowRun
 
 PARAMS = ExecutionParams(
     prob_parallel=0.7,
@@ -116,6 +120,36 @@ class TestRunRoundTrip:
         assert [op.to_dict() for op in again.script.operations] == [
             op.to_dict() for op in fresh.script.operations
         ]
+
+
+class TestDeepCopy:
+    def test_copy_of_annotated_spec_drops_run_tables(self, spec, run_pair):
+        """The run-annotation tables are keyed by the ids of the
+        original's tree nodes, so a copy must start without them."""
+        WorkflowRun(spec, run_pair[0].graph, name="annotated")
+        assert spec._run_tables is not None
+        clone = copy.deepcopy(spec)
+        assert clone._run_tables is None
+        assert clone.tree.structure_key() == spec.tree.structure_key()
+
+    def test_runs_annotated_against_copy_price_the_same(
+        self, spec, run_pair
+    ):
+        clone = copy.deepcopy(spec)
+        a, b = (WorkflowRun(spec, run.graph) for run in run_pair)
+        a2, b2 = (WorkflowRun(clone, run.graph) for run in run_pair)
+        assert a2.spec is clone and clone._run_tables is not None
+        for cost in (UnitCost(), LengthCost(), PowerCost(0.5)):
+            assert distance_only(a2, b2, cost=cost) == distance_only(
+                a, b, cost=cost
+            )
+
+    def test_copy_of_run_drops_structure_key_memo(self, run_pair):
+        run = run_pair[0]
+        run.tree.structure_key()
+        clone = copy.deepcopy(run)
+        assert clone.tree._structure_key is None
+        assert clone.tree.structure_key() == run.tree.structure_key()
 
 
 class TestCostModelRoundTrip:

@@ -1,31 +1,27 @@
 """Property: every backend computes bit-identical corpus answers.
 
 The backends are interchangeable by contract — the scheduler may move
-work between threads and processes, but never change a result.  For
-random corpora and cacheable cost models, the serial, thread and
-process backends must produce **bit-identical** distance matrices and
-edit-script costs.  Bit-identity (``==`` on floats, not ``approx``)
-holds because every backend computes each pair in the canonical
-lexicographic DP direction (the PR 3 rule): same operand order, same
-float accumulation, same bits — no matter which worker ran it.
+work between threads, but never change a result.  For random corpora
+and cacheable cost models, the serial and thread backends must produce
+**bit-identical** distance matrices and edit-script costs.
+Bit-identity (``==`` on floats, not ``approx``) holds because every
+backend computes each pair in the canonical lexicographic DP direction
+(the PR 3 rule): same operand order, same float accumulation, same
+bits — no matter which worker ran it.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.base import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.backends.base import SerialBackend, ThreadBackend
 from repro.corpus.service import DiffService
 from repro.costs.standard import LengthCost, PowerCost, UnitCost
 from repro.io.store import WorkflowStore
 from repro.workflow.execution import ExecutionParams, execute_workflow
 from repro.workflow.generators import random_specification
 
-# Process pools dominate the runtime; few-but-varied examples.
+# Cold matrices dominate the runtime; few-but-varied examples.
 SETTINGS = settings(
     max_examples=5,
     deadline=None,
@@ -78,7 +74,7 @@ def test_backends_agree_bit_for_bit(
     cost = COSTS[cost_index]
     root = tmp_path_factory.mktemp("backend-eq")
     store = build_corpus(root, spec_seed, run_seed, n_runs=3)
-    backends = [SerialBackend(), ThreadBackend(2), ProcessBackend(2)]
+    backends = [SerialBackend(), ThreadBackend(2)]
 
     matrices = {}
     script_costs = {}
@@ -101,9 +97,7 @@ def test_backends_agree_bit_for_bit(
         }
 
     assert matrices["thread"] == matrices["serial"]
-    assert matrices["process"] == matrices["serial"]
     assert script_costs["thread"] == script_costs["serial"]
-    assert script_costs["process"] == script_costs["serial"]
 
     # Scripts price what the matrix prices: the distance cache seeded
     # from a script equals the distance-only DP bit for bit (the

@@ -11,11 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends.base import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-)
+from repro.backends.base import SerialBackend, ThreadBackend
 from repro.corpus.analytics import medoid as medoid_of
 from repro.corpus.analytics import outliers as outliers_of
 from repro.corpus.service import DiffService
@@ -46,7 +42,6 @@ COSTS = [UnitCost(), LengthCost(), PowerCost(0.5)]
 BACKENDS = [
     lambda: SerialBackend(),
     lambda: ThreadBackend(2),
-    lambda: ProcessBackend(2),
 ]
 
 

@@ -238,3 +238,60 @@ class TestCounters:
         exact = service.distances("PA", pairs, cost)
         for pair in pairs:
             assert bounds[pair] <= exact[pair]
+
+
+def _backend_tasks(service) -> float:
+    samples = service.metrics.snapshot()["backend_tasks_total"]["samples"]
+    return sum(sample["value"] for sample in samples)
+
+
+class TestPruningBeforeDispatch:
+    """A top-``k`` query drops its doomed pairs before the batch is
+    dispatched, the same way on both backends."""
+
+    def test_nearest_identical_across_backends(self, tmp_path):
+        store = populate_store(tmp_path, 8)
+        cost = LengthCost()
+        oracle = DiffService(store, persistent=False).nearest_runs(
+            "PA", "r01", cost=cost
+        )
+        outcomes = {}
+        for backend in ("serial", "thread"):
+            service = DiffService(
+                store, persistent=False, backend=backend, max_workers=2
+            )
+            # Warm pivots: one full row and two of the anchor's pairs.
+            service.nearest_runs("PA", "r08", cost=cost)
+            service.distances(
+                "PA", [("r01", "r02"), ("r01", "r03")], cost
+            )
+            ranking = service.nearest_runs("PA", "r01", k=2, cost=cost)
+            outcomes[backend] = (
+                ranking,
+                service.dp_skipped_by_bound,
+                service.dp_pruned_by_triangle,
+            )
+        assert outcomes["serial"] == outcomes["thread"]
+        assert outcomes["serial"][0] == oracle[:2]
+        assert outcomes["serial"][1] > 0
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    def test_warm_topk_dispatches_only_survivors(self, tmp_path, backend):
+        store = populate_store(tmp_path, 8)
+        cost = LengthCost()
+        service = DiffService(
+            store, persistent=False, backend=backend, max_workers=2
+        )
+        service.distances("PA", [("r01", "r02"), ("r01", "r03")], cost)
+        tasks_before = _backend_tasks(service)
+        computed_before = service.computed_pairs
+        service.nearest_runs("PA", "r01", k=1, cost=cost)
+        dispatched = _backend_tasks(service) - tasks_before
+        dropped = (
+            service.dp_skipped_by_bound + service.dp_pruned_by_triangle
+        )
+        assert service.dp_skipped_by_bound > 0
+        # r04..r08 were unknown: each one is either dropped or
+        # dispatched, never both, and every dispatched pair is a DP.
+        assert dispatched + dropped == 5
+        assert dispatched == service.computed_pairs - computed_before

@@ -202,11 +202,6 @@ class TestCopiesAndConversions:
         right.add_node("u", "y")
         assert not left.structurally_equal(right)
 
-    def test_networkx_roundtrip(self):
-        graph = simple_network()
-        back = FlowNetwork.from_networkx(graph.to_networkx())
-        assert graph.structurally_equal(back)
-
     def test_from_edge_list(self):
         graph = FlowNetwork.from_edge_list(
             [("s", "a"), ("a", "t")], labels={"a": "mid"}

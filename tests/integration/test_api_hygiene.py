@@ -1,10 +1,13 @@
 """API hygiene: exports, documentation coverage and performance guards."""
 
+import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
 import sys
+import sysconfig
 import time
 from pathlib import Path
 
@@ -60,6 +63,8 @@ class TestAllConsistency:
             "DiffService",
             "PDiffViewSession",
             "QueryEngine",
+            # Removed in 3.0.
+            "ProcessBackend",
         ],
     )
     def test_unknown_attribute_still_raises(self, name):
@@ -92,8 +97,8 @@ class TestImportSurface:
         assert "clean" in proc.stdout
 
     def test_imports_leave_networkx_unloaded(self):
-        """networkx is loaded only by ``FlowNetwork.to_networkx``, so
-        the library, the CLI and both servers never pay for it."""
+        """The library, the CLI and both servers never load networkx
+        (no module imports it; see the stdlib-only test below)."""
         code = (
             "import sys\n"
             "import repro, repro.cli, repro.service.server\n"
@@ -145,7 +150,54 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
+
+    def test_pyproject_declares_no_dependencies(self):
+        pyproject = Path(REPO_SRC).parent / "pyproject.toml"
+        lines = pyproject.read_text(encoding="utf-8").splitlines()
+        declared = [line for line in lines if line.startswith("dependencies")]
+        assert declared == ["dependencies = []"]
+
+    def test_every_import_is_stdlib_or_repro(self):
+        """The package has no runtime dependency: every ``import`` and
+        ``from`` under ``src/repro`` names ``repro``, ``__future__`` or
+        a standard-library module — built in, frozen, or found under
+        the interpreter's stdlib directory outside ``site-packages``
+        (``sys.stdlib_module_names`` only exists from Python 3.10)."""
+        stdlib_dirs = {
+            Path(sysconfig.get_paths()[key]).resolve()
+            for key in ("stdlib", "platstdlib")
+        }
+        verdicts = {"repro": True, "__future__": True}
+
+        def is_stdlib(top: str) -> bool:
+            spec = importlib.util.find_spec(top)
+            if spec is None or spec.origin is None:
+                return False
+            if spec.origin in ("built-in", "frozen"):
+                return True
+            origin = Path(spec.origin).resolve()
+            return any(
+                base in origin.parents for base in stdlib_dirs
+            ) and not {"site-packages", "dist-packages"} & set(origin.parts)
+
+        offenders = []
+        for path in sorted(Path(REPO_SRC, "repro").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    tops = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    tops = [node.module.split(".")[0]]
+                else:
+                    continue
+                for top in tops:
+                    if top not in verdicts:
+                        verdicts[top] = is_stdlib(top)
+                    if not verdicts[top]:
+                        offenders.append(f"{path.name}: {top}")
+        assert offenders == []
+        assert {"os", "sqlite3", "concurrent"} <= set(verdicts)
 
 
 class TestNoKernelKeyword:

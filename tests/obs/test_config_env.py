@@ -76,7 +76,7 @@ class TestEnvironment:
 class TestOverrides:
     def test_flags_beat_environment(self):
         config = ReproConfig.from_env(
-            env={"REPRO_BACKEND": "process", "REPRO_LOG_LEVEL": "debug"},
+            env={"REPRO_BACKEND": "thread", "REPRO_LOG_LEVEL": "debug"},
             backend="serial",
             log_level="error",
         )

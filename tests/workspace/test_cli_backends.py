@@ -1,6 +1,10 @@
 """The ``--backend``/``--jobs`` CLI flags on ``diff`` and ``matrix``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +24,7 @@ def run_cli(capsys, *argv):
 
 
 class TestBackendFlags:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_diff_runs_on_every_backend(
         self, store_root, capsys, backend
     ):
@@ -33,7 +37,7 @@ class TestBackendFlags:
 
     def test_backends_agree_on_the_matrix(self, store_root, capsys):
         payloads = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             code, out, _ = run_cli(
                 capsys, "matrix", store_root, "PA", "--json",
                 "--backend", backend,
@@ -41,7 +45,6 @@ class TestBackendFlags:
             assert code == 0
             payloads[backend] = json.loads(out)["distances"]
         assert payloads["serial"] == payloads["thread"]
-        assert payloads["serial"] == payloads["process"]
 
     def test_unknown_backend_rejected_by_argparse(
         self, store_root, capsys
@@ -70,10 +73,10 @@ class TestBackendFlags:
     def test_flags_share_the_persistent_cache(
         self, store_root, capsys, ws
     ):
-        """A process-backend run warms the same on-disk cache a later
+        """A thread-backend run warms the same on-disk cache a later
         default-backend invocation answers from."""
         code, _, _ = run_cli(
-            capsys, "matrix", store_root, "PA", "--backend", "process",
+            capsys, "matrix", store_root, "PA", "--backend", "thread",
         )
         assert code == 0
         from repro.config import ReproConfig
@@ -84,6 +87,40 @@ class TestBackendFlags:
         )
         warm.matrix()
         assert warm.service.computed_pairs == 0
+
+
+class TestProcessBackendRefused:
+    """``process`` is no longer a backend: a usage error as a flag, a
+    clean ReproError from the environment."""
+
+    @pytest.mark.parametrize("command", ["diff", "matrix", "serve"])
+    def test_flag_is_a_usage_error(self, command, store_root, capsys):
+        operands = {"diff": ["PA", "r01", "r02"], "matrix": ["PA"]}
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                command, store_root, *operands.get(command, []),
+                "--backend", "process",
+            ])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    def test_environment_is_a_clean_serve_error(self, store_root):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, REPRO_BACKEND="process", PYTHONPATH=src)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", store_root,
+                "--port", "0",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "unknown backend 'process'" in proc.stderr
+        assert "serial, thread" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestNoKernelFlag:

@@ -26,8 +26,8 @@ class TestConstruction:
         assert ws.backend.name == "serial"
 
     def test_config_backend_is_wired_through(self, tmp_path):
-        ws = Workspace(tmp_path, ReproConfig(backend="process", jobs=2))
-        assert ws.backend.name == "process"
+        ws = Workspace(tmp_path, ReproConfig(backend="thread", jobs=2))
+        assert ws.backend.name == "thread"
         assert ws.backend.jobs == 2
         assert ws.service.backend is ws.backend
 
@@ -300,7 +300,7 @@ class TestInterchange:
 
 
 class TestBackendsThroughWorkspace:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_matrix_identical_across_backends(
         self, tmp_path, varied_params, backend
     ):
