@@ -3,10 +3,11 @@
 Builds a seeded realistic corpus (``repro.scale``: pipeline fan-out /
 fan-in families, adversarial non-SP shapes, bounded-mutation drift,
 heterogeneous mixes — all entering through the real import path) into
-a scratch store, then drives the three workloads that matter: bulk
-ingest throughput, cold/warm distance-matrix time, and indexed query
-latency.  Emits ``benchmarks/results/BENCH_scale.json`` and compares
-it against the committed baseline with the ratio thresholds in
+a scratch store, then drives the workloads that matter: bulk ingest
+throughput, cold/warm distance-matrix time, indexed query latency, and
+warm analytics plus one streamed write on the 400-run pipeline family.
+Emits ``benchmarks/results/BENCH_scale.json`` and compares it against
+the committed baseline with the ratio thresholds in
 ``repro.scale.gate``.
 
 Modes::
@@ -83,6 +84,7 @@ def render(report: dict) -> list:
     ingest = report["ingest"]
     matrix = report["matrix"]
     query = report["query"]
+    family = report["family"]
     stats = report["stats"]
     return [
         f"Scale harness ({report['corpus_runs']} planned runs, seed "
@@ -98,6 +100,10 @@ def render(report: dict) -> list:
         f"{'matrix warm s':<22}{matrix['warm_seconds']:>14g}",
         f"{'query p50 ms':<22}{query['p50_ms']:>14g}",
         f"{'query p95 ms':<22}{query['p95_ms']:>14g}",
+        f"{'family runs':<22}{family['runs']:>14d}",
+        f"{'family medoid ms':<22}{family['medoid_ms']:>14g}",
+        f"{'family run_open ms':<22}{family['run_open_ms']:>14g}",
+        f"{'family write ms':<22}{family['write_ms']:>14g}",
         f"{'dp skipped by bound':<22}"
         f"{stats['dp_skipped_by_bound']:>14d}",
         f"{'dp skip ratio':<22}{stats['dp_skip_ratio']:>14g}",

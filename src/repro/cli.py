@@ -498,7 +498,7 @@ def _cmd_scale_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale_run(args: argparse.Namespace) -> int:
-    """``repro scale run``: drive ingest/matrix/query workloads.
+    """``repro scale run``: drive ingest/matrix/query/family workloads.
 
     Requires a corpus built by ``repro scale build`` with the same
     ``--prefix``.  Prints throughput/latency results; ``--json`` emits
@@ -521,6 +521,7 @@ def _cmd_scale_run(args: argparse.Namespace) -> int:
     ingest = report["ingest"]
     matrix = report["matrix"]
     query = report["query"]
+    family = report["family"]
     stats = report["stats"]
     print(
         f"ingest: {ingest['runs']} run(s) in {ingest['seconds']:g}s "
@@ -534,6 +535,11 @@ def _cmd_scale_run(args: argparse.Namespace) -> int:
     print(
         f"query  [{query['spec']}]: p50 {query['p50_ms']:g}ms, "
         f"p95 {query['p95_ms']:g}ms over {query['repeats']} repeats"
+    )
+    print(
+        f"family [{family['spec']}]: {family['runs']} runs — medoid "
+        f"{family['medoid_ms']:g}ms, streamed write "
+        f"{family['write_ms']:g}ms (run_open {family['run_open_ms']:g}ms)"
     )
     print(
         f"dp fast paths: {stats['dp_skipped_by_bound']} skipped by "

@@ -7,12 +7,17 @@ once and persists it as one row of the ``fingerprints`` table of the
 service's derived database (:mod:`repro.corpus.derived`), keyed by
 specification and run name with the source file's size and mtime
 recorded for invalidation: an overwritten run file is transparently
-re-fingerprinted.  The stamp check shares the usual limitation of
-(size, mtime)-based freshness: a rewrite that keeps the byte length
-identical within one timestamp tick of a coarse-resolution filesystem
-is indistinguishable from no change.  Writes that go through the
-service (``DiffService.add_run``) re-fingerprint unconditionally and
-are immune.
+re-fingerprinted.  A warm read costs one ``stat`` of the run file
+(:meth:`~repro.io.store.WorkflowStore.run_stamp`).  The stamp check
+shares the usual limitation of (size, mtime)-based freshness: a
+rewrite that keeps the byte length identical within one timestamp tick
+of a coarse-resolution filesystem is indistinguishable from no change.
+Writes that go through the service (``DiffService.add_run``)
+re-fingerprint unconditionally and are immune.
+
+Each entry also carries the run's leaf profile (for packing bounds) and
+its node-label counts (for the streaming hub's online bounds), so warm
+callers of either never parse the run's XML.
 
 Each entry also records the *specification's own digest*: run
 fingerprints embed it, so when a specification is re-registered with
@@ -39,8 +44,8 @@ never correctness.
 from __future__ import annotations
 
 import json
-import os
 import threading
+from collections import Counter
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core.bounds import (
@@ -59,14 +64,9 @@ from repro.workflow.specification import WorkflowSpecification
 EntryKey = Tuple[str, str]
 
 
-def _file_stamp(path) -> Optional[Tuple[int, int]]:
-    if path is None:
-        return None
-    try:
-        stat = os.stat(path)
-    except OSError:
-        return None
-    return (stat.st_size, stat.st_mtime_ns)
+def _label_counts(run: WorkflowRun) -> Dict[str, int]:
+    """How many of the run's nodes carry each module label."""
+    return dict(Counter(run.graph.labels().values()))
 
 
 class FingerprintIndex:
@@ -79,7 +79,7 @@ class FingerprintIndex:
         self.store = store
         self.db = db if db is not None else DerivedDB()
         #: (spec, run) -> {"spec": spec digest, "fingerprint", "profile",
-        #: "size", "mtime_ns"}
+        #: "labels", "size", "mtime_ns"}
         self._entries: Dict[EntryKey, dict] = {}
         self._spec_digests: Dict[str, str] = {}
         self._runs: Dict[EntryKey, WorkflowRun] = {}
@@ -170,7 +170,7 @@ class FingerprintIndex:
         ``stat``; otherwise the run is loaded, fingerprinted, and the
         index entry refreshed.
         """
-        stamp = _file_stamp(self.store.locate_run(spec.name, run_name))
+        stamp = self.store.run_stamp(spec.name, run_name)
         entry = self._entry(spec, run_name)
         if (
             entry is not None
@@ -196,14 +196,15 @@ class FingerprintIndex:
         """
         name = as_name or run.name
         digest = run_fingerprint(run, self.spec_digest(run.spec))
-        stamp = _file_stamp(self.store.locate_run(run.spec.name, name))
-        # The leaf profile rides along for free: the run is in hand,
-        # counting leaf edges is linear, and persisting it lets warm
-        # bound checks skip the XML parse entirely.
+        stamp = self.store.run_stamp(run.spec.name, name)
+        # The leaf profile and label counts ride along for free: the
+        # run is in hand, counting is linear, and persisting them lets
+        # warm bound checks and stream opens skip the XML parse.
         entry = {
             "spec": self.spec_digest(run.spec),
             "fingerprint": digest,
             "profile": encode_profile(leaf_profile(run.tree)),
+            "labels": _label_counts(run),
         }
         if stamp is not None:
             entry["size"], entry["mtime_ns"] = stamp
@@ -242,6 +243,28 @@ class FingerprintIndex:
                 entry["profile"] = encode_profile(profile)
                 self._dirty.add((spec.name, run_name))
         return profile
+
+    def label_counts(
+        self, spec: WorkflowSpecification, run_name: str
+    ) -> Dict[str, int]:
+        """``{module label: node count}`` of the run (a fresh dict).
+
+        Served from the persisted index entry, with :meth:`profile`'s
+        freshness rule; an entry written before label counts were
+        recorded is backfilled from the run (loaded through the memo).
+        """
+        self.fingerprint(spec, run_name)
+        entry = self._entry(spec, run_name)
+        labels = entry.get("labels") if entry is not None else None
+        if isinstance(labels, dict):
+            return dict(labels)
+        counts = _label_counts(self.load_run(spec, run_name))
+        with self._lock:
+            entry = self._entry(spec, run_name)
+            if entry is not None:
+                entry["labels"] = dict(counts)
+                self._dirty.add((spec.name, run_name))
+        return counts
 
     def forget(self, spec_name: str, run_name: str) -> None:
         """Drop a run's index entry and memoised object (if any)."""

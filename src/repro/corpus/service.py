@@ -21,6 +21,11 @@ engine over a :class:`~repro.io.store.WorkflowStore`:
 * analytics (:meth:`medoid`, :meth:`outliers`, :meth:`nearest_runs`)
   answer the paper's "which executions cluster together / differ from
   the majority" queries on top of the cached matrix;
+* a **family view** per (specification, cost model) keeps each run's
+  distance sum to the rest of its family, recorded from values already
+  in hand (a full-family matrix, a bounded analytics pass that found
+  every pair known) and extended by :meth:`add_run`'s new row, so
+  :meth:`medoid` and :meth:`outliers` answer a warm family in O(N);
 * :meth:`edit_script` extends the caching story from distances to the
   edit scripts themselves (directed, script-cache backed), feeding the
   inverted :class:`~repro.corpus.script_index.ScriptIndex` that the
@@ -59,10 +64,11 @@ service layer runs one thread per request):
   whose single DP feeds every *follower* — a thundering herd on one
   cold ``GET /diff/{a}/{b}`` costs exactly one computation;
 * the re-entrant service lock survives only as a **narrow** critical
-  section around metadata (spec memo, fingerprint backfills) and
-  result publishing (cache puts, counters) — it is never held across a
-  backend dispatch or a flight wait, so a slow cold batch cannot stall
-  warm traffic.
+  section around metadata (spec memo, fingerprint backfills, family
+  views) and result publishing (cache puts, counters) — it is never
+  held across a backend dispatch, a flight wait or an analytics pass's
+  pair probes, so neither a slow cold batch nor a bounded medoid can
+  stall warm traffic.
 
 Deadlock discipline: a thread computes every flight it leads in one
 backend batch (publishing all results) *before* waiting on any flight
@@ -74,6 +80,7 @@ the drain deadline.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import threading
 import time
@@ -131,6 +138,61 @@ _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                   512.0, 1024.0)
 
 logger = get_logger("corpus.service")
+
+
+@dataclasses.dataclass(frozen=True)
+class _FamilyView:
+    """What one family shares, for one cacheable cost model.
+
+    An immutable snapshot: the listing it covers, each run's
+    fingerprint, and each run's distance sum to the rest of the
+    family.  A sum is accumulated in whatever order the view was built
+    and extended in, so it can differ from the analytics' listing-order
+    sum by float rounding — which is why answers re-price every
+    candidate near the cut (:func:`_view_margin`).
+    """
+
+    names: Tuple[str, ...]
+    fingerprints: Dict[str, str]
+    sums: Dict[str, float]
+
+    def extended(
+        self, name: str, fingerprint: str, row: Dict[str, float]
+    ) -> "_FamilyView":
+        """The view after adding run ``name`` with ``row`` (its
+        distance to every run of :attr:`names`)."""
+        names = list(self.names)
+        bisect.insort(names, name)
+        fingerprints = dict(self.fingerprints)
+        fingerprints[name] = fingerprint
+        sums = {
+            other: total + row[other] for other, total in self.sums.items()
+        }
+        sums[name] = sum(row[other] for other in self.names)
+        return _FamilyView(tuple(names), fingerprints, sums)
+
+
+def _row_sums(
+    names: Sequence[str], distances: Dict[Tuple[str, str], float]
+) -> Dict[str, float]:
+    """Each run's distance sum over a complete pair mapping."""
+    sums = dict.fromkeys(names, 0.0)
+    for (a, b), value in distances.items():
+        sums[a] += value
+        sums[b] += value
+    return sums
+
+
+def _view_margin(sums: Dict[str, float]) -> float:
+    """How far apart two view sums must be to order their exact means.
+
+    Two orders of summing the same ``N`` non-negative floats differ by
+    at most about ``N * 2**-53`` of the total.  The margin is 32 times
+    that bound on the largest sum, so two sums further apart than it
+    have listing-order means strictly ordered the same way, even after
+    the division by ``N - 1``.
+    """
+    return 32 * len(sums) * 2.0 ** -53 * max(sums.values())
 
 
 class DiffService:
@@ -209,6 +271,9 @@ class DiffService:
         self.dp_skipped_by_bound = 0
         self.dp_pruned_by_triangle = 0
         self._specs: Dict[str, WorkflowSpecification] = {}
+        #: Family views per (spec name, cost key); replaced whole under
+        #: the monitor, read with a bare dict get.
+        self._views: Dict[Tuple[str, str], _FamilyView] = {}
         #: Memoised ``L`` (max elementary-op leaf count) per spec name.
         self._max_op_leaves: Dict[str, int] = {}
         # The narrow service lock (see the module docstring): guards
@@ -328,6 +393,7 @@ class DiffService:
         with self._monitor():
             self._specs.pop(spec_name, None)
             self.index.forget_spec(spec_name)
+            self._drop_views(spec_name)
 
     def runs(self, spec_name: str) -> List[str]:
         return self.store.list_runs(spec_name)
@@ -368,6 +434,19 @@ class DiffService:
             _, fingerprints = self._resolve(spec_name, names)
             self.index.flush()
             return fingerprints
+
+    def label_counts(
+        self, spec_name: str, runs: Sequence[str]
+    ) -> Dict[str, Dict[str, int]]:
+        """``{run name: {module label: node count}}`` for the named runs.
+
+        Served from the fingerprint index (one ``stat`` per warm run,
+        no XML parse): the streaming hub's online bounds start here.
+        """
+        spec = self.specification(spec_name)
+        counts = {name: self.index.label_counts(spec, name) for name in runs}
+        self.index.flush()  # backfills of older entries
+        return counts
 
     def _load_run(
         self, spec: WorkflowSpecification, name: str
@@ -806,7 +885,16 @@ class DiffService:
             for i, a in enumerate(names)
             for b in names[i + 1 :]
         ]
-        return self._compute_pairs(spec, pairs, fingerprints, cost)
+        matrix = self._compute_pairs(spec, pairs, fingerprints, cost)
+        cost_key = cost_model_key(cost)
+        if cost_key is not None and (
+            runs is None or names == self.runs(spec_name)
+        ):
+            self._record_view(
+                spec_name, cost_key, names, fingerprints,
+                _row_sums(names, matrix),
+            )
+        return matrix
 
     def nearest_runs(
         self,
@@ -1179,13 +1267,32 @@ class DiffService:
         context is captured at save time.
         """
         cost = cost or UnitCost()
+        cost_key = cost_model_key(cost)
         # Setup (conflict check, spec adoption, save, fingerprinting)
         # under the narrow lock; the distance batch itself runs
         # unlocked so concurrent readers — and other ingests' DPs —
         # proceed while this run's pairs compute.
         with self._monitor():
             spec, run, fingerprints, pairs = self._adopt_run(run, meta)
+            # The family view grows by this run's row only if it
+            # covered the family just before the add; an overwrite or
+            # another writer's run in between drops it instead.
+            existing = [name for name, _ in pairs]
+            view = self._view(
+                spec.name, cost_key, existing,
+                {name: fingerprints[name] for name in existing},
+            )
+            self._drop_views(spec.name)
+            if view is not None:
+                self._views[(spec.name, cost_key)] = view
         results = self._compute_pairs(spec, pairs, fingerprints, cost)
+        if view is not None:
+            row = {name: results[(name, run.name)] for name in existing}
+            with self._monitor():
+                if self._views.get((spec.name, cost_key)) is view:
+                    self._views[(spec.name, cost_key)] = view.extended(
+                        run.name, fingerprints[run.name], row
+                    )
         self.flush()
         return results
 
@@ -1253,42 +1360,146 @@ class DiffService:
         )
         return result, distances
 
+    # -- family views --------------------------------------------------------
+    def _view(
+        self,
+        spec_name: str,
+        cost_key: Optional[str],
+        names: Sequence[str],
+        fingerprints: Dict[str, str],
+    ) -> Optional[_FamilyView]:
+        """The family view, if it covers exactly this listing and these
+        fingerprints (the caller's fresh listing and index stats)."""
+        if cost_key is None:
+            return None
+        view = self._views.get((spec_name, cost_key))
+        if (
+            view is None
+            or view.names != tuple(names)
+            or view.fingerprints != fingerprints
+        ):
+            return None
+        return view
+
+    def _record_view(
+        self,
+        spec_name: str,
+        cost_key: str,
+        names: Sequence[str],
+        fingerprints: Dict[str, str],
+        sums: Dict[str, float],
+    ) -> None:
+        with self._monitor():
+            self._views[(spec_name, cost_key)] = _FamilyView(
+                tuple(names), dict(fingerprints), sums
+            )
+
+    def _drop_views(self, spec_name: str) -> None:
+        """Forget every view of one family (caller holds the monitor)."""
+        for key in [key for key in self._views if key[0] == spec_name]:
+            del self._views[key]
+
+    def _record_known_view(
+        self,
+        spec_name: str,
+        cost_key: Optional[str],
+        names: Sequence[str],
+        fingerprints: Dict[str, str],
+        adjacency: Dict[str, Dict[str, float]],
+    ) -> None:
+        """Record the view from a bounded pass that knew every pair."""
+        if cost_key is None:
+            return
+        sums = {
+            name: sum(
+                adjacency[name][other] for other in names if other != name
+            )
+            for name in names
+        }
+        self._record_view(spec_name, cost_key, names, fingerprints, sums)
+
+    def _exact_means(
+        self,
+        spec: WorkflowSpecification,
+        names: Sequence[str],
+        fingerprints: Dict[str, str],
+        candidates: Sequence[str],
+        cost: CostModel,
+    ) -> Dict[str, float]:
+        """Each candidate's mean distance, summed in listing order — the
+        arithmetic of :func:`repro.corpus.analytics.mean_distances`.
+
+        One row per fingerprint: ≡-duplicates share every distance but
+        the zeros between them, and adding ``0.0`` leaves a float sum
+        unchanged, so their listing-order means are bit-identical.
+        """
+        means: Dict[str, float] = {}
+        by_fingerprint: Dict[str, float] = {}
+        for name in candidates:
+            fingerprint = fingerprints[name]
+            if fingerprint not in by_fingerprint:
+                others = [o for o in names if o != name]
+                row = self._compute_pairs(
+                    spec, [(name, o) for o in others], fingerprints, cost
+                )
+                by_fingerprint[fingerprint] = sum(
+                    row[(name, o)] for o in others
+                ) / len(others)
+            means[name] = by_fingerprint[fingerprint]
+        return means
+
     # -- analytics ---------------------------------------------------------
     def medoid(
         self, spec_name: str, cost: Optional[CostModel] = None
     ) -> Tuple[str, float]:
         """The corpus's most central run, ``(name, mean distance)``.
 
-        When the cost model supports lower bounds, candidates whose
-        bounded mean distance strictly exceeds the best exact mean seen
-        so far are skipped without computing their row of the matrix —
-        the winner (including its exact mean and the lexicographic tie
-        break) is bit-identical to the full-matrix evaluation, because
-        a skipped candidate's true mean strictly exceeds the returned
-        one.
+        A valid family view answers in O(N): its sums pick the runs
+        within float-rounding distance of the smallest, and only those
+        are re-priced exactly.  Otherwise, when the cost model supports
+        lower bounds, candidates whose bounded mean distance strictly
+        exceeds the best exact mean seen so far are skipped without
+        computing their row of the matrix.  Either way the winner
+        (including its exact mean and the lexicographic tie break) is
+        bit-identical to the full-matrix evaluation, because every
+        skipped candidate's true mean strictly exceeds the returned one.
         """
         cost = cost or UnitCost()
+        cost_key = cost_model_key(cost)
         # One listing snapshot for both matrix and analytics, so a run
         # saved concurrently can't appear in one but not the other.
         names = self.runs(spec_name)
+        if len(names) >= 3:
+            spec, fingerprints = self._resolve(spec_name, names)
+            view = self._view(spec_name, cost_key, names, fingerprints)
+            if view is not None:
+                cut = min(view.sums.values()) + _view_margin(view.sums)
+                means = self._exact_means(
+                    spec, names, fingerprints,
+                    [n for n in names if view.sums[n] <= cut], cost,
+                )
+                name = min(means, key=lambda n: (means[n], n))
+                return name, means[name]
         if len(names) < 3 or not is_sound_for(cost):
             matrix = self.distance_matrix(
                 spec_name, cost=cost, runs=names
             )
             return medoid(matrix, names=names)
-        spec, fingerprints = self._resolve(spec_name, names)
-        cost_key = cost_model_key(cost)
-        with self._monitor():
-            adjacency = self._known_pair_graph(
-                fingerprints, cost_key, names
+        # Probes and bounds run outside the monitor: the caches and the
+        # index carry their own locks, and warm reads must not queue
+        # behind an O(N²) pass.
+        adjacency = self._known_pair_graph(fingerprints, cost_key, names)
+        unknown = [
+            (a, b)
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if b not in adjacency.get(a, {})
+        ]
+        if not unknown:
+            self._record_known_view(
+                spec_name, cost_key, names, fingerprints, adjacency
             )
-            unknown = [
-                (a, b)
-                for i, a in enumerate(names)
-                for b in names[i + 1:]
-                if b not in adjacency.get(a, {})
-            ]
-            packing = self._packing_bounds(spec, unknown, cost)
+        packing = self._packing_bounds(spec, unknown, cost)
 
         def pair_floor(a: str, b: str) -> Tuple[float, bool]:
             """(lower bound, needed triangle?) for one pair."""
@@ -1318,14 +1529,9 @@ class DiffService:
             if best is not None and floors[name] > best[0]:
                 skipped[name] = used_triangle[name]
                 continue
-            others = [o for o in names if o != name]
-            row = self._compute_pairs(
-                spec,
-                [(name, o) for o in others],
-                fingerprints,
-                cost,
-            )
-            mean = sum(row[(name, o)] for o in others) / len(others)
+            mean = self._exact_means(
+                spec, names, fingerprints, [name], cost
+            )[name]
             if best is None or (mean, name) < best:
                 best = (mean, name)
         with self._monitor():
@@ -1359,16 +1565,19 @@ class DiffService:
     ) -> List[Tuple[str, float]]:
         """Runs ranked by descending mean distance to the corpus.
 
-        With ``top`` given, candidates whose triangle *upper* bound on
-        the mean falls strictly below the ``top``-th best exact mean
-        are skipped without computing their matrix row; the returned
-        head of the ranking is bit-identical to the full evaluation
-        (a skipped candidate's true mean is strictly below every
-        returned one, so it cannot enter the head, not even on a tie).
-        Upper bounds need no cost-model support — the triangle
-        inequality holds for any edit-script cost — but they do need
-        known distances to pivot through, so a cold corpus computes
-        the full matrix exactly as before.
+        With ``top`` given, a valid family view answers in O(N): only
+        the runs whose sums reach within float-rounding distance of the
+        ``top``-th largest are re-priced exactly.  Otherwise candidates
+        whose triangle *upper* bound on the mean falls strictly below
+        the ``top``-th best exact mean are skipped without computing
+        their matrix row.  Either way the returned head of the ranking
+        is bit-identical to the full evaluation (a skipped candidate's
+        true mean is strictly below every returned one, so it cannot
+        enter the head, not even on a tie).  Upper bounds need no
+        cost-model support — the triangle inequality holds for any
+        edit-script cost — but they do need known distances to pivot
+        through, so a cold corpus computes the full matrix exactly as
+        before.
         """
         cost = cost or UnitCost()
         names = self.runs(spec_name)
@@ -1379,16 +1588,29 @@ class DiffService:
             return outliers(matrix, names=names, top=top)
         spec, fingerprints = self._resolve(spec_name, names)
         cost_key = cost_model_key(cost)
-        with self._monitor():
-            adjacency = self._known_pair_graph(
-                fingerprints, cost_key, names
+        view = self._view(spec_name, cost_key, names, fingerprints)
+        if view is not None:
+            cut = sorted(view.sums.values(), reverse=True)[top - 1]
+            cut -= _view_margin(view.sums)
+            means = self._exact_means(
+                spec, names, fingerprints,
+                [n for n in names if view.sums[n] >= cut], cost,
             )
+            ranked = sorted(
+                means.items(), key=lambda item: (-item[1], item[0])
+            )
+            return ranked[:top]
+        adjacency = self._known_pair_graph(fingerprints, cost_key, names)
         unknown = [
             (a, b)
             for i, a in enumerate(names)
             for b in names[i + 1:]
             if b not in adjacency.get(a, {})
         ]
+        if not unknown:
+            self._record_known_view(
+                spec_name, cost_key, names, fingerprints, adjacency
+            )
 
         def pair_ceiling(a: str, b: str) -> float:
             exact = adjacency.get(a, {}).get(b)
@@ -1415,16 +1637,9 @@ class DiffService:
                 if ceilings[name] < tau:
                     skipped[name] = True
                     continue
-            others = [o for o in names if o != name]
-            row = self._compute_pairs(
-                spec,
-                [(name, o) for o in others],
-                fingerprints,
-                cost,
+            means.update(
+                self._exact_means(spec, names, fingerprints, [name], cost)
             )
-            means[name] = sum(
-                row[(name, o)] for o in others
-            ) / len(others)
         with self._monitor():
             self._count_avoided_pairs(unknown, skipped)
         ranked = sorted(

@@ -12,7 +12,9 @@ storage half: a directory layout
 
 with atomic writes (temp file + rename) so a crashed process never leaves
 a half-written catalog entry — the usual durability idiom for file-backed
-stores.  The ``index/`` area holds the derived-state database the corpus
+stores.  Temp files end in ``.tmp``, so no listing ever reports one (nor
+a ``.tmp-*`` leftover of older versions, whose temp files ended in
+``.xml``).  The ``index/`` area holds the derived-state database the corpus
 subsystem maintains (:mod:`repro.corpus.derived`: run fingerprints,
 distance and script caches, the script index); deleting it loses only
 recomputable state, never a specification or run.
@@ -33,12 +35,13 @@ replacing a stored specification with different content.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import json
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import ConflictError, NotFoundError, ReproError
 
@@ -54,11 +57,13 @@ def atomic_write(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + fsync + rename).
 
     Readers never observe a partial file: they see either the previous
-    content or the full new content.
+    content or the full new content.  The temp file is named
+    ``.<name>.XXXX.tmp``: no listing matches it, so a writer killed
+    mid-save leaves no phantom entry behind.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, temp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=".tmp-", suffix=path.suffix
+        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(descriptor, "w", encoding="utf8") as handle:
@@ -74,19 +79,29 @@ def atomic_write(path: Path, text: str) -> None:
         raise
 
 
+#: Prefix of the temp files older versions of :func:`atomic_write` left
+#: behind (``.tmp-XXXX.xml``); listings skip them.
+_LEGACY_TEMP_PREFIX = ".tmp-"
+
+
+@functools.lru_cache(maxsize=8192)
 def _safe_name(name: str) -> str:
     """A filesystem-safe, collision-free file stem for ``name``.
 
     Names already made of ``[A-Za-z0-9._-]`` map to themselves.  Any
     other name has its unsafe characters replaced by ``_`` and a short
     hash of the *original* name appended, so two distinct names can
-    never sanitise to the same stem (``"a/b"`` vs ``"a_b"``).
+    never sanitise to the same stem (``"a/b"`` vs ``"a_b"``).  A name
+    starting with ``.tmp-`` is mangled too (to ``_tmp-…~hash``), so the
+    listings' skip of legacy temp files never hides a real entry.
     """
     cleaned = "".join(
         ch if ch.isalnum() or ch in "-_." else "_" for ch in name
     )
     if not cleaned:
         raise ReproError("cannot derive a file name from an empty name")
+    if cleaned.startswith(_LEGACY_TEMP_PREFIX):
+        cleaned = "_" + cleaned[1:]
     if cleaned != name:
         digest = hashlib.sha256(name.encode("utf8")).hexdigest()[:8]
         cleaned = f"{cleaned}~{digest}"
@@ -105,21 +120,36 @@ def _record_name(directory: Path, stem: str, original: str) -> None:
     atomic_write(directory / f"{stem}.name", original)
 
 
-def _original_name(directory: Path, stem: str) -> str:
-    sidecar = directory / f"{stem}.name"
-    if sidecar.exists():
-        try:
-            return sidecar.read_text(encoding="utf8")
-        except OSError:
-            pass
-    return stem
+def _list_names(directory: str) -> List[str]:
+    """The original names of the ``*.xml`` entries of ``directory``.
 
-
-def _list_names(directory: Path) -> List[str]:
-    return sorted(
-        _original_name(directory, path.stem)
-        for path in directory.glob("*.xml")
-    )
+    One ``listdir``: a ``<stem>.name`` sidecar is read only for stems
+    that have one in the same listing, and temp files never list.  A
+    missing directory lists as empty.
+    """
+    try:
+        entries = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    present = set(entries)
+    names = []
+    for entry in entries:
+        if not entry.endswith(".xml") or entry.startswith(
+            _LEGACY_TEMP_PREFIX
+        ):
+            continue
+        stem = entry[:-4]
+        if f"{stem}.name" in present:
+            try:
+                with open(
+                    os.path.join(directory, f"{stem}.name"),
+                    encoding="utf8",
+                ) as handle:
+                    stem = handle.read()
+            except OSError:
+                pass
+        names.append(stem)
+    return sorted(names)
 
 
 class WorkflowStore:
@@ -140,6 +170,7 @@ class WorkflowStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "specs").mkdir(exist_ok=True)
         (self.root / "runs").mkdir(exist_ok=True)
+        self._runs_dir = str(self.root / "runs")
 
     @staticmethod
     def _locate(directory: Path, name: str) -> Optional[Path]:
@@ -235,7 +266,7 @@ class WorkflowStore:
         return stored
 
     def list_specifications(self) -> List[str]:
-        return _list_names(self.root / "specs")
+        return _list_names(str(self.root / "specs"))
 
     # -- runs --------------------------------------------------------------
     def run_path(self, spec_name: str, run_name: str) -> Path:
@@ -254,6 +285,29 @@ class WorkflowStore:
         return self._locate(
             self.root / "runs" / _safe_name(spec_name), run_name
         )
+
+    def run_stamp(
+        self, spec_name: str, run_name: str
+    ) -> Optional[Tuple[int, int]]:
+        """``(size, mtime_ns)`` of a run's file, or ``None`` if absent.
+
+        The same lookup as :meth:`locate_run` (sanitised stem, then the
+        literal-stem fallback), at one ``stat`` for a run stored under
+        its sanitised stem: the freshness check of every warm index
+        read.
+        """
+        directory = f"{self._runs_dir}{os.sep}{_safe_name(spec_name)}{os.sep}"
+        stem = _safe_name(run_name)
+        candidates = [stem]
+        if stem != run_name and os.path.basename(run_name) == run_name:
+            candidates.append(run_name)
+        for candidate in candidates:
+            try:
+                stat = os.stat(f"{directory}{candidate}.xml")
+            except (OSError, ValueError):
+                continue
+            return stat.st_size, stat.st_mtime_ns
+        return None
 
     def save_run(
         self,
@@ -315,10 +369,9 @@ class WorkflowStore:
         return run_from_xml(path.read_text(encoding="utf8"), spec)
 
     def list_runs(self, spec_name: str) -> List[str]:
-        directory = self.root / "runs" / _safe_name(spec_name)
-        if not directory.exists():
-            return []
-        return _list_names(directory)
+        return _list_names(
+            os.path.join(self._runs_dir, _safe_name(spec_name))
+        )
 
     # -- external provenance (interchange subsystem) --------------------
     def ingest_prov(

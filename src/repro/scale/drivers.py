@@ -1,4 +1,4 @@
-"""The three workloads that matter, driven against any workspace.
+"""The workloads that matter, driven against any workspace.
 
 Given a built corpus (:mod:`repro.scale.build`), this module measures
 what the ROADMAP's scale item actually gates on:
@@ -18,11 +18,21 @@ what the ROADMAP's scale item actually gates on:
   p50/p95 milliseconds.  Each shape first runs once on its own,
   reported as ``cold_ms`` and never gated: that pass may top up edit
   scripts for every matrix pair, which is cold work, not a warm query
-  sample.
+  sample;
+* **family analytics at size** — on the corpus's largest family
+  (``<prefix>-pipeline``, 400 runs in the 1k corpus): a warm matrix,
+  ``medoid``, ``outliers(top=5)``, ``nearest(k=5)`` and one streamed
+  write, its ``run_open`` timed apart.  Each pass streams a fresh run
+  (as the ingest probe does), so the family grows by one per pass.
+  These are the numbers an O(N²) step per request would blow up.  On
+  the default 1k corpus the first pass's run is ≡ to stored runs, so
+  its write prices no DP (``write_dps`` counts them): the gated
+  ``write_ms`` is then per-request overhead, not DP time.
 
 Everything goes through the ``WorkspaceAPI`` surface (``import_prov``,
-``matrix``, ``query``, ``stats``), so the same driver measures a local
-store, a remote server, or a sharded cluster unchanged.
+``matrix``, ``query``, ``medoid``, ``stream``, ``stats``), so the same
+driver measures a local store, a remote server, or a sharded cluster
+unchanged.
 """
 
 from __future__ import annotations
@@ -226,6 +236,102 @@ def _drive_query(workspace, config: DriverConfig) -> dict:
     return report
 
 
+def _ms_since(started: float) -> float:
+    return round((time.monotonic() - started) * 1000.0, 3)
+
+
+def _fresh_document(spec_name: str, seed: int, existing):
+    """The next pipeline document of ``spec_name`` not yet stored.
+
+    The scale build's pipeline family uses the workload's default shape,
+    so a workload of the same name and seed shares its specification.
+    """
+    taken = set(existing)
+    workload = make_workload(
+        "pipeline", spec_name, seed=seed, runs=len(taken) + 1
+    )
+    for index in range(workload.runs):
+        if workload.location(index)[1] not in taken:
+            return workload.document(index)
+    raise ReproError(f"no fresh run index under {spec_name!r}")
+
+
+def _drive_family(workspace, config: DriverConfig) -> dict:
+    from repro.interchange.prov_json import parse_prov_json
+    from repro.stream.events import (
+        ActivityEvent,
+        EdgeEvent,
+        events_from_document,
+    )
+
+    spec_name = f"{config.prefix}-pipeline"
+    runs = _existing(workspace, spec_name)
+    if len(runs) < 3:
+        raise ReproError(
+            f"family driver needs >= 3 runs under {spec_name!r}; "
+            "build the corpus first (repro scale build)"
+        )
+    # Setup, not measured: prices whatever of the family is still cold.
+    workspace.matrix(spec=spec_name)
+    started = time.monotonic()
+    workspace.matrix(spec=spec_name)
+    matrix_ms = _ms_since(started)
+    started = time.monotonic()
+    workspace.medoid(spec=spec_name)
+    medoid_ms = _ms_since(started)
+    started = time.monotonic()
+    workspace.outliers(spec=spec_name, top=5)
+    outliers_ms = _ms_since(started)
+    started = time.monotonic()
+    workspace.nearest(runs[0], k=5, spec=spec_name)
+    nearest_ms = _ms_since(started)
+
+    document = _fresh_document(spec_name, config.seed, runs)
+    session_id = f"family-{document.run_name}"
+    events = events_from_document(
+        parse_prov_json(document.document),
+        session=session_id,
+        spec_name=spec_name,
+        run_name=document.run_name,
+    )
+    computed = workspace.stats["computed_pairs"]
+    started = time.monotonic()
+    session = workspace.stream(
+        spec_name, document.run_name, session=session_id
+    )
+    session.flush()  # the run_open frame alone
+    run_open_ms = _ms_since(started)
+    for event in events:
+        if isinstance(event, ActivityEvent):
+            session.activity(event.node, event.label)
+        elif isinstance(event, EdgeEvent):
+            session.edge(event.src, event.dst)
+    session.close_run()
+    write_ms = _ms_since(started)
+    write_dps = int(workspace.stats["computed_pairs"] - computed)
+    logger.info(
+        "scale family %s: %d runs, medoid %.1fms, write %.1fms "
+        "(run_open %.1fms)",
+        spec_name,
+        len(runs),
+        medoid_ms,
+        write_ms,
+        run_open_ms,
+    )
+    return {
+        "spec": spec_name,
+        "runs": len(runs),
+        "warm_matrix_ms": matrix_ms,
+        "medoid_ms": medoid_ms,
+        "outliers_ms": outliers_ms,
+        "nearest_ms": nearest_ms,
+        "run_open_ms": run_open_ms,
+        "write_ms": write_ms,
+        "write_dps": write_dps,
+        "written": document.run_name,
+    }
+
+
 def _stats_ratios(stats: Dict[str, float]) -> dict:
     """DP fast-path counters and ratios out of a ``/stats`` payload."""
     computed = float(stats.get("computed_pairs", 0) or 0)
@@ -245,12 +351,13 @@ def _stats_ratios(stats: Dict[str, float]) -> dict:
 def drive_workloads(
     workspace, config: Optional[DriverConfig] = None
 ) -> dict:
-    """Run all three drivers and return one combined report dict."""
+    """Run every driver and return one combined report dict."""
     config = config or DriverConfig()
     report = {
         "ingest": _drive_ingest(workspace, config),
         "matrix": _drive_matrix(workspace, config),
         "query": _drive_query(workspace, config),
+        "family": _drive_family(workspace, config),
     }
     stats = dict(workspace.stats)
     report["stats"] = _stats_ratios(stats)

@@ -29,6 +29,11 @@ DEFAULT_THRESHOLDS: Dict[str, Tuple[str, float]] = {
     "matrix.warm_seconds": ("max", 3.0),
     "query.p50_ms": ("max", 2.5),
     "query.p95_ms": ("max", 2.5),
+    # On the 400-run family an O(N²) step per request costs seconds
+    # against milliseconds, far past these ratios.
+    "family.medoid_ms": ("max", 4.0),
+    "family.run_open_ms": ("max", 4.0),
+    "family.write_ms": ("max", 4.0),
 }
 
 #: Below these floors a metric is considered noise-dominated and the
@@ -37,6 +42,9 @@ ABSOLUTE_FLOORS: Dict[str, float] = {
     "matrix.warm_seconds": 0.05,
     "query.p50_ms": 2.0,
     "query.p95_ms": 2.0,
+    "family.medoid_ms": 20.0,
+    "family.run_open_ms": 30.0,
+    "family.write_ms": 100.0,
 }
 
 

@@ -182,8 +182,13 @@ def _make_handler(app: WorkspaceApp, max_body_bytes: int):
             self.send_header("Content-Length", str(len(response.body)))
             for name, value in response.headers.items():
                 self.send_header(name, value)
-            self.end_headers()
-            if response.body:
+            # Status line, headers and body leave in one socket write
+            # (end_headers would flush the head on its own first); an
+            # HTTP/0.9 request gets the bare body, as http.server does.
+            if self.request_version != "HTTP/0.9":
+                self._headers_buffer.extend((b"\r\n", response.body))
+                self.flush_headers()
+            elif response.body:
                 self.wfile.write(response.body)
             access_log.info(
                 "%s %s %d",

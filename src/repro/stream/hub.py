@@ -48,7 +48,7 @@ families in the same locked region, so ``GET /stats`` (via
 from __future__ import annotations
 
 import threading
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro.api_types import ImportSummary, StreamSummary
@@ -87,7 +87,7 @@ class _Session:
         self,
         open_event: RunOpen,
         mode: str,
-        corpus_counters: Dict[str, Counter],
+        corpus_counters: Dict[str, Dict[str, int]],
         medoid_run: Optional[str],
     ):
         self.open_payload = open_event.to_dict()
@@ -384,9 +384,7 @@ class StreamHub:
             self._counters["resumed"] += 1
             self._resumed_metric.inc()
             return self._copy_final(final_ack, resumed=True)
-        spec_known = event.spec_name in set(
-            self.workspace.specifications()
-        )
+        spec_known = self.workspace._has_spec(event.spec_name)
         mode = self._resolve_mode(event, spec_known)
         corpus_counters, medoid_run = (
             self._corpus_view(event) if spec_known else ({}, None)
@@ -411,18 +409,22 @@ class StreamHub:
 
     def _corpus_view(
         self, event: RunOpen
-    ) -> Tuple[Dict[str, Counter], Optional[str]]:
-        """Freeze a registered spec's corpus for online bounds."""
+    ) -> Tuple[Dict[str, Dict[str, int]], Optional[str]]:
+        """Freeze a registered spec's corpus for online bounds.
+
+        Loads no run: label counts come from the fingerprint index and
+        the medoid from the family view, so a warm family opens in
+        O(N) — a listing and a ``stat`` per run for each of the two.
+        """
         run_names = self.workspace.runs(spec=event.spec_name)
         if event.run_name in run_names:
             raise ConflictError(
                 f"run {event.run_name!r} already exists for "
                 f"specification {event.spec_name!r}"
             )
-        counters: Dict[str, Counter] = {}
-        for name in run_names:
-            run = self.workspace.run(name, spec=event.spec_name)
-            counters[name] = Counter(run.graph.labels().values())
+        counters = self.workspace.service.label_counts(
+            event.spec_name, run_names
+        )
         medoid_run: Optional[str] = None
         if len(run_names) == 1:
             medoid_run = run_names[0]

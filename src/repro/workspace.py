@@ -157,6 +157,14 @@ class Workspace:
             set(self._specs) | set(self.store.list_specifications())
         )
 
+    def _has_spec(self, name: str) -> bool:
+        """Whether :meth:`specifications` would list ``name``: a memo
+        probe, else one ``stat`` — no listing of ``specs/``."""
+        with self._spec_lock:
+            if name in self._specs:
+                return True
+        return self.store.has_specification(name)
+
     def _spec_name(self, spec: Optional[str]) -> str:
         """Resolve the default specification for spec-less calls.
 
@@ -220,12 +228,7 @@ class Workspace:
         specifications that exist and simply have no runs yet.
         """
         spec_name = self._spec_name(spec)
-        with self._spec_lock:
-            known = (
-                spec_name in self._specs
-                or self.store.has_specification(spec_name)
-            )
-        if not known:
+        if not self._has_spec(spec_name):
             raise NotFoundError(
                 f"no stored specification named {spec_name!r}"
             )

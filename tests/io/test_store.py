@@ -140,3 +140,90 @@ class TestIndexArea:
         store = WorkflowStore(tmp_path)
         store.save_run(fig2_r1)
         assert not (tmp_path / "index").exists()
+
+
+class TestTempFiles:
+    """Atomic-write temp files never list as runs or specifications."""
+
+    def test_legacy_temp_leftovers_do_not_list(
+        self, tmp_path, fig2_spec, fig2_r1
+    ):
+        store = WorkflowStore(tmp_path)
+        store.save_specification(fig2_spec)
+        store.save_run(fig2_r1)
+        # What a writer killed inside atomic_write left behind before
+        # temp files stopped ending in .xml.
+        (tmp_path / "runs" / "fig2" / ".tmp-abc123.xml").write_text("<par")
+        (tmp_path / "specs" / ".tmp-def456.xml").write_text("<spe")
+        assert store.list_runs("fig2") == ["R1"]
+        assert store.list_specifications() == ["fig2"]
+
+    def test_a_listing_mid_save_sees_no_temp_file(
+        self, tmp_path, fig2_spec, fig2_r1, monkeypatch
+    ):
+        import os
+
+        store = WorkflowStore(tmp_path)
+        store.save_specification(fig2_spec)
+        seen = []
+        real_fsync = os.fsync
+
+        def listing_fsync(descriptor):
+            # A concurrent reader listing while the temp file is on disk.
+            seen.append(store.list_runs("fig2"))
+            seen.append(store.list_specifications())
+            real_fsync(descriptor)
+
+        monkeypatch.setattr(os, "fsync", listing_fsync)
+        store.save_run(fig2_r1)
+        assert seen
+        for listing in seen:
+            assert not any(name.startswith(".") for name in listing)
+
+    def test_temp_like_names_are_mangled_and_round_trip(
+        self, tmp_path, fig2_spec
+    ):
+        store = WorkflowStore(tmp_path)
+        assert not _safe_name(".tmp-x").startswith(".tmp-")
+        run = execute_workflow(fig2_spec, seed=5, name=".tmp-x")
+        store.save_run(run)
+        assert store.list_runs("fig2") == [".tmp-x"]
+        assert store.load_run(fig2_spec, ".tmp-x").equivalent(run)
+
+    def test_a_legacy_temp_named_run_stays_loadable(
+        self, tmp_path, fig2_spec, fig2_r1
+    ):
+        # Stored unmangled by an older version: the literal-stem
+        # fallback still finds it, though the listing skips it.
+        store = WorkflowStore(tmp_path)
+        path = store.save_run(fig2_r1)
+        path.rename(path.with_name(".tmp-old.xml"))
+        assert store.load_run(fig2_spec, ".tmp-old").equivalent(fig2_r1)
+        assert store.run_stamp("fig2", ".tmp-old") is not None
+
+
+class TestRunStamp:
+    def test_stamp_matches_the_located_file(self, tmp_path, fig2_r1):
+        store = WorkflowStore(tmp_path)
+        store.save_run(fig2_r1)
+        stat = store.locate_run("fig2", "R1").stat()
+        assert store.run_stamp("fig2", "R1") == (
+            stat.st_size, stat.st_mtime_ns
+        )
+        assert store.run_stamp("fig2", "missing") is None
+        assert store.run_stamp("nospec", "R1") is None
+
+    def test_one_stat_per_stored_run(self, tmp_path, fig2_r1, monkeypatch):
+        import os
+
+        store = WorkflowStore(tmp_path)
+        store.save_run(fig2_r1)
+        calls = []
+        real_stat = os.stat
+        def counting_stat(path, *args, **kwargs):
+            calls.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        assert store.run_stamp("fig2", "R1") is not None
+        assert len(calls) == 1

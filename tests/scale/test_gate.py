@@ -71,9 +71,28 @@ class TestEvaluate:
         assert evaluate_gate(current, baseline) == []
         assert not any("cold_ms" in m for m in DEFAULT_THRESHOLDS)
 
-    def test_default_thresholds_cover_the_three_workloads(self):
+    def test_default_thresholds_cover_every_workload(self):
         prefixes = {m.split(".")[0] for m in DEFAULT_THRESHOLDS}
-        assert prefixes == {"ingest", "matrix", "query"}
+        assert prefixes == {"ingest", "matrix", "query", "family"}
+
+    def test_family_gate_catches_a_quadratic_scan(self):
+        """Shaped like the 400-run family before and after its medoid
+        went O(N²) per request: every family metric fires."""
+        linear = {
+            "family": {"medoid_ms": 6.0, "run_open_ms": 12.0, "write_ms": 58.0}
+        }
+        quadratic = {
+            "family": {
+                "medoid_ms": 900.0, "run_open_ms": 1100.0, "write_ms": 1200.0
+            }
+        }
+        findings = evaluate_gate(quadratic, linear)
+        assert sorted(f.metric for f in findings) == [
+            "family.medoid_ms",
+            "family.run_open_ms",
+            "family.write_ms",
+        ]
+        assert evaluate_gate(linear, linear) == []
 
 
 class TestComparability:

@@ -67,6 +67,20 @@ class TestEndToEnd:
         assert stats["computed_pairs"] > 0
         assert stats["dp_skipped_by_bound"] >= 0
 
+    def test_family_block(self, harness):
+        workspace, build, report = harness
+        family = report["family"]
+        assert family["spec"] == "scale-pipeline"
+        assert family["runs"] == build.families["scale-pipeline"]
+        for key in (
+            "warm_matrix_ms", "medoid_ms", "outliers_ms", "nearest_ms",
+            "run_open_ms", "write_ms",
+        ):
+            assert family[key] >= 0
+        assert family["run_open_ms"] <= family["write_ms"]
+        assert 0 <= family["write_dps"] <= family["runs"]
+        assert family["written"] in workspace.runs("scale-pipeline")
+
     def test_report_gates_cleanly_against_itself(self, harness):
         _, _, report = harness
         assert evaluate_gate(report, report) == []
@@ -83,6 +97,9 @@ class TestEndToEnd:
             len(workspace.runs("scale-probe"))
             == first["ingest"]["runs"] + 6
         )
+        # Each pass streams a fresh run into the family.
+        assert second["family"]["written"] != first["family"]["written"]
+        assert second["family"]["runs"] == first["family"]["runs"] + 1
 
 
 class _QueryCounter:

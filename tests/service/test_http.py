@@ -264,3 +264,101 @@ class TestLiveServer:
                 body=specification_to_xml(renamed).encode("utf8"),
                 headers={"Content-Type": XML_TYPE},
             )
+
+
+class TestCatalogueCost:
+    """A warm diff costs one ``stat`` per fingerprint and no listing."""
+
+    def test_warm_diff_lists_nothing_and_stats_once_per_fingerprint(
+        self, app, monkeypatch
+    ):
+        import os
+
+        from repro.corpus.index import FingerprintIndex
+
+        query = {"spec": "PA"}
+        assert get(app, "/diff/r01/r02", query=query).status == 200
+        store = app.workspace.store
+        run_files = {
+            str(store.locate_run("PA", name)): name
+            for name in ("r01", "r02")
+        }
+        listings = []
+        stats = {name: 0 for name in run_files.values()}
+        fingerprints = {name: 0 for name in run_files.values()}
+        real_stat = os.stat
+        real_fingerprint = FingerprintIndex.fingerprint
+
+        def counting_stat(path, *args, **kwargs):
+            name = run_files.get(os.fspath(path))
+            if name is not None:
+                stats[name] += 1
+            return real_stat(path, *args, **kwargs)
+
+        def counting_fingerprint(self, spec, run_name):
+            fingerprints[run_name] += 1
+            return real_fingerprint(self, spec, run_name)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        monkeypatch.setattr(
+            os, "listdir",
+            lambda *a, **k: listings.append(a) or [],
+        )
+        monkeypatch.setattr(
+            os, "scandir",
+            lambda *a, **k: listings.append(a) or iter(()),
+        )
+        monkeypatch.setattr(
+            FingerprintIndex, "fingerprint", counting_fingerprint
+        )
+        response = get(app, "/diff/r01/r02", query=query)
+        assert response.status == 200
+        assert listings == []
+        assert all(count > 0 for count in fingerprints.values())
+        assert stats == fingerprints
+
+
+class TestWireEncoding:
+    def test_json_bodies_are_compact_sorted_and_equivalent(self, app):
+        response = get(app, "/diff/r01/r02")
+        payload = app.workspace.diff("r01", "r02").to_dict()
+        body = response.body.decode("utf8")
+        assert json.loads(body) == payload
+        assert body == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ) + "\n"
+        assert "\n" not in body[:-1]
+
+    def test_each_response_leaves_in_one_socket_write(
+        self, server, monkeypatch
+    ):
+        import socketserver
+        import urllib.error
+        import urllib.request
+
+        writes = []
+        real_write = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(bytes(data))
+            return real_write(self, data)
+
+        monkeypatch.setattr(
+            socketserver._SocketWriter, "write", counting_write
+        )
+        for path, status in (
+            ("/diff/r01/r02?spec=PA", 200),
+            ("/healthz", 200),
+            ("/no/such/route", 404),
+        ):
+            writes.clear()
+            try:
+                with urllib.request.urlopen(server.url + path) as reply:
+                    body = reply.read()
+                    code = reply.status
+            except urllib.error.HTTPError as error:
+                body, code = error.read(), error.code
+            assert code == status
+            assert len(writes) == 1, (path, len(writes))
+            assert writes[0].startswith(f"HTTP/1.1 {status} ".encode())
+            assert writes[0].endswith(body)
