@@ -476,6 +476,35 @@ class QueryPage:
 
 
 # -- stats ---------------------------------------------------------------
+def derive_stats(
+    counters: Mapping[str, int], lock_wait_seconds: float
+) -> Dict[str, float]:
+    """The ``derived`` block of a :class:`StatsSnapshot`.
+
+    Each hit ratio is hits over lookups (``0.0`` with no lookups); the
+    cluster parent passes its workers' *summed* counters, so a busy
+    worker weighs more than an idle one.
+    """
+
+    def ratio(hits: int, lookups: int) -> float:
+        return hits / lookups if lookups else 0.0
+
+    memory_hits = counters.get("memory_hits", 0)
+    disk_hits = counters.get("disk_hits", 0)
+    lookups = memory_hits + disk_hits + counters.get("misses", 0)
+    script_hits = counters.get("script_memory_hits", 0) + counters.get(
+        "script_disk_hits", 0
+    )
+    return {
+        "memory_hit_ratio": ratio(memory_hits, lookups),
+        "disk_hit_ratio": ratio(disk_hits, lookups),
+        "script_hit_ratio": ratio(
+            script_hits, script_hits + counters.get("script_misses", 0)
+        ),
+        "lock_wait_seconds": lock_wait_seconds,
+    }
+
+
 @dataclass
 class StatsSnapshot:
     """A point-in-time snapshot of a workspace's service counters.

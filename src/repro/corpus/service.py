@@ -87,6 +87,7 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api_types import derive_stats
 from repro.backends.base import ExecutorBackend, make_backend
 from repro.backends.work import (
     DistanceTask,
@@ -1671,27 +1672,9 @@ class DiffService:
 
     @property
     def derived_stats(self) -> Dict[str, float]:
-        """Float-valued derived statistics: hit ratios and contention.
-
-        Every ratio guards its denominator — a freshly constructed
-        service (zero lookups) reports ``0.0``, never a division error.
-        """
-
-        def ratio(hits: int, lookups: int) -> float:
-            return hits / lookups if lookups else 0.0
-
-        distance = self.cache.stats
-        script = self.script_cache.stats
-        return {
-            "memory_hit_ratio": ratio(
-                distance.memory_hits, distance.lookups
-            ),
-            "disk_hit_ratio": ratio(
-                distance.disk_hits, distance.lookups
-            ),
-            "script_hit_ratio": ratio(script.hits, script.lookups),
-            "lock_wait_seconds": self.lock_wait_seconds,
-        }
+        """Float-valued derived statistics: hit ratios and contention
+        (:func:`~repro.api_types.derive_stats` over the counters)."""
+        return derive_stats(self.stats_counters, self.lock_wait_seconds)
 
     @property
     def stats(self) -> Dict[str, float]:
@@ -1702,5 +1685,5 @@ class DiffService:
         alongside as floats.
         """
         merged: Dict[str, float] = dict(self.stats_counters)
-        merged.update(self.derived_stats)
+        merged.update(derive_stats(merged, self.lock_wait_seconds))
         return merged

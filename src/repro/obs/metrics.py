@@ -28,12 +28,13 @@ no-ops (near-zero cost), so instrumented code never branches on
 configuration — ``REPRO_METRICS=off`` simply hands the stack a disabled
 registry.
 
-Rendering follows the Prometheus text exposition format (version
-0.0.4): ``# HELP``/``# TYPE`` preambles, label-sorted sample lines,
-cumulative histogram buckets with the ``+Inf`` terminator and
-``_sum``/``_count`` series.  :meth:`MetricsRegistry.snapshot` returns
-the same data as a JSON-safe dict for the ``/metrics?format=json``
-face.
+:meth:`MetricsRegistry.snapshot` returns the registry as a JSON-safe
+dict (the ``/metrics?format=json`` face), and :func:`render_exposition`
+renders such a snapshot — one registry's, or the cluster parent's merge
+of several — in the Prometheus text exposition format (version 0.0.4):
+``# HELP``/``# TYPE`` preambles, label-sorted sample lines, cumulative
+histogram buckets with the ``+Inf`` terminator and ``_sum``/``_count``
+series.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "render_exposition",
 ]
 
 #: Fixed latency buckets (seconds): sub-millisecond cache hits through
@@ -146,7 +148,43 @@ class BoundCounter:
             )
 
 
-class Counter(_Metric):
+class _Scalar(_Metric):
+    """Counter and gauge plumbing: static or callback-backed series."""
+
+    def set_function(
+        self, fn: Callable[[], float], **labels: str
+    ) -> None:
+        """Back the labelled series with a scrape-time callable."""
+        if not self.enabled:
+            return
+        key = _label_key(labels)
+        with self._lock:
+            self._series[key] = fn
+
+    def value(self, **labels: str) -> float:
+        """The labelled series' current value (0 when never touched)."""
+        current = self._series.get(_label_key(labels), 0.0)
+        return float(current() if callable(current) else current)
+
+    def _resolved(self) -> List[Tuple[LabelKey, float]]:
+        resolved = []
+        for key, value in self._samples():
+            try:
+                resolved.append(
+                    (key, float(value() if callable(value) else value))
+                )
+            except Exception:  # noqa: BLE001 - a broken collector
+                continue  # must not take the whole scrape down
+        return resolved
+
+    def snapshot_samples(self) -> List[dict]:
+        return [
+            {"labels": dict(key), "value": value}
+            for key, value in self._resolved()
+        ]
+
+
+class Counter(_Scalar):
     """A monotonically increasing sum (per label combination).
 
     Two feeding styles:
@@ -182,50 +220,12 @@ class Counter(_Metric):
                 )
             self._series[key] = current + amount
 
-    def set_function(
-        self, fn: Callable[[], float], **labels: str
-    ) -> None:
-        """Back the labelled series with a scrape-time callable."""
-        if not self.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = fn
-
-    def value(self, **labels: str) -> float:
-        """The labelled series' current value (0 when never touched)."""
-        current = self._series.get(_label_key(labels), 0.0)
-        return float(current() if callable(current) else current)
-
     def total(self) -> float:
         """The sum across every label combination."""
         return float(sum(value for _, value in self._resolved()))
 
-    def _resolved(self) -> List[Tuple[LabelKey, float]]:
-        resolved = []
-        for key, value in self._samples():
-            try:
-                resolved.append(
-                    (key, float(value() if callable(value) else value))
-                )
-            except Exception:  # noqa: BLE001 - a broken collector
-                continue  # must not take the whole scrape down
-        return resolved
 
-    def render(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            for key, value in self._resolved()
-        ]
-
-    def snapshot_samples(self) -> List[dict]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in self._resolved()
-        ]
-
-
-class Gauge(_Metric):
+class Gauge(_Scalar):
     """A value that goes up and down — or is pulled from a callback.
 
     :meth:`set_function` turns a labelled series into a *collector*:
@@ -257,43 +257,6 @@ class Gauge(_Metric):
 
     def dec(self, amount: float = 1.0, **labels: str) -> None:
         self.inc(-amount, **labels)
-
-    def set_function(
-        self, fn: Callable[[], float], **labels: str
-    ) -> None:
-        """Back the labelled series with a scrape-time callable."""
-        if not self.enabled:
-            return
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = fn
-
-    def value(self, **labels: str) -> float:
-        current = self._series.get(_label_key(labels), 0.0)
-        return float(current() if callable(current) else current)
-
-    def _resolved(self) -> List[Tuple[LabelKey, float]]:
-        resolved = []
-        for key, value in self._samples():
-            try:
-                resolved.append(
-                    (key, float(value() if callable(value) else value))
-                )
-            except Exception:  # noqa: BLE001 - a broken collector
-                continue  # must not take the whole scrape down
-        return resolved
-
-    def render(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            for key, value in self._resolved()
-        ]
-
-    def snapshot_samples(self) -> List[dict]:
-        return [
-            {"labels": dict(key), "value": value}
-            for key, value in self._resolved()
-        ]
 
 
 class _HistogramSeries:
@@ -357,28 +320,6 @@ class Histogram(_Metric):
         """Observation sum of the labelled series."""
         series = self._series.get(_label_key(labels))
         return 0.0 if series is None else series.total
-
-    def render(self) -> List[str]:
-        lines = []
-        for key, series in self._samples():
-            for bound, cumulative in zip(self.buckets, series.counts):
-                lines.append(
-                    f"{self.name}_bucket"
-                    f"{_render_labels(key, [('le', _format_value(bound))])}"
-                    f" {cumulative}"
-                )
-            lines.append(
-                f"{self.name}_bucket"
-                f"{_render_labels(key, [('le', '+Inf')])} {series.count}"
-            )
-            lines.append(
-                f"{self.name}_sum{_render_labels(key)} "
-                f"{_format_value(series.total)}"
-            )
-            lines.append(
-                f"{self.name}_count{_render_labels(key)} {series.count}"
-            )
-        return lines
 
     def snapshot_samples(self) -> List[dict]:
         return [
@@ -477,19 +418,7 @@ class MetricsRegistry:
     # -- rendering ------------------------------------------------------
     def render_prometheus(self) -> str:
         """The registry in Prometheus text exposition format 0.0.4."""
-        lines: List[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            if metric.help_text:
-                lines.append(
-                    f"# HELP {name} "
-                    + metric.help_text.replace("\\", "\\\\").replace(
-                        "\n", "\\n"
-                    )
-                )
-            lines.append(f"# TYPE {name} {metric.kind}")
-            lines.extend(metric.render())
-        return "\n".join(lines) + "\n" if lines else ""
+        return render_exposition(self.snapshot())
 
     def snapshot(self) -> Dict[str, dict]:
         """The registry as a JSON-safe dict (the ``/metrics`` JSON face)."""
@@ -501,3 +430,48 @@ class MetricsRegistry:
             }
             for name in self.names()
         }
+
+
+def render_exposition(snapshot: Dict[str, dict]) -> str:
+    """A JSON metrics snapshot as Prometheus text exposition 0.0.4.
+
+    ``snapshot`` has the ``/metrics?format=json`` shape
+    (:meth:`MetricsRegistry.snapshot`): one registry's, or the cluster
+    parent's merge of its workers' and its own.  Families render in
+    name order with escaped ``# HELP`` (omitted when empty) and ``#
+    TYPE`` preambles; every histogram series ends its buckets with the
+    ``+Inf`` one, equal to its ``_count``.
+    """
+    lines: List[str] = []
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        if family["help"]:
+            lines.append(
+                f"# HELP {name} "
+                + family["help"].replace("\\", "\\\\").replace("\n", "\\n")
+            )
+        lines.append(f"# TYPE {name} {family['type']}")
+        for sample in family["samples"]:
+            key = _label_key(sample["labels"])
+            if family["type"] != "histogram":
+                lines.append(
+                    f"{name}{_render_labels(key)} "
+                    f"{_format_value(sample['value'])}"
+                )
+                continue
+            bounds = list(sample["buckets"].items()) + [
+                ("+Inf", sample["count"])
+            ]
+            for bound, cumulative in bounds:
+                lines.append(
+                    f"{name}_bucket"
+                    f"{_render_labels(key, [('le', bound)])} {cumulative}"
+                )
+            lines.append(
+                f"{name}_sum{_render_labels(key)} "
+                f"{_format_value(sample['sum'])}"
+            )
+            lines.append(
+                f"{name}_count{_render_labels(key)} {sample['count']}"
+            )
+    return "\n".join(lines) + "\n" if lines else ""

@@ -7,7 +7,8 @@ No third-party dependency ships a parser here, so CI validates the
 and raises :class:`ExpositionError` on any syntax violation — stray
 lines, samples without a preceding ``# TYPE``, malformed label sets,
 unparsable values, histogram families missing their ``_sum`` /
-``_count`` series.
+``_count`` series, and histogram series that lack their ``+Inf``
+bucket, disagree with their ``_count`` or are not cumulative.
 
 Runnable as a module against a file or a live endpoint::
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import re
 import sys
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 __all__ = ["ExpositionError", "parse_exposition"]
 
@@ -137,6 +138,12 @@ def parse_exposition(text: str) -> Dict[str, dict]:
 
 
 def _check_histograms(families: Dict[str, dict]) -> None:
+    """Every histogram series is complete and cumulative.
+
+    A series is a label set minus ``le``: its buckets must end with
+    ``le="+Inf"`` equal to the series' ``_count``, and its bucket
+    counts must never decrease as ``le`` grows.
+    """
     for family, info in families.items():
         if info["type"] != "histogram":
             continue
@@ -148,12 +155,33 @@ def _check_histograms(families: Dict[str, dict]) -> None:
                     f"histogram {family} is missing its "
                     f"{required} series"
                 )
-        for name, labels, _ in info["samples"]:
-            if name == f"{family}_bucket" and "le" not in labels:
+        buckets: Dict[tuple, List[Tuple[float, float]]] = {}
+        counts: Dict[tuple, float] = {}
+        for name, labels, value in info["samples"]:
+            series = tuple(sorted(
+                item for item in labels.items() if item[0] != "le"
+            ))
+            if name == f"{family}_count":
+                counts[series] = value
+            elif name == f"{family}_bucket":
+                try:
+                    bound = float(labels["le"])
+                except (KeyError, ValueError):
+                    raise ExpositionError(
+                        f"histogram {family} has a bucket sample "
+                        "without a numeric 'le' label"
+                    ) from None
+                buckets.setdefault(series, []).append((bound, value))
+        for series in set(buckets) | set(counts):
+            ordered = sorted(buckets.get(series, []))
+            where = f"histogram {family} series {dict(series)}"
+            last = (float("inf"), counts.get(series))
+            if not ordered or ordered[-1] != last:
                 raise ExpositionError(
-                    f"histogram {family} has a bucket sample "
-                    "without an 'le' label"
+                    f"{where} needs a le=\"+Inf\" bucket equal to its _count"
                 )
+            if any(b[1] < a[1] for a, b in zip(ordered, ordered[1:])):
+                raise ExpositionError(f"{where} has decreasing buckets")
 
 
 def _read_source(source: str) -> str:

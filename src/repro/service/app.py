@@ -63,6 +63,7 @@ from repro.api_types import (
     ImportSummary,
     QueryFilter,
     WIRE_VERSION,
+    decode_cursor,
 )
 from repro.corpus.fingerprint import cost_model_key, script_key
 from repro.costs.standard import cost_from_spec
@@ -71,8 +72,10 @@ from repro.io.xml_io import specification_from_xml, specification_to_xml
 from repro.obs.logging import (
     bound_request_id,
     current_request_id,
+    get_logger,
     new_request_id,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.workspace import Workspace
 
 #: Content types the service speaks.
@@ -88,6 +91,8 @@ NDJSON_TYPE = "application/x-ndjson"
 
 #: Correlation header: honoured inbound, always present outbound.
 REQUEST_ID_HEADER = "X-Request-Id"
+
+logger = get_logger("service.app")
 
 
 def _package_version() -> str:
@@ -225,6 +230,30 @@ def wants_json_metrics(request: HttpRequest) -> bool:
     )
 
 
+def page_offset(body: dict) -> int:
+    """Check a ``POST /query`` body's page parameters; the offset.
+
+    ``limit`` must be a non-negative integer (not a bool) and
+    ``cursor`` a string that decodes.  Both apps call this before
+    anything else reads the body, so one process and the cluster
+    parent report the same fault on a body with several.
+    """
+    limit = body.get("limit")
+    if limit is not None:
+        if isinstance(limit, bool) or not isinstance(limit, int):
+            raise ReproError(
+                f"query 'limit' must be an integer, got {limit!r}"
+            )
+        if limit < 0:
+            raise ReproError(f"limit must be >= 0, got {limit}")
+    cursor = body.get("cursor")
+    if cursor is not None and not isinstance(cursor, str):
+        raise ReproError(
+            f"query 'cursor' must be a string, got {cursor!r}"
+        )
+    return decode_cursor(cursor)
+
+
 def _error_response(envelope: ErrorEnvelope) -> HttpResponse:
     """The wire form of a structured error."""
     return HttpResponse.json(envelope.to_dict(), status=envelope.status)
@@ -244,18 +273,27 @@ def _status_error(message: str, status: int) -> HttpResponse:
     )
 
 
-class WorkspaceApp:
-    """Routes HTTP requests onto one :class:`Workspace`.
+class RequestFrame:
+    """The request frame both HTTP apps run every request through.
 
-    The workspace's own concurrency discipline (the corpus service
-    monitor plus per-cache locks) makes the app safe to drive from the
-    threading server's one-thread-per-request model without further
-    coordination; the app itself keeps only trivial counters.
+    Per request it honours an inbound ``X-Request-Id`` (or mints one)
+    and binds it, so the response, every log record and every error
+    envelope carry it; counts requests, error envelopes, 304 answers
+    and in-flight requests (``/stats``); turns a :class:`ReproError` —
+    or any other exception, as a generic 500 — into an
+    :class:`~repro.api_types.ErrorEnvelope`; and records the five
+    request metric families.  :meth:`reject` does the same for a
+    request the transport refused to read.
+
+    Metric families and ``/stats`` keys carry the app's ``prefix``:
+    ``server`` for a :class:`WorkspaceApp`, ``cluster`` for the routing
+    parent.  A subclass supplies ``_route`` and ``abort_inflight``, and
+    defines ``handle`` in its own class body (``return
+    self._framed(request)``), so tracers that wrap one class's
+    ``handle`` never count a request twice.
     """
 
-    def __init__(self, workspace: Workspace):
-        self.workspace = workspace
-        #: Request counters surfaced under ``/stats`` (``server_*``).
+    def __init__(self, metrics: MetricsRegistry, prefix: str):
         #: Guarded by ``_counter_lock`` — the threading server drives
         #: one thread per request, and ``+= 1`` alone is not atomic.
         self.requests = 0
@@ -263,31 +301,30 @@ class WorkspaceApp:
         self.errors = 0
         self._in_flight = 0
         self._counter_lock = threading.Lock()
-        metrics = workspace.metrics
+        self._stats_keys = tuple(
+            f"{prefix}_{name}"
+            for name in ("requests", "not_modified", "errors", "in_flight")
+        )
         self._requests_metric = metrics.counter(
-            "server_requests_total",
+            f"{prefix}_requests_total",
             "HTTP requests handled, by route, method and status.",
         )
         self._latency_metric = metrics.histogram(
-            "server_request_seconds",
+            f"{prefix}_request_seconds",
             "HTTP request handling latency in seconds, by route.",
         )
         self._errors_metric = metrics.counter(
-            "server_errors_total",
+            f"{prefix}_errors_total",
             "Requests that left as error envelopes, by error type.",
         )
         self._not_modified_metric = metrics.counter(
-            "server_not_modified_total",
+            f"{prefix}_not_modified_total",
             "Diff reads answered by ETag revalidation (304).",
         )
         metrics.gauge(
-            "server_in_flight",
+            f"{prefix}_in_flight",
             "Requests currently being handled.",
         ).set_function(self.in_flight)
-        # Touch the streaming hub so its ``stream_*`` metric families
-        # exist (at zero) from the first scrape, not from the first
-        # streamed event.
-        workspace.stream_hub
 
     # -- in-flight accounting -------------------------------------------
     def begin_request(self) -> None:
@@ -305,62 +342,79 @@ class WorkspaceApp:
         with self._counter_lock:
             return self._in_flight
 
-    # -- entry point ----------------------------------------------------
-    def handle(self, request: HttpRequest) -> HttpResponse:
-        """Dispatch one request; every failure becomes an envelope.
+    def frame_counters(self) -> Dict[str, int]:
+        """The frame's counters under their ``/stats`` names."""
+        with self._counter_lock:
+            values = (
+                self.requests, self.not_modified, self.errors,
+                self._in_flight,
+            )
+        return dict(zip(self._stats_keys, values))
 
-        Every request runs under a bound correlation ID — honoured from
-        an inbound ``X-Request-Id`` header, freshly minted otherwise —
-        which the response echoes back, every log record carries, and
-        every error envelope embeds.
-        """
+    # -- the frame ------------------------------------------------------
+    def _framed(self, request: HttpRequest) -> HttpResponse:
+        """Route one request inside the frame (see the class doc)."""
         request_id = (
             request.header(REQUEST_ID_HEADER).strip() or new_request_id()
         )
         with bound_request_id(request_id):
-            response = self._handle_bound(request)
+            with self._counter_lock:
+                self.requests += 1
+            started = time.perf_counter()
+            try:
+                response = self._route(request)
+            except ReproError as exc:
+                response = self._error(exc, request_id)
+            except Exception as exc:  # noqa: BLE001 - the request boundary
+                # The 500 envelope names only the exception type, never
+                # its message or traceback; the log keeps the traceback.
+                logger.exception("unhandled error answering %s", request.path)
+                response = self._error(exc, request_id)
+            if response.status == 304:
+                with self._counter_lock:
+                    self.not_modified += 1
+                self._not_modified_metric.inc()
+            route = self._route_name(request)
+            self._latency_metric.observe(
+                time.perf_counter() - started, route=route
+            )
+            self._requests_metric.inc(
+                route=route,
+                method=request.method.upper(),
+                status=str(response.status),
+            )
         response.headers.setdefault(REQUEST_ID_HEADER, request_id)
         return response
 
-    def _handle_bound(self, request: HttpRequest) -> HttpResponse:
-        """:meth:`handle` body, with the correlation ID already bound."""
+    def _error(self, exc: BaseException, request_id: str) -> HttpResponse:
+        """Count one failure and build its envelope response."""
+        with self._counter_lock:
+            self.errors += 1
+        envelope = ErrorEnvelope.from_exception(exc, request_id=request_id)
+        self._errors_metric.inc(type=envelope.type)
+        return _error_response(envelope)
+
+    def reject(
+        self, exc: ReproError, method: str, path: str
+    ) -> HttpResponse:
+        """An error envelope for a request the transport refused.
+
+        The HTTP server calls this *instead of* ``handle`` when it
+        cannot responsibly produce an :class:`HttpRequest` at all — an
+        oversized body it refuses to read (413), or chunked framing it
+        cannot decode (400).  Counters, metrics and the correlation
+        header behave exactly as for routed errors.
+        """
+        request_id = new_request_id()
         with self._counter_lock:
             self.requests += 1
-        started = time.perf_counter()
-        try:
-            response = self._route(request)
-        except ReproError as exc:
-            with self._counter_lock:
-                self.errors += 1
-            envelope = ErrorEnvelope.from_exception(
-                exc, request_id=current_request_id()
-            )
-            self._errors_metric.inc(type=envelope.type)
-            response = _error_response(envelope)
-        except Exception as exc:  # pragma: no cover - defensive
-            # Unknown failures must still leave as structured 500s:
-            # the envelope names the exception type, never the
-            # traceback or its message (which could leak paths).
-            with self._counter_lock:
-                self.errors += 1
-            envelope = ErrorEnvelope.from_exception(
-                exc, request_id=current_request_id()
-            )
-            self._errors_metric.inc(type=envelope.type)
-            response = _error_response(envelope)
-        if response.status == 304:
-            with self._counter_lock:
-                self.not_modified += 1
-            self._not_modified_metric.inc()
-        route = self._route_name(request)
-        self._latency_metric.observe(
-            time.perf_counter() - started, route=route
-        )
+        response = self._error(exc, request_id)
         self._requests_metric.inc(
-            route=route,
-            method=request.method.upper(),
+            route=self._route_name(HttpRequest(method=method, path=path)),
+            method=method.upper(),
             status=str(response.status),
         )
+        response.headers.setdefault(REQUEST_ID_HEADER, request_id)
         return response
 
     @staticmethod
@@ -390,6 +444,36 @@ class WorkspaceApp:
         if parts == ["stream", "live"]:
             return "/stream/live"
         return "<unmatched>"
+
+
+class WorkspaceApp(RequestFrame):
+    """Routes HTTP requests onto one :class:`Workspace`.
+
+    The workspace's own concurrency discipline (the corpus service
+    monitor plus per-cache locks) makes the app safe to drive from the
+    threading server's one-thread-per-request model without further
+    coordination; the frame keeps only trivial counters.
+    """
+
+    def __init__(self, workspace: Workspace):
+        super().__init__(workspace.metrics, "server")
+        self.workspace = workspace
+        # Touch the streaming hub so its ``stream_*`` metric families
+        # exist (at zero) from the first scrape, not from the first
+        # streamed event.
+        workspace.stream_hub
+
+    def handle(self, request: HttpRequest) -> HttpResponse:
+        """Dispatch one request through the frame.
+
+        Every failure becomes an envelope, and the response echoes the
+        request's correlation ID.
+        """
+        return self._framed(request)
+
+    def abort_inflight(self, error: BaseException) -> int:
+        """Fail every coalesced computation's waiters (graceful drain)."""
+        return self.workspace.service.abort_inflight(error)
 
     def _route(self, request: HttpRequest) -> HttpResponse:
         """Match ``(method, segments)`` to a resource handler."""
@@ -475,11 +559,7 @@ class WorkspaceApp:
     def _stats(self) -> HttpResponse:
         snapshot = self.workspace.stats_snapshot()
         snapshot.source = "server"
-        with self._counter_lock:
-            snapshot.counters["server_requests"] = self.requests
-            snapshot.counters["server_not_modified"] = self.not_modified
-            snapshot.counters["server_errors"] = self.errors
-            snapshot.counters["server_in_flight"] = self._in_flight
+        snapshot.counters.update(self.frame_counters())
         # The streaming hub's counters ride along (``stream_*``), from
         # the same numbers the ``stream_*`` metric families export —
         # ``/stats`` and ``/metrics`` always agree.
@@ -693,25 +773,15 @@ class WorkspaceApp:
         body = request.json_body()
         if not isinstance(body, dict):
             raise ReproError("query request body must be an object")
+        page_offset(body)
         spec = self._check_spec(body.get("spec"))
         cost = self._cost_param(body.get("cost"))
-        limit = body.get("limit")
-        if limit is not None:
-            if isinstance(limit, bool) or not isinstance(limit, int):
-                raise ReproError(
-                    f"query 'limit' must be an integer, got {limit!r}"
-                )
-        cursor = body.get("cursor")
-        if cursor is not None and not isinstance(cursor, str):
-            raise ReproError(
-                f"query 'cursor' must be a string, got {cursor!r}"
-            )
         page = self.workspace.query_page(
             filter=QueryFilter.from_dict(body.get("filter")),
             spec=spec,
             cost=cost,
-            cursor=cursor,
-            limit=limit,
+            cursor=body.get("cursor"),
+            limit=body.get("limit"),
             runs=_run_list(body.get("runs"), "query"),
             shard=self._shard_param(body, "query"),
         )
@@ -781,35 +851,3 @@ class WorkspaceApp:
                 "sessions": [status.to_dict() for status in sessions],
             }
         )
-
-    # -- transport-level rejections ---------------------------------------
-    def reject(
-        self, exc: ReproError, method: str, path: str
-    ) -> HttpResponse:
-        """An error envelope for a request the transport refused.
-
-        The HTTP server calls this *instead of* :meth:`handle` when it
-        cannot responsibly produce an :class:`HttpRequest` at all — an
-        oversized body it refuses to read (413), or chunked framing it
-        cannot decode (400).  Counters, metrics and the correlation
-        header behave exactly as for routed errors.
-        """
-        request_id = new_request_id()
-        with self._counter_lock:
-            self.requests += 1
-            self.errors += 1
-        envelope = ErrorEnvelope.from_exception(
-            exc, request_id=request_id
-        )
-        self._errors_metric.inc(type=envelope.type)
-        route = self._route_name(
-            HttpRequest(method=method, path=path)
-        )
-        self._requests_metric.inc(
-            route=route,
-            method=method.upper(),
-            status=str(envelope.status),
-        )
-        response = _error_response(envelope)
-        response.headers.setdefault(REQUEST_ID_HEADER, request_id)
-        return response

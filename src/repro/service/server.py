@@ -1,11 +1,14 @@
 """The stdlib HTTP host for the diff service (``repro serve``).
 
-Binds a :class:`~repro.service.app.WorkspaceApp` to a
-:class:`~http.server.ThreadingHTTPServer`: one thread per in-flight
-request, all funnelled into one shared :class:`Workspace` (whose corpus
-service is a lock-disciplined monitor — see
-:mod:`repro.corpus.service`).  No third-party dependencies: the wire
-layer is ~a hundred lines over ``http.server``.
+:class:`HttpHost` binds an app to a
+:class:`~http.server.ThreadingHTTPServer` — one thread per in-flight
+request — and owns the serve/drain lifecycle; :class:`DiffServer`
+hosts a :class:`~repro.service.app.WorkspaceApp` over one shared
+:class:`Workspace` (whose corpus service is a lock-disciplined monitor
+— see :mod:`repro.corpus.service`), and the cluster parent
+(:class:`~repro.cluster.server.ClusterServer`) hosts its router on the
+same class.  No third-party dependencies: the wire layer is ~a hundred
+lines over ``http.server``.
 
 Two driving styles:
 
@@ -44,6 +47,7 @@ from repro.obs.logging import configure_logging, get_logger
 from repro.service.app import (
     REQUEST_ID_HEADER,
     HttpRequest,
+    RequestFrame,
     WorkspaceApp,
 )
 from repro.workspace import Workspace
@@ -59,7 +63,7 @@ class _BodyTooLarge(Exception):
     """Internal: a request body crossed the configured ceiling."""
 
 
-def _make_handler(app: WorkspaceApp, max_body_bytes: int):
+def _make_handler(app: RequestFrame, max_body_bytes: int):
     """A request-handler class bound to one app instance."""
 
     class Handler(BaseHTTPRequestHandler):
@@ -221,44 +225,29 @@ def _make_handler(app: WorkspaceApp, max_body_bytes: int):
     return Handler
 
 
-class DiffServer:
-    """One workspace served over HTTP.
+class HttpHost:
+    """The stdlib HTTP lifecycle both servers share.
 
-    Parameters
-    ----------
-    root:
-        Store directory, an existing
-        :class:`~repro.io.store.WorkflowStore`, or a fully built
-        :class:`Workspace` to share.
-    config:
-        The :class:`ReproConfig` for a workspace built from a path
-        (ignored when ``root`` is already a workspace — except that its
-        logging knobs still apply when given).
-    host / port:
-        Bind address.  ``port=0`` picks a free port.
+    Binds an app (a :class:`~repro.service.app.RequestFrame` subclass
+    that also offers ``handle`` and ``abort_inflight``) through
+    :func:`_make_handler`, serves it, and drains it.  A subclass
+    builds its app and may hook :meth:`_before_serving` (the cluster
+    starts its workers) and :meth:`_after_drain` (the cluster stops
+    them).
     """
 
     def __init__(
-        self,
-        root,
-        config: Optional[ReproConfig] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
+        self, app: RequestFrame, config: ReproConfig, host: str, port: int
     ):
-        self.workspace = (
-            root
-            if isinstance(root, Workspace)
-            else Workspace(root, config)
-        )
-        self.config = config or self.workspace.config
         configure_logging(
-            level=self.config.log_level,
-            format=self.config.log_format,
+            level=config.log_level,
+            format=config.log_format,
         )
-        self.app = WorkspaceApp(self.workspace)
+        self.app = app
+        self.config = config
         self.httpd = ThreadingHTTPServer(
             (host, port),
-            _make_handler(self.app, self.config.max_body_bytes),
+            _make_handler(app, config.max_body_bytes),
         )
         # Handler threads are daemonic: after a drain timeout the
         # process may exit with stragglers still running — the
@@ -283,16 +272,24 @@ class DiffServer:
         """The service base URL, e.g. ``http://127.0.0.1:8321``."""
         return f"http://{self.host}:{self.port}"
 
+    def _before_serving(self) -> None:
+        """Runs before the first accept; idempotent."""
+
+    def _after_drain(self, drain_timeout: float) -> None:
+        """Runs once the listener has drained, before the socket closes."""
+
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`stop` (blocking)."""
+        self._before_serving()
         logger.info(
             "serving %s", self.url,
             extra={"host": self.host, "port": self.port},
         )
         self.httpd.serve_forever()
 
-    def start(self) -> "DiffServer":
+    def start(self) -> "HttpHost":
         """Serve on a background daemon thread; returns ``self``."""
+        self._before_serving()
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self.httpd.serve_forever,
@@ -332,7 +329,7 @@ class DiffServer:
             # Deadline passed with requests still pending: fail every
             # coalesced waiter with a 503 envelope, then give the newly
             # unblocked handlers a short grace period to write it out.
-            aborted = self.workspace.service.abort_inflight(
+            aborted = self.app.abort_inflight(
                 ServiceUnavailableError(
                     "server is shutting down; retry against a healthy "
                     "instance"
@@ -358,27 +355,55 @@ class DiffServer:
                 remaining,
                 extra={"in_flight": remaining},
             )
-        stats = self.workspace.service.stats_counters
-        logger.info(
-            "server stopped",
-            extra={
-                "requests": self.app.requests,
-                "errors": self.app.errors,
-                "not_modified": self.app.not_modified,
-                "computed_pairs": stats["computed_pairs"],
-                "computed_scripts": stats["computed_scripts"],
-            },
-        )
+        self._after_drain(drain_timeout)
+        logger.info("server stopped", extra=self.app.frame_counters())
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def __enter__(self) -> "DiffServer":
+    def __enter__(self) -> "HttpHost":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class DiffServer(HttpHost):
+    """One workspace served over HTTP.
+
+    Parameters
+    ----------
+    root:
+        Store directory, an existing
+        :class:`~repro.io.store.WorkflowStore`, or a fully built
+        :class:`Workspace` to share.
+    config:
+        The :class:`ReproConfig` for a workspace built from a path
+        (ignored when ``root`` is already a workspace — except that its
+        logging knobs still apply when given).
+    host / port:
+        Bind address.  ``port=0`` picks a free port.
+    """
+
+    def __init__(
+        self,
+        root,
+        config: Optional[ReproConfig] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+    ):
+        self.workspace = (
+            root
+            if isinstance(root, Workspace)
+            else Workspace(root, config)
+        )
+        super().__init__(
+            WorkspaceApp(self.workspace),
+            config or self.workspace.config,
+            host,
+            port,
+        )
 
 
 def serve(

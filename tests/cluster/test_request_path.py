@@ -1,0 +1,186 @@
+"""One request path: the parent runs in the single process's frame.
+
+The cluster parent shares the single-process server's request frame,
+HTTP host, exposition renderer, stats derivation and query page check.
+These tests pin the places where the parent's own copies once drifted:
+its text scrape, its answer to query bodies with more than one fault,
+its ``/stats`` against its ``/metrics``, and its drain.
+"""
+
+from __future__ import annotations
+
+import json
+import threading
+import time
+
+import pytest
+
+from _util import get_json, http_get, http_post
+
+from repro.config import ReproConfig
+from repro.obs.promcheck import parse_exposition
+from repro.service.server import DiffServer
+
+SPEC = "PA"
+
+#: Query bodies with a page fault.  All but the first two carry a
+#: second fault (unknown spec, versionless filter, malformed ``runs``)
+#: that one process used to report before the page fault.
+PAGE_FAULT_BODIES = [
+    {"limit": -1},
+    {"cursor": "garbage"},
+    {"spec": "nope", "limit": -1},
+    {"spec": "nope", "cursor": "garbage"},
+    {"filter": {"kinds": ["x"]}, "limit": -1},
+    {"runs": "r01", "limit": -2},
+]
+
+
+@pytest.fixture(scope="module")
+def single(corpus_root):
+    """A single-process server over the cluster's corpus."""
+    config = ReproConfig(backend="serial", log_format="off")
+    with DiffServer(corpus_root, config) as live:
+        yield live
+
+
+def _scrape(url: str) -> dict:
+    status, _, body = http_get(f"{url}/metrics")
+    assert status == 200
+    return parse_exposition(body.decode("utf-8"))
+
+
+def _total(families: dict, name: str) -> float:
+    return sum(value for _, _, value in families[name]["samples"])
+
+
+@pytest.mark.parametrize(
+    "body", PAGE_FAULT_BODIES, ids=lambda body: json.dumps(body)
+)
+def test_page_faults_answer_like_one_process(cluster, single, body):
+    answers = []
+    for base in (single.url, cluster.url):
+        status, _, raw = http_post(f"{base}/query", body)
+        error = json.loads(raw)["error"]
+        answers.append((status, error["type"], error["message"]))
+    assert answers[0] == answers[1]
+    assert answers[0][:2] == (400, "ReproError")
+
+
+def test_text_scrape_has_complete_histograms(cluster):
+    """Every histogram series of the merged text scrape ends with a
+    ``+Inf`` bucket equal to its ``_count`` (promcheck checks it too)."""
+    http_get(f"{cluster.url}/diff/r01/r02?spec={SPEC}")
+    families = _scrape(cluster.url)
+    histograms = {
+        name for name, info in families.items()
+        if info["type"] == "histogram"
+    }
+    assert {"server_request_seconds", "cluster_request_seconds"} <= (
+        histograms
+    )
+    for name in histograms:
+        counts, infinite = {}, {}
+        for sample, labels, value in families[name]["samples"]:
+            series = frozenset(
+                item for item in labels.items() if item[0] != "le"
+            )
+            if sample == f"{name}_count":
+                counts[series] = value
+            elif sample == f"{name}_bucket" and labels["le"] == "+Inf":
+                infinite[series] = value
+        assert infinite == counts, name
+        if name.endswith("request_seconds"):
+            assert counts, name
+
+
+def test_stats_and_metrics_agree_on_parent_requests(cluster):
+    """``/stats`` first: its own request counts at handle start, the
+    metric at handle end, so this order makes both faces agree."""
+    _, headers, _ = http_get(f"{cluster.url}/diff/r01/r02?spec={SPEC}")
+    http_get(
+        f"{cluster.url}/diff/r01/r02?spec={SPEC}",
+        headers={"If-None-Match": headers["ETag"]},
+    )
+    http_post(f"{cluster.url}/query", {"limit": -1})
+    counters = get_json(f"{cluster.url}/stats")["counters"]
+    families = _scrape(cluster.url)
+    assert _total(families, "cluster_requests_total") == (
+        counters["cluster_requests"]
+    )
+    assert _total(families, "cluster_errors_total") == (
+        counters["cluster_errors"]
+    )
+    assert _total(families, "cluster_not_modified_total") == (
+        counters["cluster_not_modified"]
+    )
+    assert counters["cluster_errors"] >= 1
+    assert counters["cluster_not_modified"] >= 1
+    for name, info in families.items():
+        if name.startswith("server_"):
+            for _, labels, _ in info["samples"]:
+                assert "worker" in labels, name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parent_families_follow_the_metrics_switch(tmp_path, enabled):
+    from repro.cluster.server import ClusterServer
+
+    config = ReproConfig(backend="serial", log_format="off", metrics=enabled)
+    server = ClusterServer(tmp_path, config, workers=2)
+    try:
+        snapshot = server.app.metrics.snapshot()
+    finally:
+        server.httpd.server_close()
+    assert {
+        "cluster_workers",
+        "cluster_worker_restarts_total",
+        "cluster_proxied_requests_total",
+        "cluster_coalesced_requests_total",
+        "cluster_requests_total",
+        "cluster_request_seconds",
+        "cluster_errors_total",
+        "cluster_not_modified_total",
+        "cluster_in_flight",
+    } == set(snapshot)
+    workers = snapshot["cluster_workers"]["samples"]
+    if enabled:
+        assert workers == [{"labels": {}, "value": 2.0}]
+    else:
+        assert all(not family["samples"] for family in snapshot.values())
+
+
+def test_drain_aborts_coalesced_followers_like_one_process(fresh_cluster):
+    """A diff request coalesced behind a leader that never lands is
+    answered 503 at the drain deadline — the single process's envelope —
+    and the workers stop once the parent has drained."""
+    app = fresh_cluster.app
+    # Pose as the leader of the exact flight the request below joins.
+    leader, _ = app._flights.begin(
+        ("/diff/r01/r02", (("spec", SPEC),), "", "drain-1")
+    )
+    assert leader
+    outcome = {}
+
+    def follow():
+        outcome["reply"] = http_get(
+            f"{fresh_cluster.url}/diff/r01/r02?spec={SPEC}",
+            headers={"X-Request-Id": "drain-1"},
+        )
+
+    follower = threading.Thread(target=follow)
+    follower.start()
+    deadline = time.monotonic() + 10
+    while app.coalesced == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert app.coalesced == 1, "follower never joined"
+
+    fresh_cluster.stop(drain_timeout=0.3)
+    follower.join(timeout=10)
+    assert not follower.is_alive()
+    status, _, body = outcome["reply"]
+    error = json.loads(body)["error"]
+    assert (status, error["type"]) == (503, "ServiceUnavailableError")
+    assert error["message"].startswith("server is shutting down")
+    assert error["request_id"] == "drain-1"
+    assert fresh_cluster.supervisor.statuses() == []

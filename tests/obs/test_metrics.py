@@ -13,6 +13,7 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
+    render_exposition,
 )
 from repro.obs.promcheck import ExpositionError, parse_exposition
 
@@ -111,7 +112,8 @@ class TestGauge:
 
 class TestHistogram:
     def test_cumulative_buckets_and_sum(self):
-        histogram = MetricsRegistry().histogram(
+        registry = MetricsRegistry()
+        histogram = registry.histogram(
             "lat_seconds", "Latency.", buckets=(0.1, 1.0)
         )
         histogram.observe(0.05)
@@ -119,7 +121,7 @@ class TestHistogram:
         histogram.observe(5.0)
         assert histogram.count() == 3
         assert histogram.sum() == pytest.approx(5.55)
-        lines = histogram.render()
+        lines = registry.render_prometheus().splitlines()
         assert 'lat_seconds_bucket{le="0.1"} 1' in lines
         assert 'lat_seconds_bucket{le="1"} 2' in lines
         assert 'lat_seconds_bucket{le="+Inf"} 3' in lines
@@ -188,6 +190,40 @@ class TestRegistry:
         )
         parse_exposition(registry.render_prometheus())
 
+    def test_exposition_renders_the_snapshot(self):
+        registry = MetricsRegistry()
+        registry.counter("a_total", "A.\nsecond \\ line").inc(kind="x")
+        registry.gauge("b", "").set_function(lambda: 4)
+        registry.histogram(
+            "c_seconds", "C.", buckets=(0.1,)
+        ).observe(7.0, route="/r")
+        text = registry.render_prometheus()
+        assert text == render_exposition(registry.snapshot())
+        assert "# HELP a_total A.\\nsecond \\\\ line\n" in text
+        assert "# HELP b" not in text  # empty help is omitted
+        assert 'c_seconds_bucket{route="/r",le="+Inf"} 1\n' in text
+        assert render_exposition({}) == ""
+
+    def test_exposition_of_a_merged_snapshot(self):
+        """A snapshot carrying extra labels (the cluster's ``worker``)
+        renders complete, checker-valid histogram series."""
+        registry = MetricsRegistry()
+        registry.histogram("d_seconds", "D.", buckets=(1.0,)).observe(2.0)
+        family = registry.snapshot()["d_seconds"]
+        merged = {
+            "d_seconds": {
+                **family,
+                "samples": [
+                    {**sample, "labels": {"worker": str(index)}}
+                    for index in range(2)
+                    for sample in family["samples"]
+                ],
+            }
+        }
+        text = render_exposition(merged)
+        assert 'd_seconds_bucket{worker="1",le="+Inf"} 1\n' in text
+        parse_exposition(text)
+
     def test_snapshot_mirrors_exposition(self):
         registry = MetricsRegistry()
         registry.counter("snap_total", "Snap.").inc(2, kind="x")
@@ -212,3 +248,58 @@ class TestPromcheck:
         )
         with pytest.raises(ExpositionError):
             parse_exposition(bad)
+
+    def _histogram(self, *lines):
+        return (
+            "# TYPE h_seconds histogram\n" + "\n".join(lines) + "\n"
+        )
+
+    def test_accepts_complete_labelled_histograms(self):
+        parse_exposition(self._histogram(
+            'h_seconds_bucket{route="/a",le="0.1"} 1',
+            'h_seconds_bucket{route="/a",le="+Inf"} 2',
+            'h_seconds_sum{route="/a"} 3.5',
+            'h_seconds_count{route="/a"} 2',
+            'h_seconds_bucket{route="/b",le="0.1"} 0',
+            'h_seconds_bucket{route="/b",le="+Inf"} 0',
+            'h_seconds_sum{route="/b"} 0',
+            'h_seconds_count{route="/b"} 0',
+        ))
+
+    def test_rejects_histogram_without_inf_bucket(self):
+        with pytest.raises(ExpositionError, match="Inf"):
+            parse_exposition(self._histogram(
+                'h_seconds_bucket{le="0.1"} 1',
+                'h_seconds_bucket{le="10"} 2',
+                "h_seconds_sum 3.5",
+                "h_seconds_count 2",
+            ))
+
+    def test_rejects_one_series_without_inf_bucket(self):
+        with pytest.raises(ExpositionError, match="/b"):
+            parse_exposition(self._histogram(
+                'h_seconds_bucket{route="/a",le="+Inf"} 1',
+                'h_seconds_sum{route="/a"} 1',
+                'h_seconds_count{route="/a"} 1',
+                'h_seconds_bucket{route="/b",le="10"} 1',
+                'h_seconds_sum{route="/b"} 1',
+                'h_seconds_count{route="/b"} 1',
+            ))
+
+    def test_rejects_inf_bucket_differing_from_count(self):
+        with pytest.raises(ExpositionError, match="_count"):
+            parse_exposition(self._histogram(
+                'h_seconds_bucket{le="+Inf"} 2',
+                "h_seconds_sum 3.5",
+                "h_seconds_count 3",
+            ))
+
+    def test_rejects_decreasing_buckets(self):
+        with pytest.raises(ExpositionError, match="decreasing"):
+            parse_exposition(self._histogram(
+                'h_seconds_bucket{le="0.1"} 2',
+                'h_seconds_bucket{le="1"} 1',
+                'h_seconds_bucket{le="+Inf"} 2',
+                "h_seconds_sum 3.5",
+                "h_seconds_count 2",
+            ))

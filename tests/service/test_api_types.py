@@ -13,6 +13,7 @@ from repro.api_types import (
     QueryPage,
     StatsSnapshot,
     decode_cursor,
+    derive_stats,
     encode_cursor,
 )
 from repro.core.edit_script import PathOperation
@@ -197,6 +198,30 @@ class TestStatsSnapshot:
         assert clone == snapshot
         assert clone["computed_pairs"] == 3
         assert clone.get("missing") == 0
+
+    def test_derived_block_from_counters(self):
+        derived = derive_stats(
+            {
+                "memory_hits": 6, "disk_hits": 2, "misses": 2,
+                "script_memory_hits": 1, "script_disk_hits": 2,
+                "script_misses": 1,
+            },
+            0.5,
+        )
+        assert derived == {
+            "memory_hit_ratio": 0.6,
+            "disk_hit_ratio": 0.2,
+            "script_hit_ratio": 0.75,
+            "lock_wait_seconds": 0.5,
+        }
+
+    def test_derived_block_without_lookups_is_zero(self):
+        assert derive_stats({}, 0.0) == {
+            "memory_hit_ratio": 0.0,
+            "disk_hit_ratio": 0.0,
+            "script_hit_ratio": 0.0,
+            "lock_wait_seconds": 0.0,
+        }
 
 
 class TestImportSummary:

@@ -7,6 +7,7 @@ including keep-alive and percent-encoded names.
 """
 
 import json
+import logging
 
 import pytest
 
@@ -139,6 +140,54 @@ class TestRoutes:
         ).json_payload()
         assert len(second["items"]) == 2
         assert second["next_cursor"] is None
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"limit": -1},
+            {"cursor": "garbage"},
+            {"spec": "nope", "limit": -1},
+            {"runs": "r01", "cursor": "garbage"},
+        ],
+    )
+    def test_query_page_faults_answered_before_any_store_work(
+        self, app, body
+    ):
+        before = app.workspace.service.stats_counters
+        response = post(app, "/query", payload=body)
+        assert response.status == 400
+        message = response.json_payload()["error"]["message"]
+        assert "limit" in message or "cursor" in message
+        assert app.workspace.service.stats_counters == before
+
+    def test_unexpected_failure_is_a_generic_500_with_a_logged_traceback(
+        self, app, monkeypatch
+    ):
+        def boom(request):
+            raise RuntimeError("secret /private/path")
+
+        monkeypatch.setattr(app, "_route", boom)
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        log = logging.getLogger("repro.service.app")
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.ERROR)
+        errors = app.errors
+        try:
+            response = get(app, "/healthz", headers={"X-Request-Id": "r-500"})
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        assert response.status == 500
+        error = response.json_payload()["error"]
+        assert error["type"] == "InternalServerError"
+        assert "secret" not in error["message"]
+        assert error["request_id"] == "r-500"
+        assert app.errors == errors + 1
+        [record] = records
+        assert record.exc_info[0] is RuntimeError
 
     def test_unknown_route_is_an_envelope_404(self, app):
         response = get(app, "/nonsense")
