@@ -13,8 +13,10 @@ happens in-process or on a server::
     ws.matrix()
     ws.query_page(QueryFilter(kinds=("path-deletion",)))
 
-Built on ``urllib`` only (stdlib all the way down).  Three behaviours
-worth knowing:
+Built on the standard library's :mod:`http.client`: each client keeps
+one pool of persistent HTTP/1.1 connections to its server
+(:class:`repro.transport.ConnectionPool`), so a request pays neither a
+TCP handshake nor a new server thread.  Three behaviours worth knowing:
 
 * **Errors round-trip.**  The server's structured
   :class:`~repro.api_types.ErrorEnvelope` failures are re-raised as the
@@ -40,9 +42,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from typing import (
     Dict,
     Iterable,
@@ -52,6 +51,7 @@ from typing import (
     Sequence,
     Tuple,
 )
+from urllib.parse import quote, urlencode, urlsplit
 
 from repro.api_types import (
     DiffOutcome,
@@ -72,6 +72,11 @@ from repro.costs.standard import cost_to_spec
 from repro.errors import ReproError, TransportError
 from repro.io.xml_io import specification_from_xml, specification_to_xml
 from repro.obs.logging import current_request_id, new_request_id
+from repro.transport import (
+    IDEMPOTENT_METHODS,
+    TRANSPORT_ERRORS,
+    ConnectionPool,
+)
 from repro.workflow.execution import ExecutionParams, execute_workflow
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
@@ -81,17 +86,13 @@ JSON_TYPE = "application/json"
 PROV_JSON_TYPE = "application/prov+json"
 XML_TYPE = "application/xml"
 
-#: Methods safe to retry after a connection-level failure (the request
-#: either never reached the server or may be repeated without effect).
-_IDEMPOTENT_METHODS = frozenset({"GET", "HEAD", "PUT", "DELETE"})
-
 #: Backoff schedule between idempotent retries, in seconds.
 _RETRY_DELAYS = (0.1, 0.3)
 
 
 def _quote(name: str) -> str:
     """Percent-encode a path segment (names may contain anything)."""
-    return urllib.parse.quote(name, safe="")
+    return quote(name, safe="")
 
 
 class RemoteWorkspace:
@@ -121,6 +122,24 @@ class RemoteWorkspace:
     ):
         self.base_url = url.rstrip("/")
         self.timeout = timeout
+        try:
+            parts = urlsplit(self.base_url)
+            port = parts.port  # a malformed port raises here
+        except ValueError:
+            parts = None
+        if (
+            parts is None
+            or parts.scheme not in ("http", "https")
+            or not parts.hostname
+        ):
+            raise ReproError(
+                f"diff server URL {url!r} is not an http(s)://host URL"
+            )
+        self._base_path = parts.path
+        # One pool per client: its threads share persistent connections.
+        self._pool = ConnectionPool(
+            parts.hostname, port, timeout, tls=parts.scheme == "https"
+        )
         self.default_cost = cost
         if cost is not None:
             cost_to_spec(cost)  # fail fast on unserialisable models
@@ -144,9 +163,9 @@ class RemoteWorkspace:
 
         Returns ``(status, headers, body_bytes)``.
         """
-        url = self.base_url + path
+        target = self._base_path + path
         if query:
-            url += "?" + urllib.parse.urlencode(query)
+            target += "?" + urlencode(query)
         all_headers = dict(headers or {})
         # Correlation: reuse an already-bound ID (e.g. when a server
         # proxies through a RemoteWorkspace) or mint one per request,
@@ -154,48 +173,42 @@ class RemoteWorkspace:
         all_headers.setdefault(
             "X-Request-Id", current_request_id() or new_request_id()
         )
-        request = urllib.request.Request(
-            url, data=body, method=method, headers=all_headers
-        )
         # Idempotent requests retry transient connection failures — a
         # cluster parent restarting a crashed worker refuses or resets
         # connections for a beat; two short backoffs ride it out
-        # without masking a genuinely down server for long.  POSTs
-        # (imports, stream batches) are never retried: the first
+        # without masking a genuinely down server for long.  The pool
+        # resends them at once when a reused connection turns out dead.
+        # POSTs (imports, stream batches) are never resent: the first
         # attempt may have been applied.
-        retries = _RETRY_DELAYS if method in _IDEMPOTENT_METHODS else ()
+        idempotent = method in IDEMPOTENT_METHODS
+        retries = _RETRY_DELAYS if idempotent else ()
         last_reason: object = None
         for attempt in range(len(retries) + 1):
             if attempt:
                 time.sleep(retries[attempt - 1])
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    return (
-                        response.status,
-                        dict(response.headers),
-                        response.read(),
-                    )
-            except urllib.error.HTTPError as exc:
-                if exc.code == 304:
-                    # Not an error: the revalidation answer.
-                    return 304, dict(exc.headers), b""
-                raw = exc.read()
-                try:
-                    envelope = ErrorEnvelope.from_payload(
-                        json.loads(raw.decode("utf8"))
-                    )
-                except (UnicodeDecodeError, ValueError):
-                    envelope = None
-                if envelope is not None:
-                    raise envelope.to_exception() from None
-                raise ReproError(
-                    f"server returned HTTP {exc.code} for "
-                    f"{method} {path}"
-                ) from None
-            except urllib.error.URLError as exc:
-                last_reason = exc.reason
+                status, response_headers, raw = self._pool.request(
+                    method, target, body, all_headers, resend=idempotent
+                )
+            except TRANSPORT_ERRORS as exc:
+                last_reason = exc
+                continue
+            if 200 <= status < 300:
+                return status, dict(response_headers), raw
+            if status == 304:
+                # Not an error: the revalidation answer.
+                return 304, dict(response_headers), b""
+            try:
+                envelope = ErrorEnvelope.from_payload(
+                    json.loads(raw.decode("utf8"))
+                )
+            except (UnicodeDecodeError, ValueError):
+                envelope = None
+            if envelope is not None:
+                raise envelope.to_exception()
+            raise ReproError(
+                f"server returned HTTP {status} for {method} {path}"
+            )
         raise TransportError(
             f"cannot reach diff server at {self.base_url}: "
             f"{last_reason}"
@@ -407,7 +420,7 @@ class RemoteWorkspace:
         if cost_spec is not None:
             query["cost"] = cost_spec
         path = f"/diff/{_quote(a)}/{_quote(b)}"
-        cache_key = path + "?" + urllib.parse.urlencode(query)
+        cache_key = path + "?" + urlencode(query)
         with self._lock:
             cached = self._etags.get(cache_key)
         headers = (
@@ -693,6 +706,13 @@ class RemoteWorkspace:
                 f"PROV document {text!r} does not exist"
             )
         return path.read_text(encoding="utf8")
+
+    def close(self) -> None:
+        """Close the client's pooled connections.
+
+        Later calls still work, each on a connection of its own.
+        """
+        self._pool.close()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"RemoteWorkspace({self.base_url!r})"

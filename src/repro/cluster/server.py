@@ -36,9 +36,12 @@ Routing, by endpoint:
 * Everything else (spec/run listings, summaries, streams, 404s) →
   worker 0, verbatim.
 
-A request that hits a crashed worker waits for the supervisor's
-restart and retries once; if the shard stays down the client receives
-a structured 503 (``ServiceUnavailableError``) — never a hung socket.
+The parent reaches each worker through one pool of persistent HTTP/1.1
+connections (:class:`~repro.transport.ConnectionPool`), replaced when
+the worker is.  A request that hits a crashed worker waits for the
+supervisor's restart and retries once; if the shard stays down the
+client receives a structured 503 (``ServiceUnavailableError``) — never
+a hung socket.
 
 Everything but routing, coalescing, scatter and merge is the single
 process's own code: its request frame, HTTP host, exposition renderer,
@@ -48,9 +51,8 @@ stats derivation and query page check.
 from __future__ import annotations
 
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlencode
@@ -58,7 +60,7 @@ from urllib.parse import urlencode
 from repro.api_types import WIRE_VERSION, derive_stats, encode_cursor
 from repro.cluster.shard import shard_for_name, shard_for_pair
 from repro.cluster.singleflight import SingleFlight
-from repro.cluster.supervisor import WorkerSupervisor
+from repro.cluster.supervisor import WorkerHandle, WorkerSupervisor
 from repro.config import ReproConfig
 from repro.errors import ReproError, ServiceUnavailableError
 from repro.obs.metrics import MetricsRegistry, render_exposition
@@ -74,6 +76,11 @@ from repro.service.app import (
     wants_json_metrics,
 )
 from repro.service.server import HttpHost
+from repro.transport import (
+    IDEMPOTENT_METHODS,
+    TRANSPORT_ERRORS,
+    ConnectionPool,
+)
 
 __all__ = ["ClusterServer"]
 
@@ -87,10 +94,30 @@ RESTART_WAIT = 15.0
 #: Response headers the parent relays from a worker verbatim.
 _RELAY_HEADERS = ("ETag", "Cache-Control", REQUEST_ID_HEADER)
 
-#: Request headers never forwarded upstream (hop-by-hop / transport).
+#: Request headers never forwarded upstream: hop-by-hop (RFC 9110
+#: section 7.6.1) or framing.  The parent has decoded the body, and
+#: its pool sends it with its own ``Content-Length``.
 _HOP_HEADERS = frozenset(
-    {"host", "connection", "content-length", "keep-alive"}
+    {
+        "host", "connection", "content-length", "keep-alive",
+        "transfer-encoding", "te", "trailer", "upgrade",
+        "proxy-connection",
+    }
 )
+
+
+def _upstream_headers(headers: Dict[str, str]) -> Dict[str, str]:
+    """A request's end-to-end headers (``headers`` keys lower-cased):
+    every hop-by-hop header goes, and so does each one its
+    ``Connection`` header names."""
+    named = {
+        token.strip() for token in headers.get("connection", "").split(",")
+    }
+    return {
+        name: value
+        for name, value in headers.items()
+        if name not in _HOP_HEADERS and name not in named
+    }
 
 
 class _ClusterApp(RequestFrame):
@@ -107,6 +134,10 @@ class _ClusterApp(RequestFrame):
         self.coalesced = 0
         self.proxied = 0
         self._flights = SingleFlight()
+        # One pool of persistent connections per worker incarnation:
+        # shard index -> (incarnation, pool).
+        self._pools: Dict[int, Tuple[WorkerHandle, ConnectionPool]] = {}
+        self._pools_lock = threading.Lock()
         self.metrics.gauge(
             "cluster_workers", "Worker processes in the serving cluster."
         ).set_function(lambda: server.count)
@@ -130,6 +161,13 @@ class _ClusterApp(RequestFrame):
     def abort_inflight(self, error: BaseException) -> int:
         """Fail every coalesced waiter (graceful drain)."""
         return self._flights.abort(error)
+
+    def close_pools(self) -> None:
+        """Close every upstream connection (the parent has drained)."""
+        with self._pools_lock:
+            pools, self._pools = self._pools, {}
+        for _, pool in pools.values():
+            pool.close()
 
     # -- routing ---------------------------------------------------------
     def _route(self, request: HttpRequest) -> HttpResponse:
@@ -186,11 +224,30 @@ class _ClusterApp(RequestFrame):
                 self.server.wait_for_worker(worker)
             try:
                 return self._roundtrip(worker, request, body)
-            except OSError:  # URLError and ConnectionError included
+            except TRANSPORT_ERRORS:
                 pass
         raise ServiceUnavailableError(
             f"cluster worker {worker} is unavailable"
         )
+
+    def _pool(self, worker: int) -> ConnectionPool:
+        """The pool of ``worker``'s current incarnation.
+
+        A restarted worker gets a new pool; the old one is closed, so
+        no request rides a connection to a process that is gone.
+        """
+        incarnation = self.server.supervisor.incarnation(worker)
+        with self._pools_lock:
+            current = self._pools.get(worker)
+            if current is not None and current[0] is incarnation:
+                return current[1]
+            pool = ConnectionPool(
+                self.server.worker_host, incarnation.port, PROXY_TIMEOUT
+            )
+            self._pools[worker] = (incarnation, pool)
+        if current is not None:
+            current[1].close()
+        return pool
 
     def _roundtrip(
         self,
@@ -198,33 +255,22 @@ class _ClusterApp(RequestFrame):
         request: HttpRequest,
         body: Optional[bytes],
     ) -> HttpResponse:
-        port = self.server.supervisor.port_of(worker)
-        url = f"http://{self.server.worker_host}:{port}{request.path}"
+        target = request.path
         if request.query:
-            url += "?" + urlencode(request.query)
-        headers = {
-            name: value
-            for name, value in request.headers.items()
-            if name not in _HOP_HEADERS
-        }
+            target += "?" + urlencode(request.query)
+        method = request.method.upper()
         payload = body if body is not None else (request.body or None)
-        upstream = urllib.request.Request(
-            url,
-            data=payload,
-            method=request.method.upper(),
-            headers=headers,
+        # Structured worker errors (404/409/413/...) and 304s are
+        # answers, not transport failures: relay them untouched.
+        return self._relay(
+            *self._pool(worker).request(
+                method,
+                target,
+                payload,
+                _upstream_headers(request.headers),
+                resend=method in IDEMPOTENT_METHODS,
+            )
         )
-        try:
-            with urllib.request.urlopen(
-                upstream, timeout=PROXY_TIMEOUT
-            ) as response:
-                return self._relay(
-                    response.status, response.headers, response.read()
-                )
-        except urllib.error.HTTPError as exc:
-            # Structured worker errors (404/409/413/...) and 304s are
-            # answers, not transport failures: relay them untouched.
-            return self._relay(exc.code, exc.headers, exc.read())
 
     @staticmethod
     def _relay(status: int, headers, body: bytes) -> HttpResponse:
@@ -552,6 +598,7 @@ class ClusterServer(HttpHost):
         self.supervisor.start()
 
     def _after_drain(self, drain_timeout: float) -> None:
+        self.app.close_pools()
         self.supervisor.stop(drain_timeout=drain_timeout)
 
     def wait_for_worker(self, index: int) -> None:

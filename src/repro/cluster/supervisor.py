@@ -13,8 +13,9 @@ crashes on arrival cannot flap forever; a worker past its limit stays
 down and ``/healthz`` reports the cluster degraded.
 
 Supervision state is guarded by one small lock; the routing parent
-reads ports through :meth:`port_of` per request, so it always sees the
-current incarnation of a shard's worker.
+reads :meth:`incarnation` per request, so it always sees the current
+incarnation of a shard's worker (and drops its pooled connections to a
+restarted one).
 """
 
 from __future__ import annotations
@@ -148,13 +149,13 @@ class WorkerSupervisor:
                 handle.process.join(timeout=2)
 
     # -- routing-table reads ---------------------------------------------
-    def port_of(self, index: int) -> int:
-        """The current port of shard ``index``'s worker."""
+    def incarnation(self, index: int) -> WorkerHandle:
+        """The current incarnation of shard ``index``'s worker."""
         with self._lock:
             handle = self._handles.get(index)
         if handle is None:
             raise ReproError(f"no worker for shard {index}")
-        return handle.port
+        return handle
 
     def statuses(self) -> List[Dict[str, Any]]:
         """Per-worker ``/healthz`` rows, in shard order."""

@@ -1,8 +1,9 @@
 """The stdlib HTTP host for the diff service (``repro serve``).
 
 :class:`HttpHost` binds an app to a
-:class:`~http.server.ThreadingHTTPServer` — one thread per in-flight
-request — and owns the serve/drain lifecycle; :class:`DiffServer`
+:class:`~http.server.ThreadingHTTPServer` — one thread per open
+connection, kept alive across requests (HTTP/1.1) — and owns the
+serve/drain lifecycle; :class:`DiffServer`
 hosts a :class:`~repro.service.app.WorkspaceApp` over one shared
 :class:`Workspace` (whose corpus service is a lock-disciplined monitor
 — see :mod:`repro.corpus.service`), and the cluster parent
@@ -25,16 +26,19 @@ Observability: constructing a server configures the ``repro`` logger
 hierarchy from its config (``log_level``/``log_format``), every handled
 request emits one structured access-log record on ``repro.access``
 (method, path, status, duration, correlation ID), and :meth:`stop`
-drains gracefully — the listener closes first, in-flight requests get
-``drain_timeout`` seconds to finish, and a final stats line is logged.
+drains gracefully — the listener closes first, idle kept-alive
+connections are shut, in-flight requests get ``drain_timeout`` seconds
+to finish (answering with ``Connection: close``), and a final stats
+line is logged.  Nothing is served after :meth:`stop` returns.
 """
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Dict, Optional, Set
 from urllib.parse import parse_qs, urlsplit
 
 from repro.config import ReproConfig
@@ -63,7 +67,83 @@ class _BodyTooLarge(Exception):
     """Internal: a request body crossed the configured ceiling."""
 
 
-def _make_handler(app: RequestFrame, max_body_bytes: int):
+class _Connections:
+    """A host's open connections, so that a drain leaves none.
+
+    A kept-alive connection outlives its requests: its handler thread
+    waits on the socket for the next one, and stopping the accept loop
+    does not stop it.  So :meth:`HttpHost.stop` shuts every idle
+    connection, and a request in flight answers with ``Connection:
+    close``.  A connection is idle (waiting for a request line) or busy
+    (between a request and its response).
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open: Dict[socket.socket, bool] = {}  #: socket -> busy
+        self._threads: Set[threading.Thread] = set()
+        self.stopping = False
+
+    def open(self, sock: socket.socket) -> bool:
+        """Register a new connection; False once the host is stopping."""
+        with self._lock:
+            self._threads = {t for t in self._threads if t.is_alive()}
+            self._threads.add(threading.current_thread())
+            if not self.stopping:
+                self._open[sock] = False
+            return not self.stopping
+
+    def begin(self, sock: socket.socket) -> bool:
+        """A request arrived; False if the drain has shut ``sock``."""
+        with self._lock:
+            if sock not in self._open:
+                return False
+            self._open[sock] = True
+            return True
+
+    def end(self, sock: socket.socket) -> bool:
+        """Its response is out; whether ``sock`` may stay open."""
+        with self._lock:
+            if sock in self._open and not self.stopping:
+                self._open[sock] = False
+                return True
+            self._open.pop(sock, None)
+            return False
+
+    def closed(self, sock: socket.socket) -> None:
+        """Its handler is done with ``sock``."""
+        with self._lock:
+            self._open.pop(sock, None)
+
+    def shut(self, busy: bool = False) -> None:
+        """Refuse new requests and shut the idle connections (with
+        ``busy``, every open one): their handlers read EOF and exit."""
+        with self._lock:
+            self.stopping = True
+            doomed = [
+                sock for sock, working in self._open.items()
+                if busy or not working
+            ]
+            for sock in doomed:
+                del self._open[sock]
+        for sock in doomed:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already gone
+
+    def join(self, timeout: float) -> None:
+        """Wait (bounded) for every handler thread to exit."""
+        deadline = time.monotonic() + timeout
+        with self._lock:
+            threads = self._threads - {threading.current_thread()}
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
+
+
+def _make_handler(
+    app: RequestFrame, max_body_bytes: int, connections: _Connections
+):
     """A request-handler class bound to one app instance."""
 
     class Handler(BaseHTTPRequestHandler):
@@ -72,12 +152,27 @@ def _make_handler(app: RequestFrame, max_body_bytes: int):
         # Keep-alive responses; every response carries Content-Length.
         protocol_version = "HTTP/1.1"
 
+        def handle(self) -> None:
+            if not connections.open(self.connection):
+                return  # accepted as the host began to stop: unserved
+            try:
+                super().handle()
+            finally:
+                connections.closed(self.connection)
+
         def _dispatch(self) -> None:
+            if not connections.begin(self.connection):
+                # The drain shut this idle connection as the request
+                # arrived: it goes unanswered, and unapplied.
+                self.close_connection = True
+                return
             app.begin_request()
             try:
                 self._handle_one()
             finally:
                 app.end_request()
+                if not connections.end(self.connection):
+                    self.close_connection = True
 
         def _read_chunked(self, limit: int) -> bytes:
             """Decode a ``Transfer-Encoding: chunked`` body, capped.
@@ -121,6 +216,8 @@ def _make_handler(app: RequestFrame, max_body_bytes: int):
             at the first chunk that crosses the ceiling.  Either way
             the connection closes (the unread remainder poisons it for
             keep-alive) after the structured ``413`` envelope is sent.
+            A malformed ``Content-Length`` or chunked framing is a
+            ``400`` envelope, and closes the connection too.
             """
             limit = max_body_bytes
             transfer = (
@@ -140,10 +237,20 @@ def _make_handler(app: RequestFrame, max_body_bytes: int):
                     raise ReproError(
                         f"malformed chunked request body: {exc}"
                     ) from None
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                length = 0
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            if not (
+                declared.isascii()
+                and declared.isdigit()
+                and len(declared) < 20
+            ):
+                # The body's end is unknown: the connection cannot
+                # carry another request.
+                self.close_connection = True
+                raise ReproError(
+                    f"malformed Content-Length header {declared!r} "
+                    "(expected a non-negative integer)"
+                )
+            length = int(declared)
             if length > limit:
                 self.close_connection = True
                 raise PayloadTooLargeError(
@@ -186,6 +293,9 @@ def _make_handler(app: RequestFrame, max_body_bytes: int):
             self.send_header("Content-Length", str(len(response.body)))
             for name, value in response.headers.items():
                 self.send_header(name, value)
+            if self.close_connection or connections.stopping:
+                # The connection ends with this response: say so.
+                self.send_header("Connection", "close")
             # Status line, headers and body leave in one socket write
             # (end_headers would flush the head on its own first); an
             # HTTP/0.9 request gets the bare body, as http.server does.
@@ -245,9 +355,10 @@ class HttpHost:
         )
         self.app = app
         self.config = config
+        self._connections = _Connections()
         self.httpd = ThreadingHTTPServer(
             (host, port),
-            _make_handler(app, config.max_body_bytes),
+            _make_handler(app, config.max_body_bytes, self._connections),
         )
         # Handler threads are daemonic: after a drain timeout the
         # process may exit with stragglers still running — the
@@ -304,24 +415,27 @@ class HttpHost:
     ) -> None:
         """Drain and stop: accept no more, finish in-flight, release.
 
-        The accept loop stops first (no new connections), then
-        in-flight requests get up to ``drain_timeout`` seconds to
-        complete before the socket closes.  Requests still pending at
-        the deadline that are blocked on a coalesced in-flight
-        computation (single-flight followers waiting on a leader that
-        will not land in time) are *aborted deterministically*: every
-        pending flight fails with
+        The accept loop stops first (no new connections) and idle
+        kept-alive connections are shut, then in-flight requests get up
+        to ``drain_timeout`` seconds to complete, each answering with
+        ``Connection: close``, before the socket closes.  Requests
+        still pending at the deadline that are blocked on a coalesced
+        in-flight computation (single-flight followers waiting on a
+        leader that will not land in time) are *aborted
+        deterministically*: every pending flight fails with
         :class:`~repro.errors.ServiceUnavailableError`, which the app
         maps to a structured ``503`` — completed-or-503, never a hung
         client.  Only stragglers that are neither finished nor
-        abortable are abandoned to their daemon threads.  Idempotent —
-        signal handlers and ``finally`` blocks may race onto it.
+        abortable are abandoned to their daemon threads, their
+        connections shut.  Idempotent — signal handlers and ``finally``
+        blocks may race onto it.
         """
         with self._stop_lock:
             if self._stopped:
                 return
             self._stopped = True
         self.httpd.shutdown()
+        self._connections.shut()
         deadline = time.monotonic() + max(0.0, drain_timeout)
         while self.app.in_flight() > 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -357,6 +471,8 @@ class HttpHost:
             )
         self._after_drain(drain_timeout)
         logger.info("server stopped", extra=self.app.frame_counters())
+        self._connections.shut(busy=True)
+        self._connections.join(timeout=1.0)
         self.httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -4,11 +4,14 @@ Bit-identity of /matrix and /query against the single-process server
 is asserted exhaustively by the conformance suite (``api`` fixture's
 ``cluster`` parameter); here we pin down the cluster-only behaviours —
 single-flight over HTTP, restart-on-crash, aggregation shapes, header
-relay — plus a raw-wire byte-identity spot check on ``/diff``.
+relay, pooled upstream connections — plus a raw-wire byte-identity
+spot check on ``/diff``.
 """
 
 from __future__ import annotations
 
+import collections
+import http.client
 import json
 import os
 import signal
@@ -20,12 +23,37 @@ import pytest
 from _util import get_json, http_get, http_post, metric_total
 
 from repro.backends.base import SerialBackend
+from repro.client import RemoteWorkspace
 from repro.cluster.shard import shard_for_pair
 from repro.config import ReproConfig
 from repro.errors import ReproError
 from repro.service.server import DiffServer
 
 SPEC = "PA"
+RUNS = ("r01", "r02", "r03", "r04")
+PAIRS = [(a, b) for a in RUNS for b in RUNS if a != b]
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Connections this process opens, by destination port (the
+    cluster parent runs in-thread, so its upstream ones count too)."""
+    counts = collections.Counter()
+    real_connect = http.client.HTTPConnection.connect
+
+    def counting(self):
+        counts[self.port] += 1
+        return real_connect(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+    return counts
+
+
+def _worker_ports(cluster) -> dict:
+    return {
+        member["index"]: member["port"]
+        for member in cluster.supervisor.statuses()
+    }
 
 
 class TestConstruction:
@@ -266,10 +294,65 @@ class TestCoalescing:
         assert 0 <= app.coalesced <= k - 1
 
 
+class TestUpstreamConnections:
+    """The parent keeps one pool of persistent connections per worker:
+    never more connections to a worker than it had requests in flight
+    for that worker at once."""
+
+    def test_sequential_diffs_reuse_one_connection_per_worker(
+        self, fresh_cluster, connects
+    ):
+        assert {shard_for_pair(a, b, 2) for a, b in PAIRS} == {0, 1}
+        remote = RemoteWorkspace(fresh_cluster.url, etag_cache_size=1)
+        for _ in range(3):
+            for a, b in PAIRS:
+                assert remote.diff(a, b, spec=SPEC).run_b == b
+        assert connects[fresh_cluster.port] == 1
+        ports = _worker_ports(fresh_cluster)
+        assert {i: connects[port] for i, port in ports.items()} == {
+            0: 1, 1: 1,
+        }
+
+    def test_concurrent_clients_bound_upstream_connections(
+        self, fresh_cluster, connects
+    ):
+        remote = RemoteWorkspace(fresh_cluster.url, etag_cache_size=1)
+        barrier = threading.Barrier(8)
+        failures = []
+
+        def client(index):
+            barrier.wait()
+            try:
+                for round_ in range(12):
+                    a, b = PAIRS[(index + round_) % len(PAIRS)]
+                    remote.diff(a, b, spec=SPEC)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+        assert failures == []
+        assert 1 <= connects[fresh_cluster.port] <= 8
+        for port in _worker_ports(fresh_cluster).values():
+            assert 1 <= connects[port] <= 8
+
+
 class TestSupervision:
     def test_worker_crash_is_restarted_and_serving_resumes(
-        self, fresh_cluster
+        self, fresh_cluster, connects
     ):
+        # Every pair once: the parent now holds a pooled connection to
+        # each worker, the victim included.
+        for a, b in PAIRS:
+            status, _, _ = http_get(
+                f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
+            )
+            assert status == 200
         health = get_json(f"{fresh_cluster.url}/healthz")
         victim = health["cluster"]["members"][1]
         os.kill(victim["pid"], signal.SIGKILL)
@@ -291,12 +374,16 @@ class TestSupervision:
         assert replacement["restarts"] >= 1
 
         # Every pair still answers — including pairs owned by the
-        # restarted shard — and the restart is visible in /stats.
-        for a, b in (("r01", "r02"), ("r01", "r03"), ("r02", "r04")):
+        # restarted shard, over one fresh connection to the new
+        # incarnation (the dead one's were dropped) — and the restart
+        # is visible in /stats.
+        connects.clear()
+        for a, b in PAIRS:
             status, _, _ = http_get(
                 f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
             )
             assert status == 200
+        assert connects[replacement["port"]] == 1
         stats = get_json(f"{fresh_cluster.url}/stats")
         assert stats["counters"]["cluster_worker_restarts"] >= 1
 

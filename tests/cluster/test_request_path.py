@@ -4,22 +4,33 @@ The cluster parent shares the single-process server's request frame,
 HTTP host, exposition renderer, stats derivation and query page check.
 These tests pin the places where the parent's own copies once drifted:
 its text scrape, its answer to query bodies with more than one fault,
-its ``/stats`` against its ``/metrics``, and its drain.
+its ``/stats`` against its ``/metrics``, its drain, and the framing of
+the bodies it relays.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import time
 
 import pytest
 
 from _util import get_json, http_get, http_post
+from _wire import chunked_post, raw_exchange
 
+from repro.api_types import QueryFilter
 from repro.config import ReproConfig
 from repro.obs.promcheck import parse_exposition
 from repro.service.server import DiffServer
+from repro.stream.events import (
+    ActivityEvent,
+    EdgeEvent,
+    RunClose,
+    RunOpen,
+    encode_events,
+)
 
 SPEC = "PA"
 
@@ -184,3 +195,78 @@ def test_drain_aborts_coalesced_followers_like_one_process(fresh_cluster):
     assert error["message"].startswith("server is shutting down")
     assert error["request_id"] == "drain-1"
     assert fresh_cluster.supervisor.statuses() == []
+
+
+@pytest.fixture
+def cold_pair(corpus_root, tmp_path):
+    """A single process and a two-worker cluster, each over its own
+    copy of the corpus without derived state (cold against cold)."""
+    from repro.cluster.server import ClusterServer
+
+    roots = []
+    for name in ("single", "cluster"):
+        roots.append(tmp_path / name)
+        shutil.copytree(
+            corpus_root, roots[-1], ignore=shutil.ignore_patterns("index")
+        )
+    config = ReproConfig(backend="serial", log_format="off")
+    with DiffServer(roots[0], config) as single, ClusterServer(
+        roots[1], config, workers=2
+    ) as cluster:
+        yield single, cluster
+
+
+def test_chunked_posts_answer_like_one_process(cold_pair):
+    """A chunked body reaches the workers decoded and re-framed: the
+    parent drops the hop-by-hop ``Transfer-Encoding`` and sends its own
+    ``Content-Length`` (forwarding the header with the decoded bytes
+    would leave a worker waiting for chunk framing)."""
+    stream = encode_events(
+        [
+            RunOpen(
+                session="chunked",
+                spec_name="chunked",
+                run_name="chunked1",
+                mode="derive",
+            ),
+            ActivityEvent(session="chunked", seq=2, node="ex:a", label="a"),
+            ActivityEvent(session="chunked", seq=3, node="ex:b", label="b"),
+            EdgeEvent(session="chunked", seq=4, src="ex:a", dst="ex:b"),
+            RunClose(session="chunked", seq=5),
+        ]
+    )
+    requests = [
+        ("/matrix", json.dumps({"spec": SPEC}).encode(), "application/json"),
+        (
+            "/query",
+            json.dumps(
+                {"spec": SPEC, "filter": QueryFilter().to_dict(), "limit": 3}
+            ).encode(),
+            "application/json",
+        ),
+        ("/stream/events", stream, "application/x-ndjson"),
+    ]
+    single, cluster = cold_pair
+    for path, body, content_type in requests:
+        request = chunked_post(path, body, content_type)
+        expected = raw_exchange(single.url, request, timeout=30)
+        answered = raw_exchange(cluster.url, request, timeout=30)
+        assert expected[0] == 200, expected[2]
+        assert answered[0] == 200, answered[2]
+        assert answered[2] == expected[2], path
+
+
+def test_untyped_run_upload_answers_like_one_process(cold_pair):
+    """A body without ``Content-Type`` reaches the worker without one:
+    ``PUT /runs/{name}`` defaults to PROV-JSON in both servers."""
+    single, cluster = cold_pair
+    document = single.workspace.export_prov("r01", spec=SPEC).encode()
+    request = (
+        b"PUT /runs/untyped1 HTTP/1.1\r\nHost: test\r\n"
+        b"Content-Length: " + str(len(document)).encode()
+        + b"\r\nConnection: close\r\n\r\n" + document
+    )
+    expected = raw_exchange(single.url, request, timeout=30)
+    answered = raw_exchange(cluster.url, request, timeout=30)
+    assert expected[0] == 201, expected[2]
+    assert (answered[0], answered[2]) == (expected[0], expected[2])

@@ -117,6 +117,30 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         assert "clean" in proc.stdout
 
+    def test_imports_leave_urllib_request_unloaded(self):
+        """One client transport: the library, the CLI and both servers
+        speak HTTP through :mod:`repro.transport`'s pooled
+        :mod:`http.client` connections, so ``urllib.request`` (a
+        second, connection-per-request client) is never loaded."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli, repro.service.server\n"
+            "import repro.cluster.server\n"
+            "assert 'urllib.request' not in sys.modules, "
+            "'urllib.request was imported'\n"
+            "print('clean')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "clean" in proc.stdout
+
     def test_star_import_is_warning_free(self):
         """``from repro import *`` resolves every ``__all__`` name
         silently and brings none of the removed entry points along."""
@@ -273,6 +297,7 @@ class TestDocumentation:
             "repro.backends.work",
             "repro.api_types",
             "repro.client",
+            "repro.transport",
             "repro.service.app",
             "repro.service.server",
         ],

@@ -203,6 +203,13 @@ class TestClientMapping:
         with pytest.raises(ReproError, match="cannot reach"):
             RemoteWorkspace("http://127.0.0.1:1", timeout=0.5).runs()
 
+    @pytest.mark.parametrize(
+        "url", ["localhost:8321", "ftp://h", "http://h:port", "http://[::1"]
+    )
+    def test_unusable_url_is_refused_up_front(self, url):
+        with pytest.raises(ReproError, match="not an http"):
+            RemoteWorkspace(url)
+
     def test_conflict_maps_to_conflict_error(self, server_url):
         from repro.workflow.generators import random_prov_document
 

@@ -1,18 +1,25 @@
 """The HTTP layer itself: routes, negotiation, ETags, live sockets.
 
 Most tests drive the framework-free :class:`WorkspaceApp` directly
-(request in, response out — no socket); the live-server class at the
-end exercises the real ``ThreadingHTTPServer`` + ``urllib`` path,
-including keep-alive and percent-encoded names.
+(request in, response out — no socket); the live-server classes at the
+end exercise the real ``ThreadingHTTPServer`` through
+:class:`RemoteWorkspace` and raw sockets: percent-encoded names,
+persistent connections, body framing and the drain.
 """
 
+import http.client
 import json
 import logging
+import threading
+import time
 
 import pytest
 
+from _wire import raw_exchange
+
 from repro.client import RemoteWorkspace
 from repro.config import ReproConfig
+from repro.errors import TransportError
 from repro.io.xml_io import specification_to_xml
 from repro.service.app import (
     HttpRequest,
@@ -20,6 +27,7 @@ from repro.service.app import (
     WorkspaceApp,
     XML_TYPE,
 )
+from repro.service.server import DiffServer
 from repro.workflow.real_workflows import emboss
 from repro.workspace import Workspace
 
@@ -411,3 +419,176 @@ class TestWireEncoding:
             assert len(writes) == 1, (path, len(writes))
             assert writes[0].startswith(f"HTTP/1.1 {status} ".encode())
             assert writes[0].endswith(body)
+
+
+class TestBodyFraming:
+    """A request whose body cannot be delimited is refused, and its
+    connection closed, before the app sees it."""
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "+5", "1_0"])
+    def test_malformed_content_length_is_a_400_envelope(
+        self, server, declared
+    ):
+        body = b'{"spec":"PA","runs":["r01","r02"]}'
+        status, headers, raw, rest = raw_exchange(
+            server.url,
+            b"POST /matrix HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + declared.encode() + b"\r\n\r\n" + body,
+        )
+        assert status == 400
+        envelope = json.loads(raw)["error"]
+        assert envelope["type"] == "ReproError"
+        assert "Content-Length" in envelope["message"]
+        assert envelope["request_id"] == headers["x-request-id"]
+        # The unread body is never parsed as a next request.
+        assert headers["connection"] == "close"
+        assert rest == b""
+
+    def test_well_formed_content_length_keeps_the_connection(self, server):
+        body = b'{"spec":"PA","runs":["r01","r02"]}'
+        request = (
+            b"POST /matrix HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body
+        )
+        close = (
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+            b"Connection: close\r\n\r\n"
+        )
+        status, headers, raw, rest = raw_exchange(server.url, request + close)
+        assert status == 200
+        assert "connection" not in headers
+        assert json.loads(raw)["runs"] == ["r01", "r02"]
+        assert rest.startswith(b"HTTP/1.1 200 ")
+
+
+class TestPersistentConnections:
+    """One kept-alive connection per client thread, not per request."""
+
+    @staticmethod
+    def count_accepts(server, monkeypatch):
+        accepted = []
+        real = server.httpd.get_request
+
+        def counting():
+            connection = real()
+            accepted.append(connection)
+            return connection
+
+        monkeypatch.setattr(server.httpd, "get_request", counting)
+        return accepted
+
+    def test_sequential_diffs_share_one_connection(
+        self, server, monkeypatch
+    ):
+        remote = RemoteWorkspace(server.url, etag_cache_size=1)
+        remote.diff("r01", "r02", spec="PA")  # warm
+        accepted = self.count_accepts(server, monkeypatch)
+        for _ in range(100):
+            assert remote.diff("r01", "r02", spec="PA").run_b == "r02"
+        assert len(accepted) == 0  # the warm-up's connection served all
+
+        fresh = RemoteWorkspace(server.url, etag_cache_size=1)
+        for _ in range(100):
+            fresh.diff("r02", "r01", spec="PA")
+        assert len(accepted) == 1
+
+    def test_client_threads_open_at_most_one_connection_each(
+        self, server, monkeypatch
+    ):
+        accepted = self.count_accepts(server, monkeypatch)
+        remote = RemoteWorkspace(server.url, etag_cache_size=1)
+        barrier = threading.Barrier(8)
+        failures = []
+
+        def client(index):
+            barrier.wait()
+            try:
+                for round_ in range(20):
+                    run_b = ("r02", "r03", "r04")[(index + round_) % 3]
+                    remote.diff("r01", run_b, spec="PA")
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert failures == []
+        assert 1 <= len(accepted) <= 8
+
+
+class TestDrain:
+    """``stop()`` ends kept-alive connections: nothing is served after
+    it returns, and a request in flight finishes with ``Connection:
+    close``."""
+
+    @pytest.fixture
+    def live(self, corpus_root):
+        before = set(threading.enumerate())
+        server = DiffServer(
+            corpus_root, ReproConfig(backend="serial", log_format="off")
+        ).start()
+        try:
+            yield server, before
+        finally:
+            server.stop()
+
+    def test_nothing_is_served_after_stop(self, live):
+        server, before = live
+        remote = RemoteWorkspace(server.url)
+        assert remote.diff("r01", "r02", spec="PA").run_b == "r02"
+        server.stop()
+        # Every handler thread (one per connection) and the accept
+        # loop have exited by the time stop() returns.
+        assert set(threading.enumerate()) <= before
+        with pytest.raises(TransportError):
+            remote.diff("r01", "r03", spec="PA")
+
+    def test_request_in_flight_at_stop_completes_with_close(self, live):
+        server, before = live
+        entered, gate = threading.Event(), threading.Event()
+        real_handle = server.app.handle
+
+        def held(request):
+            if request.path == "/healthz":
+                entered.set()
+                gate.wait(10)
+            return real_handle(request)
+
+        server.app.handle = held
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        answers = {}
+
+        def call():
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            answers["status"] = response.status
+            answers["connection"] = response.getheader("Connection")
+            answers["body"] = response.read()
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        assert entered.wait(10)
+        stopper = threading.Thread(target=server.stop)
+        stopper.start()
+        deadline = time.monotonic() + 10
+        while not server._connections.stopping:
+            assert time.monotonic() < deadline, "stop() never began"
+            time.sleep(0.01)
+        gate.set()
+        caller.join(10)
+        stopper.join(15)
+        assert not stopper.is_alive()
+        assert answers["status"] == 200
+        assert answers["connection"] == "close"
+        assert json.loads(answers["body"])["status"] == "ok"
+        assert set(threading.enumerate()) <= before
+        connection.close()

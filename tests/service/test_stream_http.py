@@ -10,11 +10,11 @@ is ingested exactly once.
 from __future__ import annotations
 
 import json
-import socket
 
 import pytest
 
 from _fixture import SPEC_NAME, VARIED
+from _wire import raw_exchange
 
 from repro.client import RemoteWorkspace
 from repro.config import ReproConfig
@@ -31,22 +31,13 @@ from repro.workflow.execution import execute_workflow
 
 def _post_raw(server, path, body, headers):
     """One raw POST on a fresh socket; returns (status, parsed body)."""
-    with socket.create_connection(
-        (server.host, server.port), timeout=10
-    ) as sock:
-        head = [f"POST {path} HTTP/1.1", f"Host: {server.host}"]
-        head += [f"{k}: {v}" for k, v in headers.items()]
-        head += ["Connection: close", "", ""]
-        sock.sendall("\r\n".join(head).encode("ascii") + body)
-        raw = b""
-        while True:
-            part = sock.recv(65536)
-            if not part:
-                break
-            raw += part
-    status = int(raw.split(b" ", 2)[1])
-    payload = json.loads(raw.split(b"\r\n\r\n", 1)[1])
-    return status, payload
+    head = [f"POST {path} HTTP/1.1", f"Host: {server.host}"]
+    head += [f"{k}: {v}" for k, v in headers.items()]
+    head += ["Connection: close", "", ""]
+    status, _, raw, _ = raw_exchange(
+        server.url, "\r\n".join(head).encode("ascii") + body
+    )
+    return status, json.loads(raw)
 
 
 #: Small enough to exercise rejections, large enough for the streaming
