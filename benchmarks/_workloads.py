@@ -7,8 +7,8 @@ keeping every workload *shape* identical; set the environment variable
 ``REPRO_BENCH_SCALE`` (default ``1.0``) to grow or shrink the sweeps.
 
 Every benchmark writes its printed table to ``benchmarks/results/`` so the
-figures can be compared against the paper after a run (EXPERIMENTS.md
-records one such run).
+figures can be compared against the paper after a run (the committed
+``BENCH_*`` files and ``docs/PERFORMANCE.md`` record such runs).
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@
 The baseline reproduces what every pair cost before the fast paths
 landed: load the corpus, then — per pair — realign specifications,
 build both :class:`DeletionTables` and the :class:`SpecCostTables`
-from scratch, and fill the DP table *eagerly* over the full product of
-homologous node pairs (the original ``_run`` loop).  The optimised
-side is a cold :meth:`DiffService.distance_matrix` on the serial
-backend, which layers fingerprint seeding, lazy demand-driven cells,
-the ``≡``-shortcut, batch-shared tables and shapes, and batch-shared
-distance-only cells.
+from scratch, and fill the identity-keyed DP table
+(:class:`~repro.baselines.identity_dp.IdentityKeyedComputation`)
+*eagerly* over the full product of homologous node pairs (the original
+``_run`` loop).  The optimised side is a cold
+:meth:`DiffService.distance_matrix` on the serial backend, which layers
+fingerprint seeding, lazy demand-driven cells, the ``≡``-shortcut,
+batch-shared tables and shapes, and batch-shared DP cells.
 
 The optimised matrix is asserted bit-identical to the baseline; the
 speedup is written to ``benchmarks/results/BENCH_dp.json`` so later
@@ -31,7 +32,8 @@ from pathlib import Path
 from _workloads import RESULTS_DIR, emit, scaled
 
 from repro.backends.base import SerialBackend
-from repro.core.api import EditDistanceComputation, _align_specs
+from repro.baselines.identity_dp import IdentityKeyedComputation
+from repro.core.api import _align_specs
 from repro.corpus.service import DiffService
 from repro.costs.standard import UnitCost
 from repro.io.store import WorkflowStore
@@ -70,9 +72,9 @@ def baseline_matrix(store: WorkflowStore, cost) -> "tuple[float, dict]":
 
     Mirrors the original computation faithfully — the ``_decide*``
     bodies are unchanged, so forcing every homologous product through
-    ``decision`` with per-pair tables reproduces the old cost profile
-    (and its exact float results, which the optimised paths must hit
-    bit-for-bit).
+    the identity-keyed ``decision`` with per-pair tables reproduces the
+    old cost profile (and its exact float results, which the optimised
+    paths must hit bit-for-bit).
     """
     start = time.perf_counter()
     spec = store.load_specification("PA")
@@ -83,7 +85,7 @@ def baseline_matrix(store: WorkflowStore, cost) -> "tuple[float, dict]":
         for b in names[i + 1:]:
             run1, run2 = runs[a], runs[b]
             run2 = _align_specs(run1, run2)
-            comp = EditDistanceComputation(
+            comp = IdentityKeyedComputation(
                 run1.spec, run1.tree, run2.tree, cost
             )
             groups1 = _group_by_origin(run1.tree)

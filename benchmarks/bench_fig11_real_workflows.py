@@ -6,13 +6,18 @@ specification and reports the time to compute the minimum-cost edit script
 runs are generated in memory, so there is nothing to omit).
 
 Scaled reproduction: totals 200-1200 (x ``REPRO_BENCH_SCALE``), 3 sample
-pairs per point.  The claims preserved are the *shape*: time grows
-polynomially with the total edge count, every workflow pair of <= 200
-edges diffs in well under a second, and the loop-heavy PGAQ is among the
-slowest — as in the paper.
+pairs per point, drawn from seeds that are the same in every process.
+The claims preserved are the *shape*: time grows polynomially with the
+total edge count, and every workflow pair of <= 200 edges diffs in well
+under a second.  The order of the workflows is not the paper's: at
+1,200 edges MB is the slowest here, then EMBOSS and PA, and the
+loop-heavy PGAQ is the fastest, with the paper's identity-keyed DP
+(MB 2.79 s, PGAQ 0.21 s per pair on a 2-core VM) and with the shape
+cells (MB 0.30 s, PGAQ 0.07 s).
 """
 
 import statistics
+import zlib
 
 import pytest
 
@@ -26,6 +31,12 @@ TOTALS = [scaled(200), scaled(400), scaled(800), scaled(1200)]
 SAMPLES = 3
 
 
+def pair_seed(name: str, total: int, sample: int) -> int:
+    """A seed that is the same in every process (``hash`` of a string
+    is salted per process, so it would time different pairs each run)."""
+    return zlib.crc32(f"{name}|{total}|{sample}".encode()) % 10_000
+
+
 def sweep():
     rows = []
     specs = all_real_workflows()
@@ -35,7 +46,7 @@ def sweep():
             achieved = []
             for sample in range(SAMPLES):
                 pair = run_pair_with_total_edges(
-                    spec, total, seed=hash((name, total, sample)) % 10_000
+                    spec, total, seed=pair_seed(name, total, sample)
                 )
                 elapsed, result = timed(
                     diff_runs, pair[0], pair[1], cost=UnitCost()

@@ -29,16 +29,11 @@ class DistanceTask:
     DP direction — the corpus layer orders them before dispatch so a
     cached value stays bit-identical to a fresh listing-order
     computation regardless of backend.
-
-    ``assume_aligned`` asserts that both runs are annotated against the
-    same specification object, letting the worker skip the per-pair
-    alignment check (the service loads batches through one spec).
     """
 
     run_a: WorkflowRun
     run_b: WorkflowRun
     cost: CostModel
-    assume_aligned: bool = False
 
 
 @dataclass
@@ -56,7 +51,6 @@ def compute_distance(task: DistanceTask, shared: SharedTables) -> float:
         task.run_a,
         task.run_b,
         cost=task.cost,
-        assume_aligned=task.assume_aligned,
         shared=shared,
     )
 

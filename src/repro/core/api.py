@@ -113,6 +113,11 @@ def diff_runs(
 ) -> DiffResult:
     """Compute the edit distance and minimum-cost edit script (O(|E|³)).
 
+    One DP serves the distance, the mapping and the script: child pairs
+    are priced through the ``≡``-shortcut and the shape cells, and the
+    traceback decides only the pairs it visits
+    (:mod:`repro.core.edit_distance`).
+
     Parameters
     ----------
     run1, run2:
@@ -127,9 +132,10 @@ def diff_runs(
     record_intermediates / validate_intermediates:
         Keep (and structurally validate) a graph snapshot per operation.
     shared:
-        Optional per-batch :class:`~repro.core.memo.SharedTables` so one
+        Optional per-batch :class:`~repro.core.memo.SharedTables`: each
         run's deletion tables and shapes are built once across a batch
-        of pairs (scripts never read its distance-only cells).
+        of pairs, and each distinct pair of subtree shapes is priced
+        once, for distances and scripts alike.
 
     Returns
     -------
@@ -167,35 +173,21 @@ def distance_only(
     run1: WorkflowRun,
     run2: WorkflowRun,
     cost: Optional[CostModel] = None,
-    assume_aligned: bool = False,
     shared: Optional[SharedTables] = None,
 ) -> float:
     """Compute ``δ(run1, run2)`` without mapping or script extraction.
 
     The fast path for corpus-scale sweeps (distance matrices, nearest-run
-    queries, cache fills): it runs the edit-distance DP only — lazily, with
-    the ``≡``-shortcut enabled — skipping the optimal-mapping backtrace
-    and script generation that :func:`diff_runs` always pays for.
-    Workers in :class:`repro.corpus.service.DiffService` call this per
-    pair.
-
-    ``assume_aligned=True`` skips the per-pair specification alignment
-    check entirely; callers assert that both runs were annotated against
-    the *same* specification object (the corpus layer guarantees this by
-    loading every run of a batch through one spec).  ``shared`` reuses
-    the batch's tables, node shapes and DP cells.
+    queries, cache fills): the same DP as :func:`diff_runs`, without
+    the optimal-mapping backtrace and script generation.  Workers in
+    :class:`repro.corpus.service.DiffService` call this per pair;
+    ``shared`` reuses the batch's tables, node shapes and DP cells.
     """
     if cost is None:
         cost = shared.cost if shared is not None else UnitCost()
-    if not assume_aligned:
-        run2 = _align_specs(run1, run2)
+    run2 = _align_specs(run1, run2)
     return EditDistanceComputation(
-        run1.spec,
-        run1.tree,
-        run2.tree,
-        cost,
-        shared=shared,
-        distance_only=True,
+        run1.spec, run1.tree, run2.tree, cost, shared=shared
     ).distance
 
 

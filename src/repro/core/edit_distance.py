@@ -18,34 +18,32 @@ the minimum mapping cost ``γ(M(v1, v2))``:
 
 The total work is O(|E|³) as analysed in Section V-D.
 
-Cells are computed **lazily**: :meth:`decision` memoises on demand from
-the root pair down, so only reachable homologous pairs are ever priced.
-Three fast paths trim the work further without changing a single bit
-of any produced value.  All three live in one batch-wide
+Cells are computed **lazily**, and every child pair is priced by
+:meth:`EditDistanceComputation.pair_cost`, one DP path for distances,
+mappings and edit scripts alike, through the cheapest source that
+determines the cost without changing a bit of any produced value:
+
+* **The ``≡``-shortcut** — a homologous pair whose subtrees have the
+  same *shape* (ordered, origin-annotated structure) maps at cost
+  exactly ``0.0``: every branch bottoms out in same-origin Q pairs, and
+  every intermediate sum and minimum is taken over exact zeros.  ``≡``
+  subtrees whose P or F children arrive in a different order have
+  different shapes; they reach the DP, which still returns exactly
+  ``0.0``.
+* **Shared cells** — any other non-root pair is decided once per batch
+  and stored under its two shapes; later pairs of the batch read the
+  cost back.  Equal shapes feed every recurrence identical inputs in
+  identical order, so a stored cost is bit-identical to a recomputed
+  one (see :mod:`repro.core.memo`).
+* **Decisions** — any other pair goes to :meth:`decision`, the
+  identity-keyed memo that the traceback (``extract_mapping``,
+  ``generate_script``) reads.  ``_decide`` reads only its children's
+  costs, so it makes the choice a DP without shortcut or cells makes;
+  the traceback decides the pairs it visits that pricing skipped.
+
+Cells, tables and shapes live in one batch-wide
 :class:`~repro.core.memo.SharedTables`; a computation built without one
 gets a private instance.
-
-* **Shared tables** — per-run
-  :class:`~repro.core.deletion.DeletionTables` and the per-spec
-  :class:`~repro.core.spec_costs.SpecCostTables` are built once per
-  batch.  They are pure functions of ``(tree, cost)``; sharing merely
-  avoids rebuilding them.
-* **The ``≡``-shortcut** (``distance_only=True``) — a homologous pair
-  whose subtrees have the same *shape* (ordered, origin-annotated
-  structure) maps at cost exactly ``0.0``: every branch bottoms out in
-  same-origin Q pairs, and every intermediate sum and minimum is taken
-  over exact zeros.  ``≡`` subtrees whose P or F children arrive in a
-  different order have different shapes; they reach the DP, which
-  still returns exactly ``0.0``.
-* **Shared cells** (``distance_only=True``) — any other non-root pair
-  is decided once per batch and stored under its two shapes; later
-  pairs of the batch read the cost back.  Equal shapes feed every
-  recurrence identical inputs in identical order, so a stored cost is
-  bit-identical to a recomputed one (see :mod:`repro.core.memo`).
-
-Distance-only pricing produces costs only; mapping and script
-extraction need each pair's ``matched`` list and must construct the
-computation without it.
 """
 
 from __future__ import annotations
@@ -90,10 +88,6 @@ class EditDistanceComputation:
         The batch's :class:`~repro.core.memo.SharedTables` (tables,
         shapes, cells); must be bound to the same cost model object.
         ``None`` builds a private one.
-    distance_only:
-        Prices pairs through the ``≡``-shortcut and the shared cells
-        (see the module docstring).  Such a computation is for
-        :attr:`distance`, not for mapping extraction.
     """
 
     def __init__(
@@ -103,7 +97,6 @@ class EditDistanceComputation:
         tree2: SPTree,
         cost: CostModel,
         shared: Optional[SharedTables] = None,
-        distance_only: bool = False,
     ):
         self.spec = spec
         self.tree1 = tree1
@@ -119,7 +112,7 @@ class EditDistanceComputation:
         shared.intern(tree1)
         shared.intern(tree2)
         self._shape_of = shared.shape_of
-        self._cells = shared.cells if distance_only else None
+        self._cells = shared.cells
         self.deletions1 = shared.deletions(tree1)
         self.deletions2 = shared.deletions(tree2)
         self.spec_tables = shared.spec_tables(spec)
@@ -127,7 +120,7 @@ class EditDistanceComputation:
 
     # ------------------------------------------------------------------
     def decision(self, v1: SPTree, v2: SPTree) -> PairDecision:
-        """The DP cell for a homologous pair (computed on demand)."""
+        """The pair's decision, memoised by node identity on demand."""
         key = (id(v1), id(v2))
         cell = self._pairs.get(key)
         if cell is None:
@@ -138,21 +131,18 @@ class EditDistanceComputation:
     def pair_cost(self, v1: SPTree, v2: SPTree) -> float:
         """``γ(M(v1, v2))`` — minimum mapping cost for the pair.
 
-        Distance-only computations price the pair by its two shapes:
-        the ``≡``-shortcut, then the batch's shared cells.  The root
-        pair is unique to this computation, so it is never stored.
+        The ``≡``-shortcut, then the batch's cell for the two shapes,
+        then :meth:`decision`.  The root pair is unique to this
+        computation, so its cost is never stored as a cell.
         """
-        cells = self._cells
-        if cells is None:
-            return self.decision(v1, v2).cost
         key = (self._shape_of[id(v1)], self._shape_of[id(v2)])
         if key[0] == key[1]:
             return 0.0
-        cost = cells.get(key)
+        cost = self._cells.get(key)
         if cost is None:
-            cost = self._decide(v1, v2).cost
+            cost = self.decision(v1, v2).cost
             if v1 is not self.tree1:
-                cells[key] = cost
+                self._cells[key] = cost
         return cost
 
     @property

@@ -1,9 +1,10 @@
 """Per-batch sharing of DP work across pair computations.
 
 A cold ``distance_matrix`` over ``N`` runs performs ``N·(N−1)/2`` DPs,
-and the runs of one specification repeat most of their subtrees.  A
-:class:`SharedTables` instance memoises, for the lifetime of one batch,
-what those DPs have in common:
+a ``diff_many`` sweep one per pair, and the runs of one specification
+repeat most of their subtrees.  A :class:`SharedTables` instance
+memoises, for the lifetime of one batch, what those DPs have in
+common:
 
 * each run's :class:`DeletionTables` and the per-spec
   :class:`SpecCostTables`, built once per batch instead of once per
@@ -14,7 +15,11 @@ what those DPs have in common:
   origin-annotated subtree, ``(kind, id(origin), source_label,
   sink_label, child shapes in child order)``.  Each tree is walked once
   per batch, and the walk doubles as origin validation;
-* the distance-only DP **cells**, ``(shape1, shape2) → cost``.
+* the DP **cells**, ``(shape1, shape2) → cost``, which every
+  computation prices its child pairs through, whether it then stops at
+  the distance or goes on to a mapping and an edit script.  A cell
+  holds a cost only: the traceback reads each visited pair's decision
+  from its own computation's identity-keyed memo.
 
 An order-preserving shape key is exactly strong enough for sharing a
 cell.  Everything a cell reads is a function of the two ordered
@@ -51,7 +56,7 @@ from repro.sptree.nodes import SPTree
 
 
 class SharedTables:
-    """One batch's memo of tables, node shapes and distance-only cells.
+    """One batch's memo of tables, node shapes and DP cells.
 
     Bound to a single cost model; the edit-distance DP refuses a
     mismatched cost at construction time rather than serving tables
@@ -62,7 +67,7 @@ class SharedTables:
         self.cost = cost
         #: ``id(node) → shape`` for every node of every interned tree.
         self.shape_of: Dict[int, int] = {}
-        #: Distance-only DP cells: ``(shape1, shape2) → γ(M(v1, v2))``.
+        #: DP cells: ``(shape1, shape2) → γ(M(v1, v2))``.
         self.cells: Dict[Tuple[int, int], float] = {}
         self._lock = threading.Lock()
         self._deletions: Dict[int, Tuple[SPTree, DeletionTables]] = {}

@@ -742,17 +742,7 @@ class DiffService:
                 a, b = pair
                 run_a = self._load_run(spec, a)
                 run_b = self._load_run(spec, b)
-                return DistanceTask(
-                    run_a=run_a,
-                    run_b=run_b,
-                    cost=cost,
-                    # Alignment hoisted out of the per-pair worker
-                    # (S3): both runs of a batch load through one spec
-                    # object, which the identity check certifies — a
-                    # run annotated elsewhere falls back to the old
-                    # per-pair alignment.
-                    assume_aligned=run_a.spec is run_b.spec,
-                )
+                return DistanceTask(run_a=run_a, run_b=run_b, cost=cost)
 
             backend_name = type(self.backend).__name__
             try:

@@ -51,7 +51,8 @@ class FlowNetwork:
         self._succ: Dict[NodeId, List[EdgeId]] = {}
         self._pred: Dict[NodeId, List[EdgeId]] = {}
         self._edge_key_counter: Dict[Tuple[NodeId, NodeId], int] = {}
-        self._edges: List[EdgeId] = []
+        #: Edge ids in insertion order (a dict for O(1) membership).
+        self._edges: Dict[EdgeId, None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,8 +90,6 @@ class FlowNetwork:
         if key is None:
             key = self._edge_key_counter.get((u, v), 0)
         edge = (u, v, key)
-        if edge in self._succ and edge in self._edges:  # pragma: no cover
-            raise GraphStructureError(f"duplicate edge id {edge!r}")
         if edge in self._edges:
             raise GraphStructureError(f"duplicate edge id {edge!r}")
         self._edge_key_counter[(u, v)] = max(
@@ -98,15 +97,15 @@ class FlowNetwork:
         )
         self._succ[u].append(edge)
         self._pred[v].append(edge)
-        self._edges.append(edge)
+        self._edges[edge] = None
         return edge
 
     def remove_edge(self, edge: EdgeId) -> None:
         """Remove an edge by its ``(u, v, key)`` id."""
         u, v, _ = edge
         try:
-            self._edges.remove(edge)
-        except ValueError:
+            del self._edges[edge]
+        except KeyError:
             raise GraphStructureError(f"edge {edge!r} not in graph") from None
         self._succ[u].remove(edge)
         self._pred[v].remove(edge)

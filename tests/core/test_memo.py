@@ -1,12 +1,11 @@
-"""Shared DP work (:mod:`repro.core.memo`) and the alignment hoist.
+"""Shared DP work (:mod:`repro.core.memo`).
 
-Sharing tables, shapes and distance-only cells across a batch's pairs
-must be invisible in the results — each is a pure function of the
-ordered subtrees and the cost model, so a shared computation returns
-the *bit-identical* distance of an unshared one, just without
-recomputing anything.  The alignment hoist
-(``assume_aligned``) likewise skips per-pair work that the corpus
-layer has already done once, without touching the DP's inputs.
+Sharing tables, shapes and cells across a batch's pairs must be
+invisible in the results — each is a pure function of the ordered
+subtrees and the cost model, so a shared computation returns the
+*bit-identical* distance of the identity-keyed DP
+(:class:`~repro.baselines.identity_dp.IdentityKeyedComputation`), just
+without recomputing anything.
 """
 
 import random
@@ -17,7 +16,7 @@ import pytest
 
 from repro import ReproConfig, Workspace
 from repro.backends.base import ThreadBackend
-from repro.core import api as core_api
+from repro.baselines.identity_dp import IdentityKeyedComputation
 from repro.core import deletion as core_deletion
 from repro.core.api import diff_runs, distance_only
 from repro.core.edit_distance import EditDistanceComputation
@@ -89,15 +88,15 @@ class TestSharedTables:
     def test_shared_distances_are_bit_identical(self, cost, factory):
         # Forks, loops and parallel branches; both directions of every
         # pair, visited in a seeded shuffled order so the shared cells
-        # fill in an order unrelated to the listing.  The oracle runs
-        # the mapping DP, which uses neither the shortcut nor cells.
+        # fill in an order unrelated to the listing.  The oracle is the
+        # identity-keyed DP, which uses neither the shortcut nor cells.
         spec, runs = _corpus(16, factory)
         directed = [(a, b) for a in runs for b in runs if a is not b]
         random.Random(16).shuffle(directed)
         shared = SharedTables(cost)
         for run_a, run_b in directed:
-            oracle = diff_runs(
-                run_a, run_b, cost=cost, with_script=False
+            oracle = IdentityKeyedComputation(
+                spec, run_a.tree, run_b.tree, cost
             ).distance
             together = distance_only(
                 run_a, run_b, cost=cost, shared=shared
@@ -170,10 +169,10 @@ class TestSharedTables:
             assert shapes[id(p1)] != shapes[id(p2)]
         assert shapes[id(tree)] != shapes[id(mirror)]
         fast = EditDistanceComputation(
-            spec, tree, mirror, cost, shared=shared, distance_only=True
+            spec, tree, mirror, cost, shared=shared
         )
         assert fast.distance == 0.0
-        assert EditDistanceComputation(
+        assert IdentityKeyedComputation(
             spec, tree, mirror, cost
         ).distance == 0.0
 
@@ -284,32 +283,7 @@ class TestSharedTables:
         ) == distance_only(runs[0], runs[1], cost=cost)
 
 
-class TestAlignmentHoist:
-    def test_assume_aligned_skips_the_per_pair_check(self, monkeypatch):
-        spec, runs = _corpus(3)
-        calls = {"count": 0}
-        original = core_api._align_specs
-
-        def counting(run1, run2):
-            calls["count"] += 1
-            return original(run1, run2)
-
-        monkeypatch.setattr(core_api, "_align_specs", counting)
-        baseline = [
-            distance_only(a, b, cost=UnitCost())
-            for a, b in _pairs(runs)
-        ]
-        assert calls["count"] == len(_pairs(runs))
-        calls["count"] = 0
-        hoisted = [
-            distance_only(
-                a, b, cost=UnitCost(), assume_aligned=True
-            )
-            for a, b in _pairs(runs)
-        ]
-        assert calls["count"] == 0
-        assert hoisted == baseline  # bit-identical results
-
+class TestAlignment:
     def test_unaligned_default_still_checks(self):
         spec, runs = _corpus(2)
         other_spec = protein_annotation()

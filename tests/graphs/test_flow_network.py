@@ -70,6 +70,15 @@ class TestConstruction:
         with pytest.raises(GraphStructureError):
             graph.remove_edge(("s", "a", 0))
 
+    def test_edges_keep_insertion_order_through_remove_and_readd(self):
+        graph = simple_network()
+        before = list(graph.edges())
+        graph.remove_edge(before[1])
+        assert list(graph.edges()) == before[:1] + before[2:]
+        graph.add_edge(*before[1])
+        assert list(graph.edges()) == before[:1] + before[2:] + before[1:2]
+        assert graph.num_edges == len(before)
+
     def test_remove_node_requires_isolation(self):
         graph = simple_network()
         with pytest.raises(GraphStructureError, match="incident"):

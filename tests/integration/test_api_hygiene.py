@@ -174,7 +174,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "4.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"
@@ -225,7 +225,8 @@ class TestImportSurface:
 
 
 class TestNoKernelKeyword:
-    """The DP has one convolution, so no layer takes a ``kernel``."""
+    """The DP has one convolution and one path, so no layer takes a
+    ``kernel`` or a keyword that picks a mode."""
 
     @pytest.mark.parametrize(
         "dotted",
@@ -242,6 +243,23 @@ class TestNoKernelKeyword:
         module_name, attribute = dotted.rsplit(".", 1)
         target = getattr(importlib.import_module(module_name), attribute)
         assert "kernel" not in inspect.signature(target).parameters
+
+    @pytest.mark.parametrize(
+        "dotted, keyword",
+        [
+            (
+                "repro.core.edit_distance.EditDistanceComputation",
+                "distance_only",
+            ),
+            ("repro.core.api.distance_only", "assume_aligned"),
+            ("repro.distance_only", "assume_aligned"),
+        ],
+    )
+    def test_one_dp_path_has_no_mode_keyword(self, dotted, keyword):
+        """Distances and scripts share one DP, so no layer picks one."""
+        module_name, attribute = dotted.rsplit(".", 1)
+        target = getattr(importlib.import_module(module_name), attribute)
+        assert keyword not in inspect.signature(target).parameters
 
 
 class TestDocumentation:
