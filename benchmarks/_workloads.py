@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import time
+import zlib
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -39,6 +40,16 @@ def emit(name: str, lines: List[str]) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf8")
+
+
+def stable_seed(*parts: object) -> int:
+    """A seed in ``[0, 10000)`` that is the same in every process.
+
+    ``hash`` of a string is salted per process (``PYTHONHASHSEED``), so
+    a sweep seeded with it would time different inputs on every run.
+    """
+    key = "|".join(str(part) for part in parts)
+    return zlib.crc32(key.encode()) % 10_000
 
 
 def timed(func: Callable, *args, **kwargs) -> Tuple[float, object]:

@@ -16,7 +16,7 @@ from repro.costs.standard import UnitCost
 from repro.workflow.execution import ExecutionParams, execute_workflow
 from repro.workflow.generators import random_specification
 
-from _workloads import emit, scaled, timed
+from _workloads import emit, scaled, stable_seed, timed
 
 SIZES = [scaled(100), scaled(200), scaled(400)]
 SAMPLES = 3
@@ -30,7 +30,7 @@ def sweep():
             times = []
             for sample in range(SAMPLES):
                 spec = random_specification(
-                    size, ratio, seed=hash((label, size, sample)) % 9999
+                    size, ratio, seed=stable_seed(label, size, sample)
                 )
                 run = execute_workflow(spec, PARAMS, seed=sample)
                 elapsed, _ = timed(

@@ -17,7 +17,6 @@ cells (MB 0.30 s, PGAQ 0.07 s).
 """
 
 import statistics
-import zlib
 
 import pytest
 
@@ -25,16 +24,16 @@ from repro.core.api import diff_runs
 from repro.costs.standard import UnitCost
 from repro.workflow.real_workflows import all_real_workflows
 
-from _workloads import emit, run_pair_with_total_edges, scaled, timed
+from _workloads import (
+    emit,
+    run_pair_with_total_edges,
+    scaled,
+    stable_seed,
+    timed,
+)
 
 TOTALS = [scaled(200), scaled(400), scaled(800), scaled(1200)]
 SAMPLES = 3
-
-
-def pair_seed(name: str, total: int, sample: int) -> int:
-    """A seed that is the same in every process (``hash`` of a string
-    is salted per process, so it would time different pairs each run)."""
-    return zlib.crc32(f"{name}|{total}|{sample}".encode()) % 10_000
 
 
 def sweep():
@@ -46,7 +45,7 @@ def sweep():
             achieved = []
             for sample in range(SAMPLES):
                 pair = run_pair_with_total_edges(
-                    spec, total, seed=pair_seed(name, total, sample)
+                    spec, total, seed=stable_seed(name, total, sample)
                 )
                 elapsed, result = timed(
                     diff_runs, pair[0], pair[1], cost=UnitCost()

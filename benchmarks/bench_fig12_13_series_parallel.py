@@ -24,7 +24,7 @@ from repro.costs.standard import UnitCost
 from repro.workflow.execution import ExecutionParams
 from repro.workflow.generators import random_run_pair, random_specification
 
-from _workloads import emit, scaled, timed
+from _workloads import emit, scaled, stable_seed, timed
 
 RATIOS = [("r=3", 3.0), ("r=1", 1.0), ("r=1/3", 1.0 / 3.0)]
 SIZES = [scaled(80), scaled(160), scaled(240), scaled(320)]
@@ -41,7 +41,7 @@ def sweep():
             distances = []
             for sample in range(SAMPLES):
                 spec = random_specification(
-                    size, ratio, seed=hash((label, size, sample)) % 10_000
+                    size, ratio, seed=stable_seed(label, size, sample)
                 )
                 one, two = random_run_pair(
                     spec, PARAMS, seed=sample + 17

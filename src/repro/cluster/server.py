@@ -2,13 +2,14 @@
 
 A :class:`ClusterServer` is a routing parent over ``N`` pre-forked
 worker processes (see :mod:`repro.cluster.worker`), each an ordinary
-single-process diff server owning a deterministic shard of the pair
-space.  The parent binds the public socket and speaks the *same wire
-surface* as a single :class:`~repro.service.server.DiffServer` — every
-endpoint, envelope, header and byte — so clients (and the conformance
-suite) cannot tell the difference.
+single-process diff server over the shared store.  The parent binds the
+public socket and speaks the *same wire surface* as a single
+:class:`~repro.service.server.DiffServer` — every endpoint, envelope,
+header and byte — so clients (and the conformance suite) cannot tell
+the difference.
 
-Routing, by endpoint:
+Every request has one owner, except the three cluster-wide reads and
+writes that must visit each worker:
 
 * ``GET /diff/{a}/{b}`` → the worker owning
   :func:`~repro.cluster.shard.shard_for_pair` ``(a, b)``, behind a
@@ -20,21 +21,18 @@ Routing, by endpoint:
   owning :func:`~repro.cluster.shard.shard_for_name`.
 * ``PUT /specs/{name}`` → broadcast to every worker (each memoises
   specifications and fingerprints in memory over the shared store).
-* ``POST /matrix`` / ``POST /query`` → scatter-gather: every worker
-  receives the request plus a ``shard: {index, count}`` body parameter
-  and evaluates only its own pairs; the parent merges the shard results
-  back into exact single-process listing order (and re-applies the
-  query cursor/limit), so the merged response is bit-identical.
-* ``GET /stats`` → scatter; integral counters sum, derived ratios are
-  recomputed from the summed counters, and parent-level ``cluster_*``
-  counters ride along (``source`` becomes ``"cluster"``).
-* ``GET /metrics`` → scatter (JSON snapshots); every sample gains a
-  ``worker="i"`` label, the parent's own registry joins the merge, and
-  the merged snapshot renders as Prometheus text or JSON.
+* ``GET /stats`` → every worker; integral counters sum, derived ratios
+  are recomputed from the summed counters, and parent-level
+  ``cluster_*`` counters ride along (``source`` becomes ``"cluster"``).
+* ``GET /metrics`` → every worker (JSON snapshots); every sample gains
+  a ``worker="i"`` label, the parent's own registry joins the merge,
+  and the merged snapshot renders as Prometheus text or JSON.
 * ``GET /healthz`` → worker 0's payload plus a ``cluster`` block with
   per-worker liveness, ports and restart counts.
-* Everything else (spec/run listings, summaries, streams, 404s) →
-  worker 0, verbatim.
+* Everything else (``POST /matrix``, ``POST /query``, spec/run
+  listings, summaries, streams, 404s) → worker 0, verbatim.  A
+  family's matrix or query page is one job: one serial batch shares
+  DP cells that a split across workers would lose.
 
 The parent reaches each worker through one pool of persistent HTTP/1.1
 connections (:class:`~repro.transport.ConnectionPool`), replaced when
@@ -43,21 +41,19 @@ supervisor's restart and retries once; if the shard stays down the
 client receives a structured 503 (``ServiceUnavailableError``) — never
 a hung socket.
 
-Everything but routing, coalescing, scatter and merge is the single
-process's own code: its request frame, HTTP host, exposition renderer,
-stats derivation and query page check.
+Everything but routing, coalescing and the ``/stats``/``/metrics``
+merge is the single process's own code: its request frame, HTTP host,
+exposition renderer and stats derivation.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import urlencode
 
-from repro.api_types import WIRE_VERSION, derive_stats, encode_cursor
+from repro.api_types import WIRE_VERSION, derive_stats
 from repro.cluster.shard import shard_for_name, shard_for_pair
 from repro.cluster.singleflight import SingleFlight
 from repro.cluster.supervisor import WorkerHandle, WorkerSupervisor
@@ -72,7 +68,6 @@ from repro.service.app import (
     HttpResponse,
     RequestFrame,
     _package_version,
-    page_offset,
     wants_json_metrics,
 )
 from repro.service.server import HttpHost
@@ -121,7 +116,7 @@ def _upstream_headers(headers: Dict[str, str]) -> Dict[str, str]:
 
 
 class _ClusterApp(RequestFrame):
-    """The parent's request handler: routes, coalesces, scatters, merges.
+    """The parent's request handler: routes, coalesces, merges scrapes.
 
     Runs in the single process's :class:`~repro.service.app.RequestFrame`
     over the parent's own registry, with metric prefix ``cluster``.
@@ -192,23 +187,17 @@ class _ClusterApp(RequestFrame):
             name = request.query.get("name", "")
             worker = shard_for_name(name, count) if name else 0
             return self._forward(worker, request)
-        if parts == ["matrix"] and method == "POST":
-            return self._matrix(request)
-        if parts == ["query"] and method == "POST":
-            return self._query(request)
-        # Everything else — spec/run listings, summaries, streaming,
-        # unknown routes — is answered by worker 0 verbatim, envelope
-        # and all.  (Streaming ingestion is deliberately unsharded:
-        # session sequencing state lives in one hub.)
+        # Everything else — matrices, queries, spec/run listings,
+        # summaries, streaming, unknown routes — is answered by worker
+        # 0 verbatim, envelope and all.  A family's matrix or query
+        # page is one job, and one serial batch shares DP cells that a
+        # split would lose; stream sessions keep their sequencing state
+        # in one hub.
         return self._forward(0, request)
 
     # -- proxy plumbing ---------------------------------------------------
     def _forward(
-        self,
-        worker: int,
-        request: HttpRequest,
-        body: Optional[bytes] = None,
-        retry: bool = True,
+        self, worker: int, request: HttpRequest, retry: bool = True
     ) -> HttpResponse:
         """One upstream round trip to ``worker``; retries one restart.
 
@@ -223,7 +212,7 @@ class _ClusterApp(RequestFrame):
             if attempt:
                 self.server.wait_for_worker(worker)
             try:
-                return self._roundtrip(worker, request, body)
+                return self._roundtrip(worker, request)
             except TRANSPORT_ERRORS:
                 pass
         raise ServiceUnavailableError(
@@ -250,23 +239,19 @@ class _ClusterApp(RequestFrame):
         return pool
 
     def _roundtrip(
-        self,
-        worker: int,
-        request: HttpRequest,
-        body: Optional[bytes],
+        self, worker: int, request: HttpRequest
     ) -> HttpResponse:
         target = request.path
         if request.query:
             target += "?" + urlencode(request.query)
         method = request.method.upper()
-        payload = body if body is not None else (request.body or None)
         # Structured worker errors (404/409/413/...) and 304s are
         # answers, not transport failures: relay them untouched.
         return self._relay(
             *self._pool(worker).request(
                 method,
                 target,
-                payload,
+                request.body or None,
                 _upstream_headers(request.headers),
                 resend=method in IDEMPOTENT_METHODS,
             )
@@ -287,44 +272,22 @@ class _ClusterApp(RequestFrame):
             },
         )
 
-    def _scatter(
-        self,
-        request: HttpRequest,
-        bodies: Optional[List[Optional[bytes]]] = None,
-    ) -> List[HttpResponse]:
-        """The same request to every worker, concurrently."""
-        count = self.server.count
-        bodies = bodies if bodies is not None else [None] * count
-        if count == 1:
-            return [self._forward(0, request, body=bodies[0])]
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            futures = [
-                pool.submit(self._forward, i, request, bodies[i])
-                for i in range(count)
-            ]
-            return [future.result() for future in futures]
+    def _scatter(self, request: HttpRequest) -> List[HttpResponse]:
+        """The same request to every worker, one after another."""
+        return [
+            self._forward(i, request) for i in range(self.server.count)
+        ]
 
     def _gather(
-        self, request: HttpRequest, body: Optional[dict] = None
+        self, request: HttpRequest
     ) -> Tuple[Optional[HttpResponse], List[dict]]:
         """Scatter ``request`` and decode every worker's JSON payload.
 
-        Given a ``body``, worker ``i`` receives it plus ``shard:
-        {index: i, count: N}`` and evaluates only the pairs its shard
-        owns.  Returns ``(failure, payloads)``: the first non-200
-        worker response (relayed verbatim) and no payloads, or
-        ``None`` and one payload per worker, in shard order.
+        Returns ``(failure, payloads)``: the first non-200 worker
+        response (relayed verbatim) and no payloads, or ``None`` and
+        one payload per worker, in shard order.
         """
-        bodies = None
-        if body is not None:
-            count = self.server.count
-            bodies = [
-                json.dumps(
-                    {**body, "shard": {"index": i, "count": count}}
-                ).encode("utf8")
-                for i in range(count)
-            ]
-        responses = self._scatter(request, bodies)
+        responses = self._scatter(request)
         for response in responses:
             if response.status != 200:
                 return response, []
@@ -372,97 +335,6 @@ class _ClusterApp(RequestFrame):
         return next(
             (r for r in responses if r.status != 200), responses[0]
         )
-
-    # -- scatter-gather: matrix -------------------------------------------
-    def _matrix(self, request: HttpRequest) -> HttpResponse:
-        body = request.json_body()
-        if not isinstance(body, dict):
-            raise ReproError("matrix request body must be an object")
-        if "shard" in body:
-            # A caller doing its own sharding talks to one worker.
-            return self._forward(0, request)
-        failure, payloads = self._gather(request, body)
-        if failure is not None:
-            return failure
-        position = {
-            name: i for i, name in enumerate(payloads[0]["runs"])
-        }
-        triples = sorted(
-            (t for payload in payloads for t in payload["distances"]),
-            key=lambda t: (position[t[0]], position[t[1]]),
-        )
-        return HttpResponse.json({**payloads[0], "distances": triples})
-
-    # -- scatter-gather: query --------------------------------------------
-    def _query(self, request: HttpRequest) -> HttpResponse:
-        body = request.json_body()
-        if not isinstance(body, dict):
-            raise ReproError("query request body must be an object")
-        offset = page_offset(body)
-        if "shard" in body:
-            return self._forward(0, request)
-        # Workers evaluate their whole shard (no cursor, no limit);
-        # pagination is re-applied on the merged, re-ordered stream.
-        failure, payloads = self._gather(
-            request,
-            {
-                key: value
-                for key, value in body.items()
-                if key not in ("limit", "cursor")
-            },
-        )
-        if failure is not None:
-            return failure
-        position = self._pair_positions(body, payloads[0]["spec"])
-        items = sorted(
-            (item for payload in payloads for item in payload["items"]),
-            key=lambda item: (
-                position[item["run_a"]], position[item["run_b"]]
-            ),
-        )
-        total = sum(payload["total_matches"] for payload in payloads)
-        limit = body.get("limit")
-        end = len(items) if limit is None else min(
-            offset + limit, len(items)
-        )
-        return HttpResponse.json(
-            {
-                **payloads[0],
-                "total_matches": total,
-                "items": items[offset:end],
-                "cursor": body.get("cursor"),
-                "next_cursor": encode_cursor(end) if end < total else None,
-            }
-        )
-
-    def _pair_positions(
-        self, body: dict, spec_name: str
-    ) -> Dict[str, int]:
-        """Run-name → listing position, for re-ordering merged items.
-
-        Pair enumeration order over any run subset is the
-        lexicographic order of (first, second) listing positions;
-        restricting to a subsequence preserves those comparisons, so
-        positions in the *full* listing sort a merged shard stream
-        into exact single-process order.  An explicit ``runs`` body
-        parameter defines its own order and is used verbatim.
-        """
-        explicit = body.get("runs")
-        if isinstance(explicit, list):
-            return {str(name): i for i, name in enumerate(explicit)}
-        listing = self._forward(
-            0,
-            HttpRequest(
-                method="GET", path="/runs",
-                query={"spec": spec_name},
-            ),
-        )
-        if listing.status != 200:
-            raise ReproError(
-                "cluster could not list runs to merge query results"
-            )
-        names = listing.json_payload()["runs"]
-        return {name: i for i, name in enumerate(names)}
 
     # -- aggregated health -------------------------------------------------
     def _healthz(self, request: HttpRequest) -> HttpResponse:

@@ -13,7 +13,6 @@ cache — the same canonicalisation the distance cache itself uses.
 """
 
 import hashlib
-from typing import Tuple
 
 __all__ = ["shard_for_name", "shard_for_pair", "pair_shard_key"]
 
@@ -46,10 +45,3 @@ def shard_for_pair(name_a: str, name_b: str, count: int) -> int:
         return 0
     return _stable_hash(pair_shard_key(name_a, name_b)) % count
 
-
-def shard_spread(names: Tuple[str, ...], count: int) -> Tuple[int, ...]:
-    """Per-shard run counts for a corpus listing (capacity planning)."""
-    counts = [0] * count
-    for name in names:
-        counts[shard_for_name(name, count)] += 1
-    return tuple(counts)

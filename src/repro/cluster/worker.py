@@ -1,13 +1,13 @@
-"""The cluster worker entry point: one sharded diff server process.
+"""The cluster worker entry point: one diff server process.
 
 :func:`worker_main` is the function a
 :class:`~repro.cluster.supervisor.WorkerSupervisor` spawns (via the
 ``spawn`` multiprocessing context, so it must be importable by name and
 its arguments picklable).  Each worker is a complete, ordinary
 :class:`~repro.service.server.DiffServer` over the *shared* store
-directory — the sharding lives entirely in the routing parent, which
-only sends a worker the requests (and scatter sub-requests carrying a
-``shard`` body parameter) its shard owns.
+directory.  The sharding lives entirely in the routing parent, which
+forwards each request whole to the one worker that owns it; a worker
+never sees a partial request and answers exactly as one process.
 
 Workers keep the configured persistence: every worker's derived state
 (distance and script caches, fingerprint and script indexes) goes

@@ -29,7 +29,7 @@ from the warm index at I/O speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.api import diff_runs
 from repro.core.edit_script import PathOperation
@@ -126,7 +126,6 @@ class QueryEngine:
         predicate: Optional[Predicate] = None,
         cost: Optional[CostModel] = None,
         runs: Optional[Sequence[str]] = None,
-        pair_filter: Optional[Callable[[str, str], bool]] = None,
     ) -> Iterator[ScriptDoc]:
         """Stream the diffs whose edit scripts satisfy ``predicate``.
 
@@ -135,19 +134,11 @@ class QueryEngine:
         are computed (and indexed) on the fly; cached pairs whose keys
         the index rules out are skipped without loading their scripts;
         the rest are loaded and checked exactly.
-
-        ``pair_filter`` restricts evaluation to a subset of the pair
-        enumeration *without* changing the order of survivors — the
-        cluster's scatter-gather uses it so each worker evaluates only
-        the pairs its shard owns and the parent can merge shard results
-        back into the exact single-process listing order.
         """
         predicate = predicate if predicate is not None else MatchAll()
         cost = cost or UnitCost()
         names = self._names(spec_name, runs)
         pairs = _ordered_pairs(names)
-        if pair_filter is not None:
-            pairs = [pair for pair in pairs if pair_filter(*pair)]
         if not pairs:
             return
         cost_key = cost_model_key(cost)

@@ -722,37 +722,6 @@ class WorkspaceApp(RequestFrame):
         )
         return HttpResponse.json(outcome.to_dict(), headers=headers)
 
-    @staticmethod
-    def _shard_param(body: dict, what: str):
-        """Validate an optional ``shard: {index, count}`` body object.
-
-        Cluster workers receive it from the routing parent so each
-        evaluates only the pairs its shard owns; single-process clients
-        simply omit it.
-        """
-        shard = body.get("shard")
-        if shard is None:
-            return None
-        if not isinstance(shard, dict):
-            raise ReproError(
-                f"{what} 'shard' must be an object with "
-                f"'index' and 'count', got {shard!r}"
-            )
-        index = shard.get("index")
-        count = shard.get("count")
-        for label, value in (("index", index), ("count", count)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ReproError(
-                    f"{what} shard {label!r} must be an integer, "
-                    f"got {value!r}"
-                )
-        if count <= 0 or not 0 <= index < count:
-            raise ReproError(
-                f"{what} shard requires 0 <= index < count, "
-                f"got index={index} count={count}"
-            )
-        return (index, count)
-
     def _matrix(self, request: HttpRequest) -> HttpResponse:
         body = request.json_body()
         if not isinstance(body, dict):
@@ -760,12 +729,7 @@ class WorkspaceApp(RequestFrame):
         spec = self._check_spec(body.get("spec"))
         cost = self._cost_param(body.get("cost"))
         runs = _run_list(body.get("runs"), "matrix")
-        result = self.workspace.matrix(
-            spec=spec,
-            cost=cost,
-            runs=runs,
-            shard=self._shard_param(body, "matrix"),
-        )
+        result = self.workspace.matrix(spec=spec, cost=cost, runs=runs)
         return HttpResponse.json(result.to_dict())
 
     # -- querying ---------------------------------------------------------
@@ -783,7 +747,6 @@ class WorkspaceApp(RequestFrame):
             cursor=body.get("cursor"),
             limit=body.get("limit"),
             runs=_run_list(body.get("runs"), "query"),
-            shard=self._shard_param(body, "query"),
         )
         return HttpResponse.json(page.to_dict())
 

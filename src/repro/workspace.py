@@ -49,7 +49,6 @@ from repro.api_types import (
     decode_cursor,
     encode_cursor,
 )
-from repro.cluster.shard import shard_for_pair
 from repro.config import ReproConfig
 from repro.core.api import diff_runs
 from repro.corpus.fingerprint import cost_model_key
@@ -353,7 +352,6 @@ class Workspace:
         spec: Optional[str] = None,
         cost: Optional[CostModel] = None,
         runs: Optional[Sequence[str]] = None,
-        shard: Optional[Tuple[int, int]] = None,
     ) -> MatrixResult:
         """All-pairs distances as a typed :class:`MatrixResult`.
 
@@ -362,37 +360,21 @@ class Workspace:
         listing order) while carrying the spec name, cost identity and
         run listing for transport.  Cold pairs fan out on the
         configured backend, warm pairs answer from the cache tiers.
-
-        ``shard=(index, count)`` restricts the computation to the pairs
-        a cluster worker owns (by :func:`shard_for_pair`); the returned
-        matrix carries the *full* run listing but only that shard's
-        distances, so the routing parent can union shard results into
-        the complete, bit-identical matrix.
+        One call is one batch: every cold pair shares the batch's DP
+        cells, which is why a served cluster forwards each matrix
+        request whole to one worker.
         """
         cost = cost or self.config.cost
         spec_name = self._spec_name(spec)
         names = list(runs) if runs is not None else self.runs(spec_name)
-        if shard is not None:
-            index, count = shard
-            pairs = [
-                (a, b)
-                for i, a in enumerate(names)
-                for b in names[i + 1 :]
-                if shard_for_pair(a, b, count) == index
-            ]
-            distances = self.service.distances(
-                spec_name, pairs, cost=cost
-            )
-        else:
-            distances = self.service.distance_matrix(
-                spec_name, cost=cost, runs=names
-            )
         return MatrixResult(
             spec_name=spec_name,
             cost_model=cost.name,
             cost_key=cost_model_key(cost),
             runs=names,
-            distances=distances,
+            distances=self.service.distance_matrix(
+                spec_name, cost=cost, runs=names
+            ),
         )
 
     def nearest(
@@ -501,7 +483,6 @@ class Workspace:
         cursor: Optional[str] = None,
         limit: Optional[int] = None,
         runs: Optional[Sequence[str]] = None,
-        shard: Optional[Tuple[int, int]] = None,
     ) -> QueryPage:
         """One page of the diffs matching a :class:`QueryFilter`.
 
@@ -509,29 +490,16 @@ class Workspace:
         the corpus's deterministic listing order, so an opaque cursor
         (``page.next_cursor``) resumes exactly where the previous page
         stopped.  ``limit=None`` returns everything in one page.
-
-        ``shard=(index, count)`` evaluates only the pairs that shard
-        owns (cluster scatter); the parent re-sorts merged shard items
-        into global listing order and re-applies cursor/limit, so the
-        paged result is bit-identical to a single process's.
+        A served cluster forwards each page request whole to one
+        worker, so its pages are exactly this method's.
         """
         filter = filter if filter is not None else QueryFilter()
         cost = cost or self.config.cost
         spec_name = self._spec_name(spec)
         runs = self._runs_matching_metadata(spec_name, filter, runs)
-        pair_filter = None
-        if shard is not None:
-            index, count = shard
-            pair_filter = (
-                lambda a, b: shard_for_pair(a, b, count) == index
-            )
         docs = list(
             self.engine.select(
-                spec_name,
-                filter.to_predicate(),
-                cost=cost,
-                runs=runs,
-                pair_filter=pair_filter,
+                spec_name, filter.to_predicate(), cost=cost, runs=runs
             )
         )
         offset = decode_cursor(cursor)

@@ -1,11 +1,11 @@
 """The routing cluster over the wire: coalescing, supervision, merge.
 
-Bit-identity of /matrix and /query against the single-process server
-is asserted exhaustively by the conformance suite (``api`` fixture's
+Bit-identity of /matrix and /query against the in-process workspace
+is asserted by the conformance suite (its ``served_ws`` fixture's
 ``cluster`` parameter); here we pin down the cluster-only behaviours —
-single-flight over HTTP, restart-on-crash, aggregation shapes, header
-relay, pooled upstream connections — plus a raw-wire byte-identity
-spot check on ``/diff``.
+one owner per request, single-flight over HTTP, restart-on-crash,
+aggregation shapes, header relay, pooled upstream connections — plus a
+raw-wire byte-identity spot check on ``/diff``.
 """
 
 from __future__ import annotations
@@ -141,17 +141,6 @@ class TestClusterSurface:
         envelope = json.loads(body)["error"]
         assert "nope" in envelope["message"]
 
-    def test_shard_param_validation_relayed(self, cluster):
-        status, _, body = http_post(
-            f"{cluster.url}/matrix",
-            {
-                "spec": SPEC,
-                "shard": {"index": 5, "count": 2},
-            },
-        )
-        assert status == 400
-        assert "shard" in json.loads(body)["error"]["message"]
-
     def test_runs_listing_unified(self, cluster):
         payload = get_json(f"{cluster.url}/runs?spec={SPEC}")
         assert payload["runs"] == ["r01", "r02", "r03", "r04"]
@@ -219,6 +208,67 @@ class TestClusterSurface:
                 )
         assert envelopes[0] == envelopes[1]
         assert envelopes[0][0] == 400
+
+
+def _requests_by_route(snapshot: dict, family: str, route: str) -> float:
+    """``family``'s samples for ``route``, summed over every other
+    label (``worker`` included)."""
+    return sum(
+        sample["value"]
+        for sample in snapshot["metrics"][family]["samples"]
+        if sample["labels"]["route"] == route
+    )
+
+
+class TestOneOwner:
+    """Each ``/matrix`` and ``/query`` is forwarded whole to one worker:
+    one upstream request per client request, and the answer is the
+    full one whatever the body carries."""
+
+    def test_each_matrix_and_query_costs_one_upstream_request(
+        self, fresh_cluster
+    ):
+        k = 3
+        app = fresh_cluster.app
+        proxied = app.proxied
+        for _ in range(k):
+            status, _, _ = http_post(
+                f"{fresh_cluster.url}/matrix", {"spec": SPEC}
+            )
+            assert status == 200
+            status, _, _ = http_post(
+                f"{fresh_cluster.url}/query", {"spec": SPEC, "limit": 2}
+            )
+            assert status == 200
+        # ``app.proxied`` is /stats' ``cluster_proxied``, read in
+        # process: a /stats request forwards to every worker itself.
+        assert app.proxied - proxied == 2 * k
+        snapshot = get_json(f"{fresh_cluster.url}/metrics?format=json")
+        for route in ("/matrix", "/query"):
+            parent = _requests_by_route(
+                snapshot, "cluster_requests_total", route
+            )
+            workers = _requests_by_route(
+                snapshot, "server_requests_total", route
+            )
+            assert workers == parent == k, route
+
+    @pytest.mark.parametrize("route", ["matrix", "query"])
+    def test_a_shard_key_gets_the_full_answer(self, cluster, route):
+        """``shard`` is an unknown body key like any other: it neither
+        splits the answer nor draws an error."""
+        answers = [
+            http_post(f"{cluster.url}/{route}", {"spec": SPEC, **extra})
+            for extra in ({}, {"shard": {"index": 0, "count": 2}})
+        ]
+        assert [status for status, _, _ in answers] == [200, 200]
+        plain, sharded = (json.loads(body) for _, _, body in answers)
+        assert sharded == plain
+        if route == "matrix":
+            assert len(sharded["distances"]) == 6
+        else:
+            assert sharded["total_matches"] == 6
+            assert len(sharded["items"]) == 6
 
 
 class TestCoalescing:

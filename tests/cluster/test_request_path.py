@@ -113,7 +113,9 @@ def test_stats_and_metrics_agree_on_parent_requests(cluster):
         f"{cluster.url}/diff/r01/r02?spec={SPEC}",
         headers={"If-None-Match": headers["ETag"]},
     )
-    http_post(f"{cluster.url}/query", {"limit": -1})
+    # An error the parent answers itself: a query fault is the owning
+    # worker's to answer, and counts in the workers' families.
+    http_get(f"{cluster.url}/metrics?format=yaml")
     counters = get_json(f"{cluster.url}/stats")["counters"]
     families = _scrape(cluster.url)
     assert _total(families, "cluster_requests_total") == (

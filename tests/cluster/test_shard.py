@@ -1,5 +1,6 @@
 """Shard assignment: deterministic, process-independent, undirected."""
 
+import collections
 import subprocess
 import sys
 
@@ -10,7 +11,6 @@ from repro.cluster.shard import (
     shard_for_name,
     shard_for_pair,
 )
-from repro.cluster.shard import shard_spread
 from repro.errors import ReproError  # noqa: F401 - parity import
 
 
@@ -56,10 +56,11 @@ class TestShardForName:
         assert outputs == {local}
 
     def test_spreads_across_shards(self):
-        names = tuple(f"run-{i}" for i in range(64))
-        spread = shard_spread(names, 4)
-        assert sum(spread) == 64
-        assert all(count > 0 for count in spread)
+        owners = collections.Counter(
+            shard_for_name(f"run-{i}", 4) for i in range(64)
+        )
+        assert sum(owners.values()) == 64
+        assert set(owners) == {0, 1, 2, 3}
 
 
 class TestShardForPair:

@@ -174,7 +174,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"
@@ -259,6 +259,25 @@ class TestNoKernelKeyword:
         """Distances and scripts share one DP, so no layer picks one."""
         module_name, attribute = dotted.rsplit(".", 1)
         target = getattr(importlib.import_module(module_name), attribute)
+        assert keyword not in inspect.signature(target).parameters
+
+
+class TestOneOwnerPerRequest:
+    """A served cluster forwards each matrix and query whole to one
+    worker, so no layer takes a keyword that evaluates a shard of it."""
+
+    @pytest.mark.parametrize(
+        "owner, method, keyword",
+        [
+            ("repro.workspace.Workspace", "matrix", "shard"),
+            ("repro.workspace.Workspace", "query_page", "shard"),
+            ("repro.query.engine.QueryEngine", "select", "pair_filter"),
+        ],
+    )
+    def test_no_partial_evaluation_keyword(self, owner, method, keyword):
+        module_name, attribute = owner.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module_name), attribute)
+        target = getattr(cls, method)
         assert keyword not in inspect.signature(target).parameters
 
 

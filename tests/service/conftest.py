@@ -119,6 +119,13 @@ def api(request, local_ws, remote_ws, cluster_ws):
     }[request.param]
 
 
+@pytest.fixture(params=["remote", "cluster"])
+def served_ws(request, remote_ws, cluster_ws):
+    """A served workspace: one server process, or the two-worker
+    cluster, whose parent forwards each request to one worker."""
+    return {"remote": remote_ws, "cluster": cluster_ws}[request.param]
+
+
 @pytest.fixture
 def spec_name() -> str:
     """The fixture specification's name."""

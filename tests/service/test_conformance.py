@@ -1,10 +1,11 @@
 """Protocol conformance: ``Workspace`` ≡ ``RemoteWorkspace``.
 
-Every test here runs against both implementations through the
-parametrized ``api`` fixture (the remote one talking to a live server),
-and the cross-implementation tests assert *bit-identical* payloads —
-distances, edit scripts, and query results may never drift between the
-in-process and the served workspace.
+Every test here runs against every implementation through the
+parametrized ``api`` fixture (the remote ones talking to a live server
+and to a two-worker cluster), and the cross-implementation tests assert
+*bit-identical* payloads — distances, edit scripts, and query results
+may never drift between the in-process workspace and either served
+one (``served_ws``).
 
 Ordering note: the corpus-mutating tests (uploads, second spec) sit at
 the end of the module so the exact-listing assertions above them stay
@@ -48,50 +49,51 @@ class TestSurface:
 
 
 class TestIdenticalResults:
-    """Local and remote must agree to the last bit (and byte)."""
+    """Local and served — by one process or by the cluster — must
+    agree to the last bit (and byte)."""
 
     @pytest.mark.parametrize(
         "pair", [("r01", "r02"), ("r02", "r01"), ("r03", "r04")]
     )
-    def test_diff_payloads_identical(self, local_ws, remote_ws, pair):
+    def test_diff_payloads_identical(self, local_ws, served_ws, pair):
         local = local_ws.diff(*pair)
-        remote = remote_ws.diff(*pair)
-        assert local.to_dict() == remote.to_dict()
-        assert local.distance == remote.distance  # bit-identical float
-        assert local.cost_key == remote.cost_key
+        served = served_ws.diff(*pair)
+        assert local.to_dict() == served.to_dict()
+        assert local.distance == served.distance  # bit-identical float
+        assert local.cost_key == served.cost_key
 
     @pytest.mark.parametrize(
         "cost", [LengthCost(), PowerCost(0.5)], ids=["length", "power"]
     )
     def test_diffs_identical_under_other_costs(
-        self, local_ws, remote_ws, cost
+        self, local_ws, served_ws, cost
     ):
         local = local_ws.diff("r01", "r03", cost=cost)
-        remote = remote_ws.diff("r01", "r03", cost=cost)
-        assert local.to_dict() == remote.to_dict()
+        served = served_ws.diff("r01", "r03", cost=cost)
+        assert local.to_dict() == served.to_dict()
 
-    def test_matrix_identical(self, local_ws, remote_ws):
+    def test_matrix_identical(self, local_ws, served_ws):
         local = local_ws.matrix()
-        remote = remote_ws.matrix()
-        assert local == remote  # MatrixResult field equality
-        assert local.to_dict() == remote.to_dict()
-        assert dict(local) == dict(remote)  # legacy mapping face
+        served = served_ws.matrix()
+        assert local == served  # MatrixResult field equality
+        assert local.to_dict() == served.to_dict()
+        assert dict(local) == dict(served)  # legacy mapping face
 
-    def test_matrix_subset_identical(self, local_ws, remote_ws):
+    def test_matrix_subset_identical(self, local_ws, served_ws):
         subset = ["r01", "r03"]
         assert local_ws.matrix(runs=subset).to_dict() == (
-            remote_ws.matrix(runs=subset).to_dict()
+            served_ws.matrix(runs=subset).to_dict()
         )
 
-    def test_query_results_identical(self, local_ws, remote_ws):
+    def test_query_results_identical(self, local_ws, served_ws):
         filter = QueryFilter(kinds=("path-deletion",), min_cost=1.0)
         local = local_ws.query_page(filter)
-        remote = remote_ws.query_page(filter)
-        assert local.to_dict() == remote.to_dict()
-        assert local.total_matches == remote.total_matches
+        served = served_ws.query_page(filter)
+        assert local.to_dict() == served.to_dict()
+        assert local.total_matches == served.total_matches
 
     def test_query_pagination_walk_identical(
-        self, local_ws, remote_ws
+        self, local_ws, served_ws
     ):
         """Walking page by page visits the same diffs in the same
         order on both implementations, and cursors line up."""
@@ -106,33 +108,33 @@ class TestIdenticalResults:
                 cursor = page.next_cursor
 
         local_pages = walk(local_ws)
-        remote_pages = walk(remote_ws)
-        assert local_pages == remote_pages
+        served_pages = walk(served_ws)
+        assert local_pages == served_pages
         assert len(local_pages) == 3  # 6 pairs, 2 per page
 
     def test_query_items_feed_the_aggregations(
-        self, local_ws, remote_ws
+        self, local_ws, served_ws
     ):
-        """Remote page items are duck-compatible with the local
+        """Served page items are duck-compatible with the local
         engine's docs for the aggregation helpers."""
         local_docs = local_ws.query()
-        remote_items = remote_ws.query()
-        assert op_kind_histogram(remote_items) == op_kind_histogram(
+        served_items = served_ws.query()
+        assert op_kind_histogram(served_items) == op_kind_histogram(
             local_docs
         )
-        assert module_churn(remote_items) == module_churn(local_docs)
+        assert module_churn(served_items) == module_churn(local_docs)
 
-    def test_analytics_identical(self, local_ws, remote_ws):
-        assert local_ws.nearest("r01") == remote_ws.nearest("r01")
-        assert local_ws.nearest("r01", k=2) == remote_ws.nearest(
+    def test_analytics_identical(self, local_ws, served_ws):
+        assert local_ws.nearest("r01") == served_ws.nearest("r01")
+        assert local_ws.nearest("r01", k=2) == served_ws.nearest(
             "r01", k=2
         )
-        assert local_ws.medoid() == remote_ws.medoid()
-        assert local_ws.outliers() == remote_ws.outliers()
-        assert local_ws.outliers(top=2) == remote_ws.outliers(top=2)
+        assert local_ws.medoid() == served_ws.medoid()
+        assert local_ws.outliers() == served_ws.outliers()
+        assert local_ws.outliers(top=2) == served_ws.outliers(top=2)
 
-    def test_export_prov_byte_identical(self, local_ws, remote_ws):
-        assert local_ws.export_prov("r02") == remote_ws.export_prov(
+    def test_export_prov_byte_identical(self, local_ws, served_ws):
+        assert local_ws.export_prov("r02") == served_ws.export_prov(
             "r02"
         )
 
