@@ -14,10 +14,17 @@ cells:
   the pure-Python DP gains no speed from threads (they only contend),
   but the pool overlaps the XML-parsing share of a cold batch.
 
+A backend maps a plain callable over a batch: nothing crosses a
+process boundary, so a task is a closure over the two runs and the
+batch's tables, and the workers :func:`compute_distance` and
+:func:`compute_script` take ``(run_a, run_b, cost, shared)``
+directly (6.0 removed the ``DistanceTask``/``ScriptTask`` payloads,
+which existed to be pickled to the deleted process pool).
+
 The one path that runs the DP on more than one core is ``repro serve
---workers N`` (:mod:`repro.cluster`), which shards requests over
-worker processes.  Property tests assert bit-identical distance
-matrices and edit-script costs across backends.  Select one through
+--workers N`` (:mod:`repro.cluster`), which routes requests to worker
+processes.  Property tests assert bit-identical distance matrices and
+edit-script costs across backends.  Select one through
 :class:`repro.config.ReproConfig` (``backend="thread"``, ``jobs=8``)
 or pass an instance anywhere a backend is accepted.
 """
@@ -29,12 +36,7 @@ from repro.backends.base import (
     ThreadBackend,
     make_backend,
 )
-from repro.backends.work import (
-    DistanceTask,
-    ScriptTask,
-    compute_distance,
-    compute_script,
-)
+from repro.backends.work import compute_distance, compute_script
 
 __all__ = [
     "BACKEND_NAMES",
@@ -42,8 +44,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "make_backend",
-    "DistanceTask",
-    "ScriptTask",
     "compute_distance",
     "compute_script",
 ]

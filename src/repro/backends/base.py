@@ -1,7 +1,7 @@
 """The :class:`ExecutorBackend` contract and its two implementations.
 
 A backend executes a *batch*: a function applied to a sequence of
-task payloads, returning results in input order.  The contract is
+tasks, returning results in input order.  The contract is
 deliberately tiny — ``map(func, tasks)`` — so the corpus layer can
 route every CPU-heavy batch (distance sweeps, batch script generation)
 through one seam.  Both built-ins run in-process, so ``func`` may be

@@ -12,11 +12,10 @@ Every request has one owner, except the three cluster-wide reads and
 writes that must visit each worker:
 
 * ``GET /diff/{a}/{b}`` → the worker owning
-  :func:`~repro.cluster.shard.shard_for_pair` ``(a, b)``, behind a
-  parent-side single-flight table: concurrent identical diff requests
-  collapse into one upstream call (and the worker's own single-flight
-  collapses whatever still races through, so K cold identical requests
-  cost exactly one DP cluster-wide).
+  :func:`~repro.cluster.shard.shard_for_pair` ``(a, b)``.  Every
+  request for one run pair reaches one worker, whose service coalesces
+  identical cold computations, so K concurrent identical cold requests
+  cost exactly one DP cluster-wide; the parent forwards each of them.
 * ``GET/PUT /runs/{name}`` and ``POST /prov/import?name=`` → the worker
   owning :func:`~repro.cluster.shard.shard_for_name`.
 * ``PUT /specs/{name}`` → broadcast to every worker (each memoises
@@ -41,9 +40,9 @@ supervisor's restart and retries once; if the shard stays down the
 client receives a structured 503 (``ServiceUnavailableError``) — never
 a hung socket.
 
-Everything but routing, coalescing and the ``/stats``/``/metrics``
-merge is the single process's own code: its request frame, HTTP host,
-exposition renderer and stats derivation.
+Everything but routing and the ``/stats``/``/metrics`` merge is the
+single process's own code: its request frame, HTTP host, exposition
+renderer and stats derivation.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from urllib.parse import urlencode
 
 from repro.api_types import WIRE_VERSION, derive_stats
 from repro.cluster.shard import shard_for_name, shard_for_pair
-from repro.cluster.singleflight import SingleFlight
 from repro.cluster.supervisor import WorkerHandle, WorkerSupervisor
 from repro.config import ReproConfig
 from repro.errors import ReproError, ServiceUnavailableError
@@ -116,7 +114,7 @@ def _upstream_headers(headers: Dict[str, str]) -> Dict[str, str]:
 
 
 class _ClusterApp(RequestFrame):
-    """The parent's request handler: routes, coalesces, merges scrapes.
+    """The parent's request handler: routes and merges scrapes.
 
     Runs in the single process's :class:`~repro.service.app.RequestFrame`
     over the parent's own registry, with metric prefix ``cluster``.
@@ -126,9 +124,7 @@ class _ClusterApp(RequestFrame):
         self.metrics = MetricsRegistry(enabled=server.config.metrics)
         super().__init__(self.metrics, "cluster")
         self.server = server
-        self.coalesced = 0
         self.proxied = 0
-        self._flights = SingleFlight()
         # One pool of persistent connections per worker incarnation:
         # shard index -> (incarnation, pool).
         self._pools: Dict[int, Tuple[WorkerHandle, ConnectionPool]] = {}
@@ -144,18 +140,10 @@ class _ClusterApp(RequestFrame):
             "cluster_proxied_requests_total",
             "Requests the routing parent forwarded upstream.",
         ).set_function(lambda: self.proxied)
-        self.metrics.counter(
-            "cluster_coalesced_requests_total",
-            "Diff requests answered from a coalesced in-flight round trip.",
-        ).set_function(lambda: self.coalesced)
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Route one request through the frame."""
         return self._framed(request)
-
-    def abort_inflight(self, error: BaseException) -> int:
-        """Fail every coalesced waiter (graceful drain)."""
-        return self._flights.abort(error)
 
     def close_pools(self) -> None:
         """Close every upstream connection (the parent has drained)."""
@@ -176,7 +164,9 @@ class _ClusterApp(RequestFrame):
         if parts == ["metrics"] and method == "GET":
             return self._metrics(request)
         if len(parts) == 3 and parts[0] == "diff" and method == "GET":
-            return self._diff(request, parts[1], parts[2])
+            return self._forward(
+                shard_for_pair(parts[1], parts[2], count), request
+            )
         if len(parts) == 2 and parts[0] == "specs" and method == "PUT":
             return self._broadcast(request)
         if len(parts) == 2 and parts[0] == "runs":
@@ -293,41 +283,6 @@ class _ClusterApp(RequestFrame):
                 return response, []
         return None, [response.json_payload() for response in responses]
 
-    # -- coalesced diff reads ---------------------------------------------
-    def _diff(
-        self, request: HttpRequest, run_a: str, run_b: str
-    ) -> HttpResponse:
-        worker = shard_for_pair(run_a, run_b, self.server.count)
-        # Identical concurrent requests share one upstream round trip.
-        # The key is everything that can change the response: path,
-        # query (spec/cost), revalidation state, and the caller's
-        # correlation ID (a coalesced response echoes its leader's).
-        key = (
-            request.path,
-            tuple(sorted(request.query.items())),
-            request.header("if-none-match"),
-            request.header(REQUEST_ID_HEADER),
-        )
-        leader, flight = self._flights.begin(key)
-        if not leader:
-            with self._counter_lock:
-                self.coalesced += 1
-            shared = flight.result()
-            # Followers get a copy: handle() mutates response headers.
-            return HttpResponse(
-                status=shared.status,
-                body=shared.body,
-                content_type=shared.content_type,
-                headers=dict(shared.headers),
-            )
-        try:
-            response = self._forward(worker, request)
-        except BaseException as exc:
-            self._flights.finish(flight, error=exc)
-            raise
-        self._flights.finish(flight, value=response)
-        return response
-
     # -- broadcast writes --------------------------------------------------
     def _broadcast(self, request: HttpRequest) -> HttpResponse:
         """``PUT /specs/{name}``: every worker registers the spec."""
@@ -375,7 +330,6 @@ class _ClusterApp(RequestFrame):
             for name, value in payload["counters"].items():
                 counters[name] = counters.get(name, 0) + int(value)
         counters.update(self.frame_counters())
-        counters["cluster_coalesced"] = self.coalesced
         counters["cluster_proxied"] = self.proxied
         counters["cluster_workers"] = self.server.count
         counters["cluster_worker_restarts"] = (

@@ -12,6 +12,8 @@ from the paper's conclusions:
   cache;
 * :mod:`repro.corpus.service` — the :class:`DiffService` facade with
   parallel batch queries and incremental updates;
+* :mod:`repro.corpus.singleflight` — the keyed in-flight table through
+  which the service coalesces identical cold computations;
 * :mod:`repro.corpus.script_cache` — persistent, directed edit-script
   cache (the scripts themselves, not just their costs);
 * :mod:`repro.corpus.script_index` — inverted index over cached scripts

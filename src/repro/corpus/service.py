@@ -58,11 +58,14 @@ service layer runs one thread per request):
   fine-grained locks (non-counting probes go through
   :meth:`~repro.corpus.cache.TwoTierCache.peek`), so readers never
   block on a writer's DP batch;
-* cold work is coalesced through a keyed
-  :class:`~repro.cluster.singleflight.SingleFlight` table: concurrent
+* every cold computation — distances and edit scripts alike — takes
+  one path, :meth:`DiffService._cold_batch`, coalesced through a keyed
+  :class:`~repro.corpus.singleflight.SingleFlight` table: concurrent
   callers needing the same content-addressed pair elect one *leader*
   whose single DP feeds every *follower* — a thundering herd on one
-  cold ``GET /diff/{a}/{b}`` costs exactly one computation;
+  cold ``GET /diff/{a}/{b}`` costs exactly one computation (in a
+  served cluster too: the parent routes every request for one run
+  pair to the one worker whose service coalesces it);
 * the re-entrant service lock survives only as a **narrow** critical
   section around metadata (spec memo, fingerprint backfills, family
   views) and result publishing (cache puts, counters) — it is never
@@ -70,12 +73,13 @@ service layer runs one thread per request):
   pair probes, so neither a slow cold batch nor a bounded medoid can
   stall warm traffic.
 
-Deadlock discipline: a thread computes every flight it leads in one
-backend batch (publishing all results) *before* waiting on any flight
-it follows, and flights are never awaited while the service lock is
-held.  ``abort_inflight`` lets a draining server fail pending flights
-deterministically (followers surface a 503) instead of hanging past
-the drain deadline.
+Deadlock discipline, kept in that one routine: a thread computes every
+flight it leads in one backend batch (publishing all results, or
+landing every led flight with the batch's error) *before* waiting on
+any flight it follows, and flights are never awaited while the service
+lock is held.  ``abort_inflight`` lets a draining server fail pending
+flights deterministically (followers surface a 503) instead of
+hanging past the drain deadline.
 """
 
 from __future__ import annotations
@@ -85,17 +89,11 @@ import dataclasses
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.api_types import derive_stats
 from repro.backends.base import ExecutorBackend, make_backend
-from repro.backends.work import (
-    DistanceTask,
-    ScriptTask,
-    compute_distance,
-    compute_script,
-)
-from repro.cluster.singleflight import SingleFlight
+from repro.backends.work import compute_distance, compute_script
 from repro.core.bounds import (
     distance_lower_bound,
     is_sound_for,
@@ -116,6 +114,7 @@ from repro.corpus.script_cache import (
     encode_script,
 )
 from repro.corpus.script_index import ScriptIndex
+from repro.corpus.singleflight import SingleFlight
 from repro.costs.base import CostModel
 from repro.costs.standard import UnitCost
 from repro.errors import NotFoundError
@@ -368,10 +367,6 @@ class DiffService:
         """
         return self._flights.abort(error)
 
-    def inflight_computations(self) -> int:
-        """Currently pending coalesced computations (drain logging)."""
-        return self._flights.in_flight()
-
     # -- resolution -----------------------------------------------------
     def specification(self, spec_name: str) -> WorkflowSpecification:
         with self._monitor():
@@ -621,6 +616,99 @@ class DiffService:
         return best
 
     # -- batch computation ----------------------------------------------
+    def _cold_batch(
+        self,
+        kind: str,
+        cost: CostModel,
+        groups: Dict[object, List[Tuple[str, str]]],
+        peek: Callable[[object], object],
+        work: Callable[[Tuple[str, str], SharedTables], object],
+        publish: Callable[[object, Tuple[str, str], object], None],
+    ) -> Dict[object, object]:
+        """Price cold groups once each, coalesced; one value per group.
+
+        The one cold path of the service: distances and edit scripts
+        both reach the DP here.  ``groups`` maps a key to the name
+        pairs its one value answers — a content key under a cacheable
+        ``cost``, else a batch-local key that gets no flight (there is
+        nothing stable for concurrent callers to rendezvous on).  Each
+        content-keyed group leads its ``(kind, key)`` flight or follows
+        another caller's.  A led group is re-checked with ``peek``, as
+        a prior leader may have published since the caller's miss
+        (memory only and non-counting: that lookup already counted and
+        read the table); the rest run as one backend batch over one
+        :class:`~repro.core.memo.SharedTables`, ``work`` pricing each
+        group's first pair.  ``publish`` stores each value
+        under the monitor, then the led flights land — with the error,
+        if the batch or a publish raised, or their followers would
+        hang.  Only then does the caller wait on the flights it
+        follows: it never waits while leading an unlanded flight, which
+        keeps cross-caller waits deadlock-free.
+        """
+        coalesce = cost_model_key(cost) is not None
+        values: Dict[object, object] = {}
+        led: List[Tuple[object, object]] = []
+        followed: List[Tuple[object, object]] = []
+        batch: List[Tuple[object, Tuple[str, str]]] = []
+        for key, group in groups.items():
+            if not coalesce:
+                batch.append((key, group[0]))
+                continue
+            leader, flight = self._flights.begin((kind, key))
+            if not leader:
+                followed.append((key, flight))
+                continue
+            value = peek(key)
+            if value is not None:
+                self._flights.finish(flight, value=value)
+                values[key] = value
+                continue
+            led.append((key, flight))
+            batch.append((key, group[0]))
+
+        if batch:
+            backend_name = type(self.backend).__name__
+            try:
+                self._batch_metric.observe(len(batch))
+                self._backend_tasks_metric.inc(
+                    len(batch), backend=backend_name
+                )
+                dispatch_started = time.perf_counter()
+                # Runs load inside the workers, so threads overlap
+                # parsing; each run's deletion tables are built once per
+                # batch, and each distinct pair of subtree shapes is
+                # priced once.
+                shared = SharedTables(cost)
+                outcomes = self.backend.map(
+                    lambda item: work(item[1], shared), batch
+                )
+                self._backend_busy_metric.inc(
+                    time.perf_counter() - dispatch_started,
+                    backend=backend_name,
+                )
+                self._dp_metric.inc(len(batch), kind=kind)
+                with self._monitor():
+                    for (key, pair), value in zip(batch, outcomes):
+                        publish(key, pair, value)
+                        values[key] = value
+            except BaseException as exc:
+                for _, flight in led:
+                    self._flights.finish(flight, error=exc)
+                raise
+            for key, flight in led:
+                self._flights.finish(flight, value=values[key])
+            logger.debug(
+                "computed %d cold %s DPs", len(batch), kind,
+                extra={"batch_size": len(batch), "backend": backend_name},
+            )
+
+        if followed:
+            with self._monitor():
+                self.coalesced_requests += len(followed)
+            for key, flight in followed:
+                values[key] = flight.result()
+        return values
+
     def _compute_pairs(
         self,
         spec: WorkflowSpecification,
@@ -632,23 +720,13 @@ class DiffService:
 
         Equal-fingerprint pairs short-circuit to 0; cacheable pairs are
         deduplicated by content key so two name pairs backed by the same
-        graphs cost one DP; the remaining work runs on the configured
-        :class:`~repro.backends.base.ExecutorBackend`, which loads runs
-        *inside* its workers (threads overlap the XML-parsing share of
-        a cold batch under the GIL).
-
-        Cold groups are coalesced through the single-flight table:
-        concurrent callers needing the same content key elect one
-        leader, whose batch computes the value once for everyone.  A
-        caller leads *all* its cold keys in one dispatch, publishes
-        them, and only then waits on keys other callers lead — the
-        ordering that makes cross-caller waits deadlock-free.
+        graphs cost one DP; the remaining groups go through
+        :meth:`_cold_batch`, coalesced with concurrent callers.
         """
         cost_key = cost_model_key(cost)
-        use_flights = cost_key is not None
         results: Dict[Tuple[str, str], float] = {}
         pending: Dict[str, List[Tuple[str, str]]] = {}
-        seeded = False
+        dirty = False
         for a, b in pairs:
             if a == b:
                 results[(a, b)] = 0.0
@@ -666,7 +744,7 @@ class DiffService:
                     )
                     if self.cache.get(key) is None:
                         self.cache.put(key, 0.0)
-                        seeded = True
+                        dirty = True
                 results[(a, b)] = 0.0
                 continue
             if cost_key is None:
@@ -674,9 +752,7 @@ class DiffService:
                 # DP is symmetric-deterministic, so dedupe by the
                 # *unordered* name pair within the batch (keying the
                 # raw (a, b) ordering used to cost (a, b) and (b, a)
-                # two DPs for one value).  No single-flight either:
-                # without a stable content key there is nothing for
-                # concurrent callers to rendezvous on.
+                # two DPs for one value).
                 group = "\x00".join(sorted((a, b)))
                 pending.setdefault(group, []).append((a, b))
                 continue
@@ -687,126 +763,51 @@ class DiffService:
             else:
                 pending.setdefault(key, []).append((a, b))
 
-        # Split the cold groups into flights we lead (ours to compute)
-        # and flights another caller is already computing.
-        led: List[Tuple[str, object]] = []
-        followed: List[Tuple[str, object]] = []
-        compute_groups: List[Tuple[str, List[Tuple[str, str]]]] = []
-        for key, group in pending.items():
-            if not use_flights:
-                compute_groups.append((key, group))
-                continue
-            leader, flight = self._flights.begin(("distance", key))
-            if not leader:
-                followed.append((key, flight))
-                continue
-            # Double-check the cache: a prior leader may have
-            # published between our counting cache miss and begin().
-            # (Non-counting on purpose — the classification above is
-            # the one accounted lookup per pair; and memory-only, as
-            # that lookup already read the table.)
-            value = self.cache.peek(key, read_through=False)
-            if value is not None:
-                self._flights.finish(flight, value=value)
-                for name_pair in group:
-                    results[name_pair] = value
-                continue
-            led.append((key, flight))
-            compute_groups.append((key, group))
-
-        if compute_groups:
-            directed = []
-            for key, group in compute_groups:
-                a, b = group[0]
-                # Canonical DP direction: δ is symmetric mathematically
-                # but the DP's float accumulation is not — δ(a, b) and
-                # δ(b, a) can differ in the last ULP.  The cache key is
-                # undirected, so always compute lexicographically
-                # (= listing order, the direction every fresh
-                # ``distance_matrix`` comparison uses); otherwise a
-                # value cached by ``add_run``'s (existing, new) order
-                # mismatches a later warm read bit-for-bit.
-                # (Name order, *not* fingerprint order, on purpose:
-                # fingerprint order would disagree with listing order
-                # for roughly half of all ordinary pairs and reintroduce
-                # the mismatch.  The residual corner — two name pairs of
-                # ≡-duplicate runs sharing one content key with opposite
-                # name orders — is inherent to content-keyed dedup: even
-                # a fixed direction cannot make the DPs of two distinct
-                # equivalent trees bit-identical.)
-                if b < a:
-                    a, b = b, a
-                directed.append((a, b))
-
-            def task(pair) -> DistanceTask:
-                a, b = pair
-                run_a = self._load_run(spec, a)
-                run_b = self._load_run(spec, b)
-                return DistanceTask(run_a=run_a, run_b=run_b, cost=cost)
-
-            backend_name = type(self.backend).__name__
-            try:
-                self._batch_metric.observe(len(directed))
-                self._backend_tasks_metric.inc(
-                    len(directed), backend=backend_name
-                )
-                dispatch_started = time.perf_counter()
-                # Resolve inside the workers: threads overlap parsing.
-                # One SharedTables for the whole batch — each run's
-                # deletion tables are built once, not once per pair,
-                # and each distinct pair of subtree shapes is priced
-                # once.
-                shared = SharedTables(cost)
-                distances = self.backend.map(
-                    lambda pair: compute_distance(task(pair), shared),
-                    directed,
-                )
-                self._backend_busy_metric.inc(
-                    time.perf_counter() - dispatch_started,
-                    backend=backend_name,
-                )
-            except BaseException as exc:
-                # A leader that cannot publish must land its flights
-                # with the failure, or followers hang forever.
-                for _, flight in led:
-                    self._flights.finish(flight, error=exc)
-                raise
-
-            # Publish: counters and cache puts under the narrow lock.
-            flight_values: Dict[str, float] = {}
-            with self._monitor():
-                for (key, group), value in zip(compute_groups, distances):
-                    self.computed_pairs += 1
-                    if cost_key is not None:
-                        self.cache.put(key, value)
-                        flight_values[key] = value
-                    for name_pair in group:
-                        results[name_pair] = value
-                self._dp_metric.inc(len(directed), kind="distance")
-            for key, flight in led:
-                self._flights.finish(flight, value=flight_values[key])
-            logger.debug(
-                "computed %d cold distance pairs", len(directed),
-                extra={"batch_size": len(directed),
-                       "backend": backend_name},
+        def work(pair, shared) -> float:
+            a, b = pair
+            # Canonical DP direction: δ is symmetric mathematically
+            # but the DP's float accumulation is not — δ(a, b) and
+            # δ(b, a) can differ in the last ULP.  The cache key is
+            # undirected, so always compute lexicographically
+            # (= listing order, the direction every fresh
+            # ``distance_matrix`` comparison uses); otherwise a
+            # value cached by ``add_run``'s (existing, new) order
+            # mismatches a later warm read bit-for-bit.
+            # (Name order, *not* fingerprint order, on purpose:
+            # fingerprint order would disagree with listing order
+            # for roughly half of all ordinary pairs and reintroduce
+            # the mismatch.  The residual corner — two name pairs of
+            # ≡-duplicate runs sharing one content key with opposite
+            # name orders — is inherent to content-keyed dedup: even
+            # a fixed direction cannot make the DPs of two distinct
+            # equivalent trees bit-identical.)
+            if b < a:
+                a, b = b, a
+            return compute_distance(
+                self._load_run(spec, a), self._load_run(spec, b), cost,
+                shared,
             )
-            self.flush()
-        elif seeded:
-            # No cold DPs, but ≡ short-circuits seeded cache entries.
+
+        def publish(key, pair, value) -> None:
+            nonlocal dirty
+            dirty = True
+            self.computed_pairs += 1
+            if cost_key is not None:
+                self.cache.put(key, value)
+
+        values = self._cold_batch(
+            "distance", cost, pending,
+            lambda key: self.cache.peek(key, read_through=False),
+            work, publish,
+        )
+        for key, value in values.items():
+            for name_pair in pending[key]:
+                results[name_pair] = value
+        if dirty:
             self.flush()
         else:
             # Even an all-warm query may have refreshed fingerprints.
             self.index.flush()
-
-        if followed:
-            # Only after our own flights landed: wait on the leaders
-            # of everyone else's (the deadlock-free ordering).
-            with self._monitor():
-                self.coalesced_requests += len(followed)
-            for key, flight in followed:
-                value = flight.result()
-                for name_pair in pending[key]:
-                    results[name_pair] = value
         # In the callers' pair order, however the pairs split between
         # warm and cold: a matrix lists the same way in every process.
         return {pair: results[pair] for pair in pairs}
@@ -1067,15 +1068,12 @@ class DiffService:
         reason.
         Content-duplicate pairs cost one diff (cold work is deduped by
         directed content key before dispatch), and the cold diffs of a
-        batch run as :class:`~repro.backends.work.ScriptTask` payloads
-        on the configured backend, sharing one
-        :class:`~repro.core.memo.SharedTables` exactly like the
-        distance sweeps.  Cold groups
-        coalesce through the single-flight table keyed on the directed
-        content key, so concurrent identical ``GET /diff`` requests
-        share one diff: the leader computes and publishes; followers
-        receive the same operations (as their own deep copies — script
-        records are mutable).
+        batch go through :meth:`_cold_batch` like the distance sweeps:
+        one backend batch sharing one
+        :class:`~repro.core.memo.SharedTables`, coalesced on the
+        directed content key, so concurrent identical ``GET /diff``
+        requests share one diff.  Every pair gets its own deep copy of
+        the operations (script records are mutable).
         """
         cost = cost or UnitCost()
         pair_list = [(a, b) for a, b in pairs]
@@ -1086,155 +1084,71 @@ class DiffService:
         # Cold work, deduped: one entry per distinct directed content
         # key (or per directed name pair under uncacheable costs — the
         # DP is deterministic, so duplicates would only repeat it).
-        # ``keys`` records the cache key of each cold group's
-        # representative pair for the post-dispatch put/seed step.
-        keys: Dict[Tuple[str, str], Optional[str]] = {}
         cold: Dict[object, List[Tuple[str, str]]] = {}
         for run_a, run_b in pair_list:
-            key = None
-            if cost_key is not None:
-                key = script_key(
-                    fingerprints[run_a], fingerprints[run_b], cost_key
-                )
-                record = self.cached_script(key)
-                if record is not None:
-                    results[(run_a, run_b)] = record
-                    continue
-            keys[(run_a, run_b)] = key
-            cold.setdefault(
-                key if key is not None else (run_a, run_b), []
-            ).append((run_a, run_b))
-
-        # Lead-or-follow each cold group (content-keyed groups only —
-        # uncacheable costs have no rendezvous key, see above).
-        led: List[Tuple[object, object]] = []
-        followed: List[Tuple[object, object]] = []
-        ordered: List[Tuple[object, List[Tuple[str, str]]]] = []
-        for key, group in cold.items():
             if cost_key is None:
-                ordered.append((key, group))
+                cold.setdefault((run_a, run_b), []).append((run_a, run_b))
                 continue
-            leader, flight = self._flights.begin(("script", key))
-            if not leader:
-                followed.append((key, flight))
-                continue
-            # Double-check without counting: another leader may have
-            # landed between our cached_script miss and begin().
+            key = script_key(
+                fingerprints[run_a], fingerprints[run_b], cost_key
+            )
+            record = self.cached_script(key)
+            if record is not None:
+                results[(run_a, run_b)] = record
+            else:
+                cold.setdefault(key, []).append((run_a, run_b))
+
+        def peek(key):
             raw = self.script_cache.peek(key, read_through=False)
             record = decode_script(raw) if raw is not None else None
-            if record is not None:
-                self._flights.finish(
-                    flight,
-                    value=(record.distance, record.operations),
-                )
-                for name_pair in group:
-                    results[name_pair] = ScriptRecord(
-                        distance=record.distance,
-                        operations=[
-                            dataclasses.replace(op)
-                            for op in record.operations
-                        ],
-                    )
-                continue
-            led.append((key, flight))
-            ordered.append((key, group))
+            if record is None:
+                return None
+            return record.distance, record.operations
 
-        if ordered:
-            def task(group) -> ScriptTask:
-                return ScriptTask(
-                    run_a=self._load_run(spec, group[0][0]),
-                    run_b=self._load_run(spec, group[0][1]),
-                    cost=cost,
-                )
-
-            backend_name = type(self.backend).__name__
-            try:
-                self._batch_metric.observe(len(ordered))
-                self._backend_tasks_metric.inc(
-                    len(ordered), backend=backend_name
-                )
-                dispatch_started = time.perf_counter()
-                shared = SharedTables(cost)
-                outcomes = self.backend.map(
-                    lambda item: compute_script(task(item[1]), shared),
-                    ordered,
-                )
-                self._backend_busy_metric.inc(
-                    time.perf_counter() - dispatch_started,
-                    backend=backend_name,
-                )
-            except BaseException as exc:
-                for _, flight in led:
-                    self._flights.finish(flight, error=exc)
-                raise
-            self._dp_metric.inc(len(ordered), kind="script")
-            logger.debug(
-                "computed %d cold edit scripts", len(ordered),
-                extra={"batch_size": len(ordered),
-                       "backend": backend_name},
+        def work(pair, shared):
+            run_a, run_b = pair
+            return compute_script(
+                self._load_run(spec, run_a), self._load_run(spec, run_b),
+                cost, shared,
             )
-            flight_values: Dict[object, Tuple[float, list]] = {}
-            with self._monitor():
-                for (group_key, group), (distance, operations) in zip(
-                    ordered, outcomes
-                ):
-                    self.computed_scripts += 1
-                    record = ScriptRecord(
-                        distance=distance, operations=list(operations)
-                    )
-                    for run_a, run_b in group:
-                        # Every pair gets its own record with its own
-                        # operation objects (PathOperation is a mutable
-                        # dataclass): deduped pairs must not alias any
-                        # mutable result state, matching the independent
-                        # per-pair decodes of the cache-hit path.
-                        results[(run_a, run_b)] = ScriptRecord(
-                            distance=record.distance,
-                            operations=[
-                                dataclasses.replace(op)
-                                for op in record.operations
-                            ],
-                        )
-                    run_a, run_b = group[0]
-                    key = keys[(run_a, run_b)]
-                    if key is not None:
-                        raw = encode_script(
-                            record.distance, record.operations
-                        )
-                        self.script_cache.put(key, raw)
-                        self.script_index.add(key, raw)
-                        flight_values[key] = (
-                            record.distance, record.operations
-                        )
-                        if run_a <= run_b:
-                            # Seed the (undirected) distance cache only
-                            # from the canonical direction — the same one
-                            # ``_compute_pairs`` uses — so every cached
-                            # distance is bit-identical to a fresh
-                            # listing-order computation.
-                            dist_key = pair_key(
-                                fingerprints[run_a],
-                                fingerprints[run_b],
-                                cost_key,
-                            )
-                            self.cache.put(dist_key, record.distance)
-            for key, flight in led:
-                self._flights.finish(flight, value=flight_values[key])
 
-        if followed:
-            # Our own flights are landed; now collect everyone else's.
-            with self._monitor():
-                self.coalesced_requests += len(followed)
-            for key, flight in followed:
-                distance, operations = flight.result()
-                for run_a, run_b in cold[key]:
-                    results[(run_a, run_b)] = ScriptRecord(
-                        distance=distance,
-                        operations=[
-                            dataclasses.replace(op)
-                            for op in operations
-                        ],
-                    )
+        def publish(key, pair, outcome) -> None:
+            self.computed_scripts += 1
+            if cost_key is None:
+                return
+            distance, operations = outcome
+            raw = encode_script(distance, operations)
+            self.script_cache.put(key, raw)
+            self.script_index.add(key, raw)
+            run_a, run_b = pair
+            if run_a <= run_b:
+                # Seed the (undirected) distance cache only from the
+                # canonical direction — the same one ``_compute_pairs``
+                # uses — so every cached distance is bit-identical to a
+                # fresh listing-order computation.
+                self.cache.put(
+                    pair_key(
+                        fingerprints[run_a], fingerprints[run_b], cost_key
+                    ),
+                    distance,
+                )
+
+        outcomes = self._cold_batch(
+            "script", cost, cold, peek, work, publish
+        )
+        for key, (distance, operations) in outcomes.items():
+            for name_pair in cold[key]:
+                # Every pair gets its own operation objects
+                # (PathOperation is a mutable dataclass): deduped and
+                # coalesced pairs must not alias any mutable result
+                # state, matching the independent per-pair decodes of
+                # the cache-hit path.
+                results[name_pair] = ScriptRecord(
+                    distance=distance,
+                    operations=[
+                        dataclasses.replace(op) for op in operations
+                    ],
+                )
         if flush:
             self.flush()
         return results

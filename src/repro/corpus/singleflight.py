@@ -8,6 +8,12 @@ the same value.  The alternative (each thread noticing the cache miss
 independently and computing its own copy) wastes K-1 DPs and, worse,
 serialises them behind whatever lock guards the cache.
 
+The table's one user is :class:`~repro.corpus.service.DiffService`,
+whose cold-batch routine is the only place that begins flights.  A
+served cluster (``repro serve --workers N``) needs no second table:
+the parent routes every ``GET /diff`` for one run pair to one worker,
+and that worker's service coalesces identical requests here.
+
 Deadlock discipline: a thread that leads several flights must finish
 (or fail) **all** of them before waiting on any flight it follows.
 ``DiffService`` honours this by batching every key it leads into one
@@ -126,11 +132,6 @@ class SingleFlight:
                 flight.error = error
                 flight.done.set()
         return len(pending)
-
-    def in_flight(self) -> int:
-        """Number of currently pending flights."""
-        with self._lock:
-            return len(self._flights)
 
     def waiters(self) -> int:
         """Total followers currently blocked across all flights."""

@@ -287,10 +287,10 @@ class RequestFrame:
 
     Metric families and ``/stats`` keys carry the app's ``prefix``:
     ``server`` for a :class:`WorkspaceApp`, ``cluster`` for the routing
-    parent.  A subclass supplies ``_route`` and ``abort_inflight``, and
-    defines ``handle`` in its own class body (``return
-    self._framed(request)``), so tracers that wrap one class's
-    ``handle`` never count a request twice.
+    parent.  A subclass supplies ``_route`` (and ``abort_inflight`` if
+    it coalesces computations), and defines ``handle`` in its own
+    class body (``return self._framed(request)``), so tracers that wrap
+    one class's ``handle`` never count a request twice.
     """
 
     def __init__(self, metrics: MetricsRegistry, prefix: str):
@@ -341,6 +341,10 @@ class RequestFrame:
         """Requests currently between begin/end (drain watches this)."""
         with self._counter_lock:
             return self._in_flight
+
+    def abort_inflight(self, error: BaseException) -> int:
+        """Fail coalesced waiters at drain; the parent has none."""
+        return 0
 
     def frame_counters(self) -> Dict[str, int]:
         """The frame's counters under their ``/stats`` names."""

@@ -339,7 +339,7 @@ class HttpHost:
     """The stdlib HTTP lifecycle both servers share.
 
     Binds an app (a :class:`~repro.service.app.RequestFrame` subclass
-    that also offers ``handle`` and ``abort_inflight``) through
+    that also offers ``handle``) through
     :func:`_make_handler`, serves it, and drains it.  A subclass
     builds its app and may hook :meth:`_before_serving` (the cluster
     starts its workers) and :meth:`_after_drain` (the cluster stops

@@ -1,11 +1,12 @@
-"""The routing cluster over the wire: coalescing, supervision, merge.
+"""The routing cluster over the wire: routing, supervision, merge.
 
 Bit-identity of /matrix and /query against the in-process workspace
 is asserted by the conformance suite (its ``served_ws`` fixture's
 ``cluster`` parameter); here we pin down the cluster-only behaviours —
-one owner per request, single-flight over HTTP, restart-on-crash,
-aggregation shapes, header relay, pooled upstream connections — plus a
-raw-wire byte-identity spot check on ``/diff``.
+one owner per request, one DP for identical cold diffs through the
+owning worker's single-flight, restart-on-crash, aggregation shapes,
+header relay, pooled upstream connections — plus a raw-wire
+byte-identity spot check on ``/diff``.
 """
 
 from __future__ import annotations
@@ -271,35 +272,54 @@ class TestOneOwner:
             assert len(sharded["items"]) == 6
 
 
+def _diff_requests_by_worker(snapshot: dict) -> dict:
+    """The workers' ``GET /diff/{a}/{b}`` request counts, by worker."""
+    counts = collections.Counter()
+    for sample in snapshot["metrics"]["server_requests_total"]["samples"]:
+        labels = sample["labels"]
+        if labels["route"] == "/diff/{a}/{b}" and labels["method"] == "GET":
+            counts[int(labels["worker"])] += sample["value"]
+    return counts
+
+
+def _fire_together(url: str, k: int) -> list:
+    """``k`` barrier-synchronised GETs of ``url``; their outcomes."""
+    barrier = threading.Barrier(k)
+    outcomes = []
+    lock = threading.Lock()
+
+    def fire():
+        barrier.wait()
+        status, _, body = http_get(url)
+        with lock:
+            outcomes.append((status, body))
+
+    threads = [threading.Thread(target=fire) for _ in range(k)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    return outcomes
+
+
 class TestCoalescing:
+    """One coalescing layer: the parent forwards every diff request to
+    the pair's owning worker, whose service coalesces identical cold
+    computations onto one DP."""
+
     def test_concurrent_identical_cold_diffs_one_dp(
         self, fresh_cluster
     ):
         """K=8 identical cold ``GET /diff`` requests cost exactly 1 DP.
 
-        The acceptance check from the issue: the parent coalesces the
-        simultaneous arrivals into one proxied request, and stragglers
-        that miss the flight hit the worker's now-warm cache — the DP
-        kernel runs once either way.
+        Pair routing sends all eight to one worker, where concurrent
+        arrivals follow the leader's single-flight DP and stragglers
+        hit the now-warm cache — the DP kernel runs once either way.
         """
         k = 8
-        url = f"{fresh_cluster.url}/diff/r01/r02?spec={SPEC}"
-        barrier = threading.Barrier(k)
-        outcomes = []
-        lock = threading.Lock()
-
-        def fire():
-            barrier.wait()
-            status, _, body = http_get(url)
-            with lock:
-                outcomes.append((status, body))
-
-        threads = [threading.Thread(target=fire) for _ in range(k)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-
+        outcomes = _fire_together(
+            f"{fresh_cluster.url}/diff/r01/r02?spec={SPEC}", k
+        )
         assert len(outcomes) == k
         statuses = {status for status, _ in outcomes}
         assert statuses == {200}
@@ -311,37 +331,42 @@ class TestCoalescing:
         )
         assert metric_total(snapshot, "dp_invocations_total") == 1
 
-    def test_coalesced_counter_advances_for_simultaneous_pairs(
+    def test_every_identical_diff_reaches_the_owning_worker(
         self, fresh_cluster
     ):
-        """With a blocked leader, followers demonstrably coalesce at
-        the parent (counted in ``cluster_coalesced``) rather than
-        racing the worker."""
-        url = f"{fresh_cluster.url}/diff/r02/r03?spec={SPEC}"
+        """The parent forwards each of K simultaneous identical cold
+        diffs: ``proxied`` and the owner's ``/diff`` requests both rise
+        by exactly K, the other worker sees none, and the owner's
+        single-flight still prices the pair once."""
+        k = 6
         app = fresh_cluster.app
-        k = 4
-        barrier = threading.Barrier(k + 1)
-        results = []
-        lock = threading.Lock()
+        owner = shard_for_pair("r02", "r03", 2)
+        proxied = app.proxied
+        outcomes = _fire_together(
+            f"{fresh_cluster.url}/diff/r02/r03?spec={SPEC}", k
+        )
+        # Read before any scrape: /metrics forwards to every worker.
+        forwarded = app.proxied - proxied
+        assert [status for status, _ in outcomes] == [200] * k
+        assert len({body for _, body in outcomes}) == 1
+        assert forwarded == k
+        snapshot = get_json(f"{fresh_cluster.url}/metrics?format=json")
+        assert _diff_requests_by_worker(snapshot) == {owner: k}
+        assert metric_total(snapshot, "dp_invocations_total") == 1
 
-        def fire():
-            barrier.wait()
-            status, _, _ = http_get(url)
-            with lock:
-                results.append(status)
-
-        threads = [threading.Thread(target=fire) for _ in range(k)]
-        for thread in threads:
-            thread.start()
-        barrier.wait()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert results == [200] * k
-        # Parent-side accounting: every proxied request counted, and
-        # coalesced followers (if the race produced any — timing-
-        # dependent) never exceed K-1.
-        assert app.proxied >= 1
-        assert 0 <= app.coalesced <= k - 1
+    def test_parent_reports_no_coalescing(self, cluster):
+        """No parent-side flight table: ``/stats`` carries no
+        ``cluster_coalesced`` key and neither face of the merged scrape
+        a ``cluster_coalesced_requests_total`` family."""
+        counters = get_json(f"{cluster.url}/stats")["counters"]
+        assert "cluster_coalesced" not in counters
+        assert "cluster_proxied" in counters
+        snapshot = get_json(f"{cluster.url}/metrics?format=json")
+        assert "cluster_coalesced_requests_total" not in snapshot["metrics"]
+        assert "cluster_proxied_requests_total" in snapshot["metrics"]
+        status, _, body = http_get(f"{cluster.url}/metrics")
+        assert status == 200
+        assert b"cluster_coalesced" not in body
 
 
 class TestUpstreamConnections:

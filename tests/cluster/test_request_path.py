@@ -4,16 +4,16 @@ The cluster parent shares the single-process server's request frame,
 HTTP host, exposition renderer, stats derivation and query page check.
 These tests pin the places where the parent's own copies once drifted:
 its text scrape, its answer to query bodies with more than one fault,
-its ``/stats`` against its ``/metrics``, its drain, and the framing of
-the bodies it relays.
+its ``/stats`` against its ``/metrics``, and the framing of the bodies
+it relays.  The drain that answers coalesced waiters with a 503 is each
+worker's own ``DiffServer`` drain (``tests/service/test_observability.py``):
+the parent coalesces nothing.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import threading
-import time
 
 import pytest
 
@@ -149,7 +149,6 @@ def test_parent_families_follow_the_metrics_switch(tmp_path, enabled):
         "cluster_workers",
         "cluster_worker_restarts_total",
         "cluster_proxied_requests_total",
-        "cluster_coalesced_requests_total",
         "cluster_requests_total",
         "cluster_request_seconds",
         "cluster_errors_total",
@@ -161,42 +160,6 @@ def test_parent_families_follow_the_metrics_switch(tmp_path, enabled):
         assert workers == [{"labels": {}, "value": 2.0}]
     else:
         assert all(not family["samples"] for family in snapshot.values())
-
-
-def test_drain_aborts_coalesced_followers_like_one_process(fresh_cluster):
-    """A diff request coalesced behind a leader that never lands is
-    answered 503 at the drain deadline — the single process's envelope —
-    and the workers stop once the parent has drained."""
-    app = fresh_cluster.app
-    # Pose as the leader of the exact flight the request below joins.
-    leader, _ = app._flights.begin(
-        ("/diff/r01/r02", (("spec", SPEC),), "", "drain-1")
-    )
-    assert leader
-    outcome = {}
-
-    def follow():
-        outcome["reply"] = http_get(
-            f"{fresh_cluster.url}/diff/r01/r02?spec={SPEC}",
-            headers={"X-Request-Id": "drain-1"},
-        )
-
-    follower = threading.Thread(target=follow)
-    follower.start()
-    deadline = time.monotonic() + 10
-    while app.coalesced == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert app.coalesced == 1, "follower never joined"
-
-    fresh_cluster.stop(drain_timeout=0.3)
-    follower.join(timeout=10)
-    assert not follower.is_alive()
-    status, _, body = outcome["reply"]
-    error = json.loads(body)["error"]
-    assert (status, error["type"]) == (503, "ServiceUnavailableError")
-    assert error["message"].startswith("server is shutting down")
-    assert error["request_id"] == "drain-1"
-    assert fresh_cluster.supervisor.statuses() == []
 
 
 @pytest.fixture

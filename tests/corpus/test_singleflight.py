@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.cluster.singleflight import SingleFlight
+from repro.corpus.singleflight import SingleFlight
 from repro.errors import ServiceUnavailableError
 
 
@@ -13,9 +13,9 @@ class TestLeaderElection:
         table = SingleFlight()
         leader, flight = table.begin("k")
         assert leader is True
-        assert table.in_flight() == 1
+        assert "k" in table._flights
         table.finish(flight, value=42)
-        assert table.in_flight() == 0
+        assert table._flights == {}
 
     def test_second_caller_follows_same_flight(self):
         table = SingleFlight()
@@ -31,7 +31,7 @@ class TestLeaderElection:
         _, a = table.begin("a")
         _, b = table.begin("b")
         assert a is not b
-        assert table.in_flight() == 2
+        assert set(table._flights) == {"a", "b"}
         table.finish(a)
         table.finish(b)
 
@@ -97,7 +97,7 @@ class TestAbort:
         _, b = table.begin("b")
         error = ServiceUnavailableError("draining")
         assert table.abort(error) == 2
-        assert table.in_flight() == 0
+        assert table._flights == {}
         for flight in (a, b):
             with pytest.raises(ServiceUnavailableError):
                 flight.result(timeout=1)

@@ -141,6 +141,88 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         assert "clean" in proc.stdout
 
+    def test_imports_leave_the_cluster_unloaded(self):
+        """The library and the single-process server never load
+        :mod:`repro.cluster`: the corpus service's single-flight table
+        lives in :mod:`repro.corpus.singleflight`, so only
+        ``repro serve --workers N`` imports the cluster package."""
+        code = (
+            "import sys\n"
+            "import repro, repro.service.server\n"
+            "loaded = sorted(m for m in sys.modules"
+            " if m.split('.')[:2] == ['repro', 'cluster'])\n"
+            "assert not loaded, loaded\n"
+            "print('clean')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "clean" in proc.stdout
+
+    def test_corpus_never_imports_the_cluster(self):
+        """Static companion of the subprocess check: no module under
+        ``src/repro/corpus`` names :mod:`repro.cluster` in an import."""
+        offenders = []
+        corpus = Path(REPO_SRC, "repro", "corpus")
+        for path in sorted(corpus.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                else:
+                    continue
+                offenders.extend(
+                    f"{path.name}: {name}"
+                    for name in names
+                    if name.split(".")[:2] == ["repro", "cluster"]
+                )
+        assert offenders == []
+
+    @pytest.mark.parametrize(
+        "module_name, name",
+        [
+            # Removed in 6.0: payloads made for the deleted process pool.
+            ("repro.backends", "DistanceTask"),
+            ("repro.backends", "ScriptTask"),
+            ("repro.backends.work", "DistanceTask"),
+            ("repro.backends.work", "ScriptTask"),
+            # Moved in 6.0 to repro.corpus.singleflight.
+            ("repro.cluster", "SingleFlight"),
+        ],
+    )
+    def test_removed_names_stay_removed(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert name not in getattr(module, "__all__", ())
+        assert not hasattr(module, name)
+
+    def test_backend_workers_take_runs_directly(self):
+        """No payload record: each worker takes the two runs, the cost
+        model and the batch's shared tables."""
+        import dataclasses
+
+        from repro.backends import compute_distance, compute_script
+        from repro.backends import work
+
+        for worker in (compute_distance, compute_script):
+            assert list(inspect.signature(worker).parameters) == [
+                "run_a", "run_b", "cost", "shared",
+            ]
+        assert not [
+            name
+            for name, member in vars(work).items()
+            if inspect.isclass(member)
+            and member.__module__ == work.__name__
+            and dataclasses.is_dataclass(member)
+        ]
+
     def test_star_import_is_warning_free(self):
         """``from repro import *`` resolves every ``__all__`` name
         silently and brings none of the removed entry points along."""
@@ -174,7 +256,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "5.0.0"
+        assert repro.__version__ == "6.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"
@@ -332,6 +414,7 @@ class TestDocumentation:
             "repro.config",
             "repro.backends.base",
             "repro.backends.work",
+            "repro.corpus.singleflight",
             "repro.api_types",
             "repro.client",
             "repro.transport",
