@@ -543,8 +543,7 @@ def _cmd_scale_run(args: argparse.Namespace) -> int:
     )
     print(
         f"dp fast paths: {stats['dp_skipped_by_bound']} skipped by "
-        f"bound, {stats['dp_pruned_by_triangle']} pruned by triangle "
-        f"(skip ratio {stats['dp_skip_ratio']:g})"
+        f"bound (skip ratio {stats['dp_skip_ratio']:g})"
     )
     return 0
 

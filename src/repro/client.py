@@ -62,7 +62,7 @@ from repro.api_types import (
     StatsSnapshot,
 )
 from repro.core.api import diff_runs
-from repro.corpus.analytics import k_nearest
+from repro.corpus.analytics import check_count, k_nearest
 from repro.corpus.cache import LRUCache
 from repro.corpus.analytics import medoid as _medoid
 from repro.corpus.analytics import outliers as _outliers
@@ -485,6 +485,7 @@ class RemoteWorkspace:
         same :mod:`repro.corpus.analytics` fold the server would use —
         identical numbers, one round trip.
         """
+        check_count("k", k)
         result = self.matrix(spec=spec, cost=cost)
         if run_name not in result.runs:
             from repro.errors import NotFoundError
@@ -513,6 +514,7 @@ class RemoteWorkspace:
         top: Optional[int] = None,
     ) -> List[Tuple[str, float]]:
         """Runs ranked by descending mean distance to the corpus."""
+        check_count("top", top)
         result = self.matrix(spec=spec, cost=cost)
         return _outliers(result.distances, names=result.runs, top=top)
 

@@ -52,18 +52,16 @@ LeafProfile = Dict[Tuple[str, str], int]
 _PAIR_SEP = "\x1f"
 
 #: Relative slack for bounds whose arithmetic is not exactly
-#: representable in binary floating point.  The packing and triangle
-#: inequalities are proven over the reals; when ``ε ∉ {0, 1}`` (or a
-#: weight multiplies in) the *rounded* bound could exceed a *rounded*
-#: true distance by an ULP, and a pruned query would then drop a pair
-#: the unpruned oracle keeps.  Scaling such bounds down by 1e-9
-#: relative — nine orders of magnitude above double rounding error,
-#: nine below any distance worth pruning on — restores a sound margin
-#: at no practical loss of pruning power.  Integer-exact cases
-#: (``ε ∈ {0, 1}``, counts below 2⁵³) skip the slack: their floats are
-#: exact and so is the comparison.
+#: representable in binary floating point.  The packing inequality is
+#: proven over the reals; when ``ε ∉ {0, 1}`` (or a weight multiplies
+#: in) the *rounded* bound could exceed a *rounded* true distance by an
+#: ULP, and a cost-gated query would then skip a pair the ungated one
+#: keeps.  Scaling such bounds down by 1e-9 relative — nine orders of
+#: magnitude above double rounding error, nine below any distance worth
+#: gating on — restores a sound margin at no practical loss of power.
+#: Integer-exact cases (``ε ∈ {0, 1}``, counts below 2⁵³) skip the
+#: slack: their floats are exact and so is the comparison.
 _FLOAT_GUARD_DOWN = 1.0 - 1e-9
-_FLOAT_GUARD_UP = 1.0 + 1e-9
 
 
 def leaf_profile(tree: SPTree) -> LeafProfile:
@@ -205,23 +203,6 @@ def decode_profile(payload) -> Optional[LeafProfile]:
         source, sink = key.split(_PAIR_SEP, 1)
         profile[(source, sink)] = count
     return profile
-
-
-def triangle_lower_bound(known_qb: float, known_bc: float) -> float:
-    """``δ(q, c) ≥ |δ(q, b) − δ(b, c)|`` — one pivot's triangle bound.
-
-    Guarded downward: the inequality holds over the reals, and the
-    operand distances are themselves rounded.
-    """
-    return abs(known_qb - known_bc) * _FLOAT_GUARD_DOWN
-
-
-def triangle_upper_bound(known_qb: float, known_bc: float) -> float:
-    """``δ(q, c) ≤ δ(q, b) + δ(b, c)`` — one pivot's triangle ceiling.
-
-    Guarded upward, mirroring :func:`triangle_lower_bound`.
-    """
-    return (known_qb + known_bc) * _FLOAT_GUARD_UP
 
 
 def is_sound_for(cost: CostModel) -> bool:

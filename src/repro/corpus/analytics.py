@@ -45,6 +45,16 @@ def pair_distance(matrix: DistanceMatrix, a: str, b: str) -> float:
     raise ReproError(f"matrix has no entry for pair ({a!r}, {b!r})")
 
 
+def check_count(name: str, value: Optional[int]) -> None:
+    """Refuse a negative ``k`` or ``top``.
+
+    Both truncate a ranking by slicing, and a negative slice bound
+    would silently drop runs from its tail instead.
+    """
+    if value is not None and value < 0:
+        raise ReproError(f"{name} must be >= 0, got {value}")
+
+
 def mean_distances(
     matrix: DistanceMatrix, names: Optional[Sequence[str]] = None
 ) -> Dict[str, float]:
@@ -91,6 +101,7 @@ def outliers(
     The head of the list is the execution most unlike the others; pass
     ``top`` to truncate.  Ties break lexicographically.
     """
+    check_count("top", top)
     means = mean_distances(matrix, names)
     ranked = sorted(means.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:top] if top is not None else ranked
@@ -107,6 +118,7 @@ def k_nearest(
     Returns ``(other, distance)`` pairs excluding ``name`` itself;
     ``k=None`` returns all neighbours (a full one-vs-many ranking).
     """
+    check_count("k", k)
     population = list(names) if names is not None else matrix_names(matrix)
     if name not in population:
         raise ReproError(f"run {name!r} is not part of the matrix")

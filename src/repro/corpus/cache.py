@@ -16,7 +16,9 @@ simply a miss — everything here is derived, recomputable data).
 scripts.
 
 Writes go to the hot tier and a dirty buffer immediately; a lookup that
-misses both reads through to the table.  :meth:`TwoTierCache.flush`
+misses both reads through to the table, and counts.  The one other
+read, :meth:`TwoTierCache.peek`, answers from memory alone and counts
+nothing: a single-flight leader's double-check.  :meth:`TwoTierCache.flush`
 commits only the dirty rows, in one transaction (the service flushes
 after every batch operation); a crash between flushes loses only
 recomputable values, and a flush that finds the database busy keeps
@@ -240,23 +242,19 @@ class TwoTierCache:
             self.stats.misses += 1
             return None
 
-    def peek(self, key: str, read_through: bool = True) -> Optional[Any]:
-        """A *non-counting* lookup: no stat updates, no LRU promotion.
+    def peek(self, key: str) -> Optional[Any]:
+        """A *non-counting*, memory-only lookup: the hot tier or the
+        dirty buffer, with no stat update, no LRU promotion and no
+        table read.
 
-        For opportunistic probes — the corpus service's triangle-bound
-        pivots ask "do we happen to know this distance?" dozens of
-        times per queried pair, and those probes must neither skew the
-        hit/miss ratios operators alert on nor churn the hot tier's
-        recency order.  ``read_through=False`` skips the table and
-        answers from what this process put (a single-flight leader's
-        double-check races only against its own process).
+        For a single-flight leader's double-check before it computes:
+        its own lookup already counted and read the table, so the only
+        news can be a value another leader of this process put since.
         """
         with self._lock:
             value = self._memory.peek(key)
             if value is None:
                 value = self._dirty.get(key)
-            if value is None and read_through:
-                value = self._read(key)
             return value
 
     def put(self, key: str, value: Any) -> None:

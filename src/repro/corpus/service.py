@@ -20,12 +20,13 @@ engine over a :class:`~repro.io.store.WorkflowStore`:
   exactly the ``N`` new pairs, never the existing ``N x (N-1) / 2``;
 * analytics (:meth:`medoid`, :meth:`outliers`, :meth:`nearest_runs`)
   answer the paper's "which executions cluster together / differ from
-  the majority" queries on top of the cached matrix;
+  the majority" queries on top of the cached matrix, each pricing what
+  it still needs in one cold batch;
 * a **family view** per (specification, cost model) keeps each run's
-  distance sum to the rest of its family, recorded from values already
-  in hand (a full-family matrix, a bounded analytics pass that found
-  every pair known) and extended by :meth:`add_run`'s new row, so
-  :meth:`medoid` and :meth:`outliers` answer a warm family in O(N);
+  distance sum to the rest of its family, recorded by a full-family
+  matrix and extended by :meth:`add_run`'s new row, so :meth:`medoid`
+  and :meth:`outliers` answer a warm family in O(N) — and a family
+  without one first rebuilds it with one :meth:`distance_matrix`;
 * :meth:`edit_script` extends the caching story from distances to the
   edit scripts themselves (directed, script-cache backed), feeding the
   inverted :class:`~repro.corpus.script_index.ScriptIndex` that the
@@ -36,28 +37,24 @@ distance is 0 by the identity axiom — the service short-circuits such
 pairs without any DP at all (and seeds the cache under the canonical
 pair key, so the zero persists like any computed value).
 
-Three further layers keep corpus-scale distance work off the DP:
+Two further layers keep corpus-scale distance work off the DP:
 
 * **packing lower bounds** (:mod:`repro.core.bounds`) priced from
-  persisted leaf profiles let :meth:`nearest_runs` / :meth:`medoid` /
-  :meth:`lower_bounds` discard candidates that provably cannot matter;
-* **triangle-inequality bounds** over already-cached distances tighten
-  those floors (and give :meth:`outliers` its ceilings) before any DP;
+  persisted leaf profiles (:meth:`lower_bounds`) let the query engine
+  skip scripts that provably exceed a predicate's cost ceiling;
+  ``dp_skipped_by_bound`` counts the DPs they avoided (exposed via
+  :attr:`stats_counters` and ``/metrics``);
 * one :class:`~repro.core.memo.SharedTables` per cold batch builds each
   run's deletion tables once instead of once per pair, and prices each
-  distinct pair of subtree shapes once — every layer bit-identical to
-  the plain per-pair evaluation.
-
-``dp_skipped_by_bound`` / ``dp_pruned_by_triangle`` count the DPs these
-layers avoided (exposed via :attr:`stats_counters` and ``/metrics``).
+  distinct pair of subtree shapes once — bit-identical to the plain
+  per-pair evaluation.  That sharing is why the analytics price what
+  they need in one batch rather than row by row.
 
 Concurrency is **read-mostly with single-flight coalescing** (the HTTP
 service layer runs one thread per request):
 
 * warm reads never touch the service lock — the caches carry their own
-  fine-grained locks (non-counting probes go through
-  :meth:`~repro.corpus.cache.TwoTierCache.peek`), so readers never
-  block on a writer's DP batch;
+  fine-grained locks, so readers never block on a writer's DP batch;
 * every cold computation — distances and edit scripts alike — takes
   one path, :meth:`DiffService._cold_batch`, coalesced through a keyed
   :class:`~repro.corpus.singleflight.SingleFlight` table: concurrent
@@ -69,8 +66,8 @@ service layer runs one thread per request):
 * the re-entrant service lock survives only as a **narrow** critical
   section around metadata (spec memo, fingerprint backfills, family
   views) and result publishing (cache puts, counters) — it is never
-  held across a backend dispatch, a flight wait or an analytics pass's
-  pair probes, so neither a slow cold batch nor a bounded medoid can
+  held across a backend dispatch or a flight wait, so neither a slow
+  cold batch nor the matrix batch that rebuilds a family view can
   stall warm traffic.
 
 Deadlock discipline, kept in that one routine: a thread computes every
@@ -98,11 +95,9 @@ from repro.core.bounds import (
     distance_lower_bound,
     is_sound_for,
     spec_max_op_leaves,
-    triangle_lower_bound,
-    triangle_upper_bound,
 )
 from repro.core.memo import SharedTables
-from repro.corpus.analytics import medoid, outliers
+from repro.corpus.analytics import check_count, medoid, outliers
 from repro.corpus.cache import DistanceCache
 from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.fingerprint import cost_model_key, pair_key, script_key
@@ -125,13 +120,6 @@ from repro.obs.runmeta import capture_run_metadata
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
-#: How many pivot runs a triangle-bound probe may consult per pair.
-#: Probes are dict lookups against already-known distances — cheap, but
-#: a query over N candidates must stay O(N · pivots), not O(N²).
-_TRIANGLE_PIVOT_CAP = 8
-
-_INF = float("inf")
-
 #: Batch-size histogram buckets: powers of two up to a full matrix
 #: sweep of a mid-sized corpus.
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
@@ -146,10 +134,13 @@ class _FamilyView:
 
     An immutable snapshot: the listing it covers, each run's
     fingerprint, and each run's distance sum to the rest of the
-    family.  A sum is accumulated in whatever order the view was built
-    and extended in, so it can differ from the analytics' listing-order
-    sum by float rounding — which is why answers re-price every
-    candidate near the cut (:func:`_view_margin`).
+    family.  Only a full-family :meth:`DiffService.distance_matrix`
+    records one (the analytics call that matrix when the view is
+    missing), and :meth:`DiffService.add_run` extends it by the new
+    run's row.  A sum is accumulated in whatever order the view was
+    built and extended in, so it can differ from the analytics'
+    listing-order sum by float rounding — which is why answers
+    re-price every candidate near the cut (:func:`_view_margin`).
     """
 
     names: Tuple[str, ...]
@@ -240,7 +231,6 @@ class DiffService:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry()
         )
-        self.max_workers = max_workers
         if isinstance(backend, ExecutorBackend):
             # An instance carries its own width; max_workers is the
             # by-name convenience knob and is documented as ignored.
@@ -266,10 +256,9 @@ class DiffService:
         self.script_index = ScriptIndex(self.db, metrics=self.metrics)
         self.computed_pairs = 0
         self.computed_scripts = 0
-        # DPs the fast path avoided: decided by the packing lower
-        # bound alone, or needing a triangle-inequality bound on top.
+        # Script DPs the query engine's cost gate decided by the
+        # packing lower bound alone (:meth:`note_bound_skips`).
         self.dp_skipped_by_bound = 0
-        self.dp_pruned_by_triangle = 0
         self._specs: Dict[str, WorkflowSpecification] = {}
         #: Family views per (spec name, cost key); replaced whole under
         #: the monitor, read with a bare dict get.
@@ -313,10 +302,6 @@ class DiffService:
             "dp_skipped_by_bound_total",
             "DP invocations avoided by the packing lower bound.",
         ).set_function(lambda: self.dp_skipped_by_bound)
-        self.metrics.counter(
-            "dp_pruned_by_triangle_total",
-            "DP invocations avoided by triangle-inequality bounds.",
-        ).set_function(lambda: self.dp_pruned_by_triangle)
         self.metrics.counter(
             "singleflight_coalesced_total",
             "Requests served from another caller's in-flight DP.",
@@ -518,102 +503,13 @@ class DiffService:
         """Credit ``count`` DPs avoided via :meth:`lower_bounds`.
 
         The query engine gates cold script computation on packing
-        bounds; those skips happen outside this service's own pruned
-        paths, so the engine reports them here to keep the
-        ``dp_skipped_by_bound`` counter the single ledger of
+        bounds and reports the scripts it skipped here, so the
+        ``dp_skipped_by_bound`` counter is the one ledger of
         bound-avoided DPs.
         """
         if count > 0:
             with self._monitor():
                 self.dp_skipped_by_bound += count
-
-    def _peek_exact(
-        self,
-        fingerprints: Dict[str, str],
-        cost_key: Optional[str],
-        a: str,
-        b: str,
-    ) -> Optional[float]:
-        """An already-known exact distance, or ``None`` — non-counting.
-
-        Bound probes ask this dozens of times per queried pair; they
-        must not skew the hit/miss ratios operators alert on (the
-        pairs a query actually returns still go through the counting
-        cache path).
-        """
-        if a == b or fingerprints[a] == fingerprints[b]:
-            return 0.0
-        if cost_key is None:
-            return None
-        value = self.cache.peek(
-            pair_key(fingerprints[a], fingerprints[b], cost_key)
-        )
-        return value if isinstance(value, float) else None
-
-    @staticmethod
-    def _known_adjacency(
-        known: Dict[Tuple[str, str], float]
-    ) -> Dict[str, Dict[str, float]]:
-        """``{run: {neighbour: exact distance}}`` over known pairs."""
-        adjacency: Dict[str, Dict[str, float]] = {}
-        for (a, b), value in known.items():
-            adjacency.setdefault(a, {})[b] = value
-            adjacency.setdefault(b, {})[a] = value
-        return adjacency
-
-    @staticmethod
-    def _triangle_floor(
-        adjacency: Dict[str, Dict[str, float]], a: str, c: str
-    ) -> float:
-        """Best triangle *lower* bound on ``δ(a, c)`` via known pivots."""
-        near_a = adjacency.get(a)
-        near_c = adjacency.get(c)
-        if not near_a or not near_c:
-            return 0.0
-        if len(near_c) < len(near_a):
-            near_a, near_c = near_c, near_a
-        best = 0.0
-        probes = 0
-        for pivot, first in near_a.items():
-            second = near_c.get(pivot)
-            if second is None:
-                continue
-            candidate = triangle_lower_bound(first, second)
-            if candidate > best:
-                best = candidate
-            probes += 1
-            if probes >= _TRIANGLE_PIVOT_CAP:
-                break
-        return best
-
-    @staticmethod
-    def _triangle_ceiling(
-        adjacency: Dict[str, Dict[str, float]], a: str, c: str
-    ) -> float:
-        """Best triangle *upper* bound on ``δ(a, c)`` via known pivots.
-
-        ``inf`` when no pivot knows both legs — an unbounded pair can
-        never be pruned away by an upper-bound argument.
-        """
-        near_a = adjacency.get(a)
-        near_c = adjacency.get(c)
-        if not near_a or not near_c:
-            return _INF
-        if len(near_c) < len(near_a):
-            near_a, near_c = near_c, near_a
-        best = _INF
-        probes = 0
-        for pivot, first in near_a.items():
-            second = near_c.get(pivot)
-            if second is None:
-                continue
-            candidate = triangle_upper_bound(first, second)
-            if candidate < best:
-                best = candidate
-            probes += 1
-            if probes >= _TRIANGLE_PIVOT_CAP:
-                break
-        return best
 
     # -- batch computation ----------------------------------------------
     def _cold_batch(
@@ -796,9 +692,7 @@ class DiffService:
                 self.cache.put(key, value)
 
         values = self._cold_batch(
-            "distance", cost, pending,
-            lambda key: self.cache.peek(key, read_through=False),
-            work, publish,
+            "distance", cost, pending, self.cache.peek, work, publish
         )
         for key, value in values.items():
             for name_pair in pending[key]:
@@ -882,10 +776,11 @@ class DiffService:
         if cost_key is not None and (
             runs is None or names == self.runs(spec_name)
         ):
-            self._record_view(
-                spec_name, cost_key, names, fingerprints,
-                _row_sums(names, matrix),
+            view = _FamilyView(
+                tuple(names), dict(fingerprints), _row_sums(names, matrix)
             )
+            with self._monitor():
+                self._views[(spec_name, cost_key)] = view
         return matrix
 
     def nearest_runs(
@@ -898,17 +793,12 @@ class DiffService:
         """One-vs-many: ``run_name``'s neighbours by ascending distance.
 
         Computes (or recalls) only the ``N - 1`` distances involving
-        ``run_name`` — never the full matrix — and, when ``k`` asks for
-        a strict subset of the corpus, prunes candidates that provably
-        cannot enter the top ``k``: a candidate whose lower bound
-        (packing bound from leaf profiles, tightened by the triangle
-        inequality over already-known distances) strictly exceeds the
-        current ``k``-th best distance is skipped without a DP.  The
-        returned ranking is bit-identical to the unpruned computation:
-        skipped candidates sort strictly after position ``k``, and
-        surviving candidates' distances come from the very same
-        cache-or-DP path.
+        ``run_name`` — never the full matrix — with every unknown one
+        priced in one cold batch.  Ties break by name; ``k`` keeps the
+        head of the ranking (``k=0`` none, a negative ``k`` is an
+        error).
         """
+        check_count("k", k)
         cost = cost or UnitCost()
         names = self.runs(spec_name)
         if run_name not in names:
@@ -917,98 +807,16 @@ class DiffService:
                 f"{spec_name!r}"
             )
         others = [other for other in names if other != run_name]
-        pairs = [(run_name, other) for other in others]
         spec, fingerprints = self._resolve(spec_name, names)
-        survivors = pairs
-        if k is not None and 0 < k < len(others):
-            with self._monitor():
-                survivors = self._prune_nearest(
-                    spec, fingerprints, run_name, pairs, k, cost
-                )
-        distances = self._compute_pairs(spec, survivors, fingerprints, cost)
+        distances = self._compute_pairs(
+            spec, [(run_name, other) for other in others], fingerprints,
+            cost,
+        )
         ranked = sorted(
-            ((other, distances[(run_name, other)]) for _, other in survivors),
+            ((other, distances[(run_name, other)]) for other in others),
             key=lambda item: (item[1], item[0]),
         )
         return ranked[:k] if k is not None else ranked
-
-    def _prune_nearest(
-        self,
-        spec: WorkflowSpecification,
-        fingerprints: Dict[str, str],
-        run_name: str,
-        pairs: List[Tuple[str, str]],
-        k: int,
-        cost: CostModel,
-    ) -> List[Tuple[str, str]]:
-        """The pairs of a top-``k`` query that survive pruning (caller
-        holds the service lock).
-
-        Non-counting probes split the pairs into already-known and
-        unknown; with at least ``k`` known distances the ``k``-th best
-        becomes the pruning threshold ``τ``, and every unknown pair
-        whose lower bound *strictly* exceeds ``τ`` cannot enter the
-        ranking (its true distance is ≥ the bound > τ ≥ the final
-        ``k``-th distance — not even on a tie).  The survivors keep
-        the original listing order, and the known pairs re-enter
-        through the ordinary counting cache path, so hit statistics
-        match the unpruned query's.  Packing-doomed pairs are dropped
-        before dispatch and credited to ``dp_skipped_by_bound``;
-        triangle-doomed ones to ``dp_pruned_by_triangle``.
-        """
-        cost_key = cost_model_key(cost)
-        known: Dict[Tuple[str, str], float] = {}
-        unknown: List[Tuple[str, str]] = []
-        for pair in pairs:
-            exact = self._peek_exact(
-                fingerprints, cost_key, pair[0], pair[1]
-            )
-            if exact is None:
-                unknown.append(pair)
-            else:
-                known[pair] = exact
-        if len(known) < k or not unknown:
-            return pairs
-        tau = sorted(known.values())[k - 1]
-        packing = self._packing_bounds(spec, unknown, cost)
-        adjacency: Optional[Dict[str, Dict[str, float]]] = None
-        dropped = set()
-        for pair in unknown:
-            bound = packing.get(pair, 0.0)
-            if bound > tau:
-                self.dp_skipped_by_bound += 1
-                dropped.add(pair)
-                continue
-            if adjacency is None:
-                # Pivot adjacency over *everything* already known —
-                # cheap cache peeks, built once per query on demand.
-                adjacency = self._known_pair_graph(
-                    fingerprints, cost_key, list(fingerprints)
-                )
-            floor = self._triangle_floor(adjacency, pair[0], pair[1])
-            if floor > tau:
-                self.dp_pruned_by_triangle += 1
-                dropped.add(pair)
-        if dropped:
-            pairs = [pair for pair in pairs if pair not in dropped]
-        return pairs
-
-    def _known_pair_graph(
-        self,
-        fingerprints: Dict[str, str],
-        cost_key: Optional[str],
-        names: Sequence[str],
-    ) -> Dict[str, Dict[str, float]]:
-        """Adjacency of every already-known exact distance among
-        ``names`` (non-counting peeks only; no DP, no stat traffic)."""
-        known: Dict[Tuple[str, str], float] = {}
-        ordered = list(names)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                exact = self._peek_exact(fingerprints, cost_key, a, b)
-                if exact is not None:
-                    known[(a, b)] = exact
-        return self._known_adjacency(known)
 
     # -- edit scripts -----------------------------------------------------
     def cached_script(self, key: str) -> Optional[ScriptRecord]:
@@ -1099,7 +907,7 @@ class DiffService:
                 cold.setdefault(key, []).append((run_a, run_b))
 
         def peek(key):
-            raw = self.script_cache.peek(key, read_through=False)
+            raw = self.script_cache.peek(key)
             record = decode_script(raw) if raw is not None else None
             if record is None:
                 return None
@@ -1286,48 +1094,42 @@ class DiffService:
             return None
         return view
 
-    def _record_view(
-        self,
-        spec_name: str,
-        cost_key: str,
-        names: Sequence[str],
-        fingerprints: Dict[str, str],
-        sums: Dict[str, float],
-    ) -> None:
-        with self._monitor():
-            self._views[(spec_name, cost_key)] = _FamilyView(
-                tuple(names), dict(fingerprints), sums
-            )
-
     def _drop_views(self, spec_name: str) -> None:
         """Forget every view of one family (caller holds the monitor)."""
         for key in [key for key in self._views if key[0] == spec_name]:
             del self._views[key]
 
-    def _record_known_view(
-        self,
-        spec_name: str,
-        cost_key: Optional[str],
-        names: Sequence[str],
-        fingerprints: Dict[str, str],
-        adjacency: Dict[str, Dict[str, float]],
-    ) -> None:
-        """Record the view from a bounded pass that knew every pair."""
-        if cost_key is None:
-            return
-        sums = {
-            name: sum(
-                adjacency[name][other] for other in names if other != name
+    def _family_view(
+        self, spec_name: str, cost: CostModel, names: List[str]
+    ) -> Tuple[
+        Optional[_FamilyView], Optional[Dict[Tuple[str, str], float]]
+    ]:
+        """``(view, matrix)``: the valid view of listing ``names``, and
+        the listing's full matrix whenever this call priced one.
+
+        A missing view is rebuilt by one :meth:`distance_matrix`, which
+        prices every unknown pair of the family in one cold batch and
+        records the view.  No view can hold for a family of fewer than
+        three runs, under an uncacheable cost model, or when the
+        listing changed during the batch; the view is then ``None`` and
+        the matrix is there for :mod:`repro.corpus.analytics` to fold.
+        """
+        cost_key = cost_model_key(cost)
+        if len(names) < 3 or cost_key is None:
+            return None, self.distance_matrix(
+                spec_name, cost=cost, runs=names
             )
-            for name in names
-        }
-        self._record_view(spec_name, cost_key, names, fingerprints, sums)
+        _, fingerprints = self._resolve(spec_name, names)
+        view = self._view(spec_name, cost_key, names, fingerprints)
+        if view is not None:
+            return view, None
+        matrix = self.distance_matrix(spec_name, cost=cost, runs=names)
+        return self._view(spec_name, cost_key, names, fingerprints), matrix
 
     def _exact_means(
         self,
-        spec: WorkflowSpecification,
-        names: Sequence[str],
-        fingerprints: Dict[str, str],
+        spec_name: str,
+        view: _FamilyView,
         candidates: Sequence[str],
         cost: CostModel,
     ) -> Dict[str, float]:
@@ -1338,14 +1140,16 @@ class DiffService:
         the zeros between them, and adding ``0.0`` leaves a float sum
         unchanged, so their listing-order means are bit-identical.
         """
+        spec = self.specification(spec_name)
         means: Dict[str, float] = {}
         by_fingerprint: Dict[str, float] = {}
         for name in candidates:
-            fingerprint = fingerprints[name]
+            fingerprint = view.fingerprints[name]
             if fingerprint not in by_fingerprint:
-                others = [o for o in names if o != name]
+                others = [o for o in view.names if o != name]
                 row = self._compute_pairs(
-                    spec, [(name, o) for o in others], fingerprints, cost
+                    spec, [(name, o) for o in others], view.fingerprints,
+                    cost,
                 )
                 by_fingerprint[fingerprint] = sum(
                     row[(name, o)] for o in others
@@ -1359,108 +1163,27 @@ class DiffService:
     ) -> Tuple[str, float]:
         """The corpus's most central run, ``(name, mean distance)``.
 
-        A valid family view answers in O(N): its sums pick the runs
-        within float-rounding distance of the smallest, and only those
-        are re-priced exactly.  Otherwise, when the cost model supports
-        lower bounds, candidates whose bounded mean distance strictly
-        exceeds the best exact mean seen so far are skipped without
-        computing their row of the matrix.  Either way the winner
-        (including its exact mean and the lexicographic tie break) is
-        bit-identical to the full-matrix evaluation, because every
-        skipped candidate's true mean strictly exceeds the returned one.
+        The family view answers in O(N): its sums pick the runs within
+        float-rounding distance of the smallest, and only those are
+        re-priced exactly, so the winner (its exact mean and the
+        lexicographic tie break included) is bit-identical to the
+        full-matrix evaluation.  A family without a valid view first
+        rebuilds it in one matrix batch (:meth:`_family_view`).
         """
         cost = cost or UnitCost()
-        cost_key = cost_model_key(cost)
         # One listing snapshot for both matrix and analytics, so a run
         # saved concurrently can't appear in one but not the other.
         names = self.runs(spec_name)
-        if len(names) >= 3:
-            spec, fingerprints = self._resolve(spec_name, names)
-            view = self._view(spec_name, cost_key, names, fingerprints)
-            if view is not None:
-                cut = min(view.sums.values()) + _view_margin(view.sums)
-                means = self._exact_means(
-                    spec, names, fingerprints,
-                    [n for n in names if view.sums[n] <= cut], cost,
-                )
-                name = min(means, key=lambda n: (means[n], n))
-                return name, means[name]
-        if len(names) < 3 or not is_sound_for(cost):
-            matrix = self.distance_matrix(
-                spec_name, cost=cost, runs=names
-            )
+        view, matrix = self._family_view(spec_name, cost, names)
+        if view is None:
             return medoid(matrix, names=names)
-        # Probes and bounds run outside the monitor: the caches and the
-        # index carry their own locks, and warm reads must not queue
-        # behind an O(N²) pass.
-        adjacency = self._known_pair_graph(fingerprints, cost_key, names)
-        unknown = [
-            (a, b)
-            for i, a in enumerate(names)
-            for b in names[i + 1:]
-            if b not in adjacency.get(a, {})
-        ]
-        if not unknown:
-            self._record_known_view(
-                spec_name, cost_key, names, fingerprints, adjacency
-            )
-        packing = self._packing_bounds(spec, unknown, cost)
-
-        def pair_floor(a: str, b: str) -> Tuple[float, bool]:
-            """(lower bound, needed triangle?) for one pair."""
-            exact = adjacency.get(a, {}).get(b)
-            if exact is not None:
-                return exact, False
-            key = (a, b) if (a, b) in packing else (b, a)
-            bound = packing.get(key, 0.0)
-            floor = self._triangle_floor(adjacency, a, b)
-            return max(bound, floor), floor > bound
-
-        # Mean bounds in mean_distances' exact arithmetic (same
-        # summation order, same division) — float addition is
-        # monotone, so a sum of per-pair lower bounds stays a
-        # lower bound of the identically-ordered sum of distances.
-        floors: Dict[str, float] = {}
-        used_triangle: Dict[str, bool] = {}
-        for name in names:
-            others = [o for o in names if o != name]
-            parts = [pair_floor(name, o) for o in others]
-            floors[name] = sum(p[0] for p in parts) / len(others)
-            used_triangle[name] = any(p[1] for p in parts)
-
-        best: Optional[Tuple[float, str]] = None
-        skipped: Dict[str, bool] = {}
-        for name in sorted(names, key=lambda n: (floors[n], n)):
-            if best is not None and floors[name] > best[0]:
-                skipped[name] = used_triangle[name]
-                continue
-            mean = self._exact_means(
-                spec, names, fingerprints, [name], cost
-            )[name]
-            if best is None or (mean, name) < best:
-                best = (mean, name)
-        with self._monitor():
-            self._count_avoided_pairs(unknown, skipped)
-        assert best is not None  # names is non-empty here
-        return best[1], best[0]
-
-    def _count_avoided_pairs(
-        self,
-        unknown: Sequence[Tuple[str, str]],
-        skipped: Dict[str, bool],
-    ) -> None:
-        """Attribute never-computed pairs to the skip counters.
-
-        A pair is avoided when *both* endpoints' candidate evaluations
-        were skipped; it lands on the triangle counter when either
-        skip needed a triangle bound, on the packing counter otherwise.
-        """
-        for a, b in unknown:
-            if a in skipped and b in skipped:
-                if skipped[a] or skipped[b]:
-                    self.dp_pruned_by_triangle += 1
-                else:
-                    self.dp_skipped_by_bound += 1
+        cut = min(view.sums.values()) + _view_margin(view.sums)
+        means = self._exact_means(
+            spec_name, view, [n for n in names if view.sums[n] <= cut],
+            cost,
+        )
+        name = min(means, key=lambda n: (means[n], n))
+        return name, means[name]
 
     def outliers(
         self,
@@ -1470,83 +1193,32 @@ class DiffService:
     ) -> List[Tuple[str, float]]:
         """Runs ranked by descending mean distance to the corpus.
 
-        With ``top`` given, a valid family view answers in O(N): only
-        the runs whose sums reach within float-rounding distance of the
-        ``top``-th largest are re-priced exactly.  Otherwise candidates
-        whose triangle *upper* bound on the mean falls strictly below
-        the ``top``-th best exact mean are skipped without computing
-        their matrix row.  Either way the returned head of the ranking
-        is bit-identical to the full evaluation (a skipped candidate's
-        true mean is strictly below every returned one, so it cannot
-        enter the head, not even on a tie).  Upper bounds need no
-        cost-model support — the triangle inequality holds for any
-        edit-script cost — but they do need known distances to pivot
-        through, so a cold corpus computes the full matrix exactly as
-        before.
+        With ``0 < top < N`` the family view answers, as for
+        :meth:`medoid`: only the runs whose sums reach within
+        float-rounding distance of the ``top``-th largest are re-priced
+        exactly, so the returned head is bit-identical to the full
+        evaluation, ties included.  Without ``top``, or with one
+        covering the family, every mean is needed and the full matrix
+        is folded.  ``top=0`` returns ``[]``; a negative ``top`` is an
+        error.
         """
+        check_count("top", top)
         cost = cost or UnitCost()
         names = self.runs(spec_name)
-        if top is None or top <= 0 or top >= len(names) or len(names) < 3:
+        if top is None or not 0 < top < len(names):
             matrix = self.distance_matrix(
                 spec_name, cost=cost, runs=names
             )
             return outliers(matrix, names=names, top=top)
-        spec, fingerprints = self._resolve(spec_name, names)
-        cost_key = cost_model_key(cost)
-        view = self._view(spec_name, cost_key, names, fingerprints)
-        if view is not None:
-            cut = sorted(view.sums.values(), reverse=True)[top - 1]
-            cut -= _view_margin(view.sums)
-            means = self._exact_means(
-                spec, names, fingerprints,
-                [n for n in names if view.sums[n] >= cut], cost,
-            )
-            ranked = sorted(
-                means.items(), key=lambda item: (-item[1], item[0])
-            )
-            return ranked[:top]
-        adjacency = self._known_pair_graph(fingerprints, cost_key, names)
-        unknown = [
-            (a, b)
-            for i, a in enumerate(names)
-            for b in names[i + 1:]
-            if b not in adjacency.get(a, {})
-        ]
-        if not unknown:
-            self._record_known_view(
-                spec_name, cost_key, names, fingerprints, adjacency
-            )
-
-        def pair_ceiling(a: str, b: str) -> float:
-            exact = adjacency.get(a, {}).get(b)
-            if exact is not None:
-                return exact
-            return self._triangle_ceiling(adjacency, a, b)
-
-        ceilings: Dict[str, float] = {}
-        for name in names:
-            others = [o for o in names if o != name]
-            ceilings[name] = sum(
-                pair_ceiling(name, o) for o in others
-            ) / len(others)
-
-        means: Dict[str, float] = {}
-        skipped: Dict[str, bool] = {}
-        # Largest ceiling first: once the top-th exact mean
-        # exceeds a ceiling, every later candidate's does too.
-        for name in sorted(
-            names, key=lambda n: (-ceilings[n], n)
-        ):
-            if len(means) >= top:
-                tau = sorted(means.values(), reverse=True)[top - 1]
-                if ceilings[name] < tau:
-                    skipped[name] = True
-                    continue
-            means.update(
-                self._exact_means(spec, names, fingerprints, [name], cost)
-            )
-        with self._monitor():
-            self._count_avoided_pairs(unknown, skipped)
+        view, matrix = self._family_view(spec_name, cost, names)
+        if view is None:
+            return outliers(matrix, names=names, top=top)
+        cut = sorted(view.sums.values(), reverse=True)[top - 1]
+        cut -= _view_margin(view.sums)
+        means = self._exact_means(
+            spec_name, view, [n for n in names if view.sums[n] >= cut],
+            cost,
+        )
         ranked = sorted(
             means.items(), key=lambda item: (-item[1], item[0])
         )
@@ -1570,7 +1242,6 @@ class DiffService:
         merged["indexed_scripts"] = len(self.script_index)
         merged["lock_acquisitions"] = self.lock_acquisitions
         merged["dp_skipped_by_bound"] = self.dp_skipped_by_bound
-        merged["dp_pruned_by_triangle"] = self.dp_pruned_by_triangle
         merged["coalesced_requests"] = self.coalesced_requests
         return merged
 

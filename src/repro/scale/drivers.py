@@ -336,12 +336,10 @@ def _stats_ratios(stats: Dict[str, float]) -> dict:
     """DP fast-path counters and ratios out of a ``/stats`` payload."""
     computed = float(stats.get("computed_pairs", 0) or 0)
     skipped = float(stats.get("dp_skipped_by_bound", 0) or 0)
-    pruned = float(stats.get("dp_pruned_by_triangle", 0) or 0)
     attempted = computed + skipped
     return {
         "computed_pairs": int(computed),
         "dp_skipped_by_bound": int(skipped),
-        "dp_pruned_by_triangle": int(pruned),
         "dp_skip_ratio": (
             round(skipped / attempted, 4) if attempted else 0.0
         ),

@@ -25,8 +25,6 @@ from repro.core.bounds import (
     profile_delta,
     run_lower_bound,
     spec_max_op_leaves,
-    triangle_lower_bound,
-    triangle_upper_bound,
 )
 from repro.costs.standard import (
     CallableCost,
@@ -145,24 +143,6 @@ class TestPackingBound:
 
     def test_degenerate_ceiling_is_vacuous(self):
         assert packing_lower_bound(7, 0, UnitCost()) == 0.0
-
-
-class TestTriangleBounds:
-    @given(
-        qb=st.floats(min_value=0.0, max_value=1e6),
-        bc=st.floats(min_value=0.0, max_value=1e6),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_floor_below_ceiling(self, qb, bc):
-        assert triangle_lower_bound(qb, bc) <= abs(qb - bc)
-        assert triangle_upper_bound(qb, bc) >= qb + bc
-        assert triangle_lower_bound(qb, bc) <= triangle_upper_bound(
-            qb, bc
-        )
-
-    def test_exact_on_zero(self):
-        assert triangle_lower_bound(0.0, 0.0) == 0.0
-        assert triangle_upper_bound(0.0, 0.0) == 0.0
 
 
 # Every model the module claims soundness for, plus one it does not

@@ -88,3 +88,20 @@ class TestKNearest:
     def test_unknown_name_rejected(self):
         with pytest.raises(ReproError, match="not part of the matrix"):
             k_nearest(MATRIX, "z")
+
+
+class TestCounts:
+    """``k`` and ``top`` count runs: zero keeps none, and a negative
+    count is refused rather than slicing runs off the ranking's tail."""
+
+    def test_zero_keeps_nothing(self):
+        assert outliers(MATRIX, top=0) == []
+        assert k_nearest(MATRIX, "a", k=0) == []
+
+    def test_negative_top_refused(self):
+        with pytest.raises(ReproError, match="^top must be >= 0, got -1$"):
+            outliers(MATRIX, top=-1)
+
+    def test_negative_k_refused(self):
+        with pytest.raises(ReproError, match="^k must be >= 0, got -2$"):
+            k_nearest(MATRIX, "a", k=-2)

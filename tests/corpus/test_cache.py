@@ -155,15 +155,18 @@ class TestDistanceCache:
         cache.put("b", 2.0)
         assert len(cache) == 2
 
-    def test_peek_reads_through_without_counting(self, db_path):
+    def test_peek_answers_from_memory_without_counting(self, db_path):
         warm = DistanceCache(DerivedDB(db_path))
         warm.put("k", 3.0)
         warm.flush()
         cold = DistanceCache(DerivedDB(db_path))
-        assert cold.peek("k", read_through=False) is None
-        assert cold.peek("k") == 3.0
+        assert cold.peek("k") is None  # the table is never read
         assert cold.peek("missing") is None
         assert cold.stats.lookups == 0
         assert "k" not in cold._memory  # no promotion either
         cold.put("mine", 4.0)
-        assert cold.peek("mine", read_through=False) == 4.0
+        assert cold.peek("mine") == 4.0  # the dirty buffer answers
+        cold.flush()
+        assert cold.peek("mine") == 4.0  # and so does the hot tier
+        assert cold.stats.lookups == 0
+        assert cold.get("k") == 3.0  # a counting lookup reads through

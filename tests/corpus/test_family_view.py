@@ -11,8 +11,8 @@ tests pin the contract down:
   under ``UnitCost`` and under a cost model with non-integer distances;
 * a run added by another workspace, or a run file rewritten behind the
   service's back, drops the view instead of serving it stale;
-* the bounded (no-view) pass probes its pairs outside the service
-  monitor, so a warm read never queues behind it.
+* a family without a view rebuilds it with one matrix batch, run
+  outside the service monitor, so a warm read never queues behind it.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def test_invalidate_specification_drops_the_view(tmp_path):
     assert ws.service._views == {}
 
 
-def test_bounded_pass_records_a_view_when_every_pair_is_known(tmp_path):
+def test_medoid_without_a_view_records_one(tmp_path):
     store = populate_store(tmp_path, 5)
     warm = DiffService(store)
     warm.distance_matrix("PA")
@@ -165,38 +165,37 @@ def test_bounded_pass_records_a_view_when_every_pair_is_known(tmp_path):
         warm.distance_matrix("PA"), names=warm.runs("PA")
     )
     assert ("PA", cost_model_key(UnitCost())) in service._views
+    assert service.computed_pairs == 0
 
 
-def test_bounded_medoid_does_not_hold_the_monitor(tmp_path, monkeypatch):
-    """A warm diff completes while a bounded medoid is mid-probe."""
+def test_view_rebuild_does_not_hold_the_monitor(tmp_path, monkeypatch):
+    """A warm distance returns while a medoid's rebuild batch is held."""
     store = populate_store(tmp_path, 5)
     service = DiffService(store, persistent=False)
-    service.distance_matrix("PA")
-    service.edit_script("PA", "r01", "r02")  # the warm read
-    service._views.clear()  # force the bounded pass
+    warm = service.distance("PA", "r01", "r02")
 
-    probing = threading.Event()
+    batching = threading.Event()
     release = threading.Event()
-    original = service._peek_exact
+    real_map = service.backend.map
 
-    def blocking_peek(*args):
-        probing.set()
+    def gated_map(func, tasks):
+        batching.set()
         assert release.wait(10)
-        return original(*args)
+        return real_map(func, tasks)
 
-    monkeypatch.setattr(service, "_peek_exact", blocking_peek)
+    monkeypatch.setattr(service.backend, "map", gated_map)
     outcome = {}
     medoid_thread = threading.Thread(
         target=lambda: outcome.setdefault("medoid", service.medoid("PA"))
     )
+    reader = threading.Thread(
+        target=lambda: outcome.setdefault(
+            "distance", service.distance("PA", "r01", "r02")
+        )
+    )
     medoid_thread.start()
     try:
-        assert probing.wait(10)
-        reader = threading.Thread(
-            target=lambda: outcome.setdefault(
-                "diff", service.edit_script("PA", "r01", "r02")
-            )
-        )
+        assert batching.wait(10)
         reader.start()
         reader.join(5)
         finished_first = not reader.is_alive()
@@ -204,8 +203,11 @@ def test_bounded_medoid_does_not_hold_the_monitor(tmp_path, monkeypatch):
         release.set()
         medoid_thread.join(10)
     reader.join(10)
-    assert finished_first, "warm diff waited on the medoid's probes"
-    assert "medoid" in outcome and "diff" in outcome
+    assert finished_first, "warm distance waited on the medoid's batch"
+    assert not medoid_thread.is_alive() and not reader.is_alive()
+    assert outcome["distance"] == warm
+    assert outcome["medoid"] == _oracle(tmp_path, UnitCost(), 1)[0]
+    assert ("PA", cost_model_key(UnitCost())) in service._views
 
 
 def test_concurrent_adds_and_reads_never_serve_a_stale_view(tmp_path):

@@ -230,6 +230,23 @@ class TestAnalyticsQueries:
         assert values == sorted(values, reverse=True)
         assert service.outliers("PA", top=2) == ranked[:2]
 
+    def test_zero_counts_keep_nothing(self, service):
+        assert service.outliers("PA", top=0) == []
+        assert service.nearest_runs("PA", "r01", k=0) == []
+
+    @pytest.mark.parametrize("argument", ["k", "top"])
+    def test_negative_counts_refused(self, tmp_path, pa_store, argument):
+        """A negative count used to slice runs off the ranking's tail
+        (``top=-1`` on this 5-run store returned four runs)."""
+        ws = Workspace(tmp_path)
+        with pytest.raises(
+            ReproError, match=f"^{argument} must be >= 0, got -1$"
+        ):
+            if argument == "k":
+                ws.nearest("r01", k=-1)
+            else:
+                ws.outliers(top=-1)
+
     def test_stats_expose_counters(self, service):
         service.distance_matrix("PA")
         assert service.stats["computed_pairs"] == 10

@@ -1,21 +1,22 @@
-"""The DiffService fast paths: seeding, dedup, pruning, counters.
+"""The DiffService fast paths: seeding, dedup, one analytics batch.
 
-Regression coverage for the hot-path fixes and the bound/triangle
-pruning layers:
+Regression coverage for the hot-path fixes and the analytics' one path:
 
 * ≡-equivalent pairs (equal fingerprints) seed the distance cache
   under the canonical pair key — historically the short-circuit
   bypassed the cache, so the zero never persisted;
 * uncacheable cost models dedupe a batch by the *unordered* name pair
   — ``(a, b)`` and ``(b, a)`` cost one DP, not two;
-* pruned ``nearest_runs``/``medoid``/``outliers`` return answers
-  bit-identical to the unpruned evaluation while the
-  ``dp_skipped_by_bound``/``dp_pruned_by_triangle`` counters record
-  the DPs they avoided.
+* ``nearest_runs``/``medoid``/``outliers`` on a cold or partly warm
+  family return answers bit-identical to the full evaluation while
+  pricing every unknown pair they need in one backend batch;
+* ``dp_skipped_by_bound`` counts the query engine's bound-gated DPs,
+  and no other skip counter exists.
 """
 
 import pytest
 
+from repro.corpus.analytics import k_nearest
 from repro.corpus.fingerprint import cost_model_key, pair_key
 from repro.corpus.service import DiffService
 from repro.corpus.analytics import medoid as medoid_of
@@ -26,6 +27,8 @@ from repro.costs.standard import (
     UnitCost,
 )
 from repro.io.store import WorkflowStore
+from repro.query.engine import QueryEngine
+from repro.query.predicates import Q
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import protein_annotation
 
@@ -94,20 +97,6 @@ class TestUncacheableDedup:
 
 
 class TestPrunedNearestRuns:
-    def test_duplicate_anchor_prunes_everything(
-        self, tmp_path, dp_counter
-    ):
-        # r01dup is ≡ r01, so the k=1 threshold is 0.0 before any DP;
-        # every other candidate's packing bound exceeds it.
-        store = _with_duplicate(tmp_path, 4)
-        service = DiffService(store, persistent=False)
-        result = service.nearest_runs(
-            "PA", "r01", k=1, cost=LengthCost()
-        )
-        assert result == [("r01dup", 0.0)]
-        assert dp_counter["count"] == 0
-        assert service.dp_skipped_by_bound > 0
-
     def test_pruned_ranking_matches_oracle(self, tmp_path):
         store = _with_duplicate(tmp_path, 5)
         cost = LengthCost()
@@ -203,29 +192,27 @@ class TestCounters:
         service = DiffService(store, persistent=False)
         counters = service.stats_counters
         assert counters["dp_skipped_by_bound"] == 0
-        assert counters["dp_pruned_by_triangle"] == 0
-        service.nearest_runs(
-            "PA", "r01", k=1, cost=LengthCost()
-        )
+        # A cost ceiling of 0.0 gates every cold pair of distinct runs
+        # on its packing bound (LengthCost bounds are the leaf-profile
+        # delta, positive for any two distinct varied runs).
+        list(QueryEngine(service).select(
+            "PA", Q.cost(max=0.0), cost=LengthCost()
+        ))
         counters = service.stats_counters
         assert counters["dp_skipped_by_bound"] > 0
+        assert counters["computed_pairs"] == 0
 
-    def test_warm_path_reports_nonzero_skips(self, tmp_path):
-        """The acceptance criterion: nonzero ``dp_skipped_by_bound``
-        on a warm-cache path."""
-        store = _with_duplicate(tmp_path, 5)
-        cost = LengthCost()
-        service = DiffService(store)
-        # Warm a neighbourhood, then ask a pruned query.
-        service.distances(
-            "PA",
-            [("r01", "r02"), ("r01", "r03")],
-            cost,
-        )
-        service.nearest_runs(
-            "PA", "r01", k=1, cost=cost
-        )
-        assert service.stats_counters["dp_skipped_by_bound"] > 0
+    def test_no_triangle_counter_in_process(self, tmp_path):
+        store = populate_store(tmp_path, 4)
+        service = DiffService(store, persistent=False)
+        service.nearest_runs("PA", "r01", k=1)
+        service.medoid("PA")
+        assert "dp_skipped_by_bound" in service.stats
+        assert [key for key in service.stats if "triangle" in key] == []
+        families = service.metrics.snapshot()
+        assert "dp_skipped_by_bound_total" in families
+        assert [name for name in families if "triangle" in name] == []
+        assert "triangle" not in service.metrics.render_prometheus()
 
     def test_lower_bounds_api_is_sound(self, tmp_path):
         store = populate_store(tmp_path, 3)
@@ -240,14 +227,22 @@ class TestCounters:
             assert bounds[pair] <= exact[pair]
 
 
-def _backend_tasks(service) -> float:
-    samples = service.metrics.snapshot()["backend_tasks_total"]["samples"]
-    return sum(sample["value"] for sample in samples)
+def _count_batches(service, monkeypatch):
+    """Record the size of every batch the service's backend runs."""
+    sizes = []
+    real_map = service.backend.map
+
+    def counting_map(func, tasks):
+        sizes.append(len(tasks))
+        return real_map(func, tasks)
+
+    monkeypatch.setattr(service.backend, "map", counting_map)
+    return sizes
 
 
-class TestPruningBeforeDispatch:
-    """A top-``k`` query drops its doomed pairs before the batch is
-    dispatched, the same way on both backends."""
+class TestOneBatch:
+    """A cold or partly warm family prices what an analytic needs in
+    one backend batch, with answers equal to the full evaluation."""
 
     def test_nearest_identical_across_backends(self, tmp_path):
         store = populate_store(tmp_path, 8)
@@ -260,38 +255,85 @@ class TestPruningBeforeDispatch:
             service = DiffService(
                 store, persistent=False, backend=backend, max_workers=2
             )
-            # Warm pivots: one full row and two of the anchor's pairs.
+            # Warm one full row and two of the anchor's pairs.
             service.nearest_runs("PA", "r08", cost=cost)
             service.distances(
                 "PA", [("r01", "r02"), ("r01", "r03")], cost
             )
-            ranking = service.nearest_runs("PA", "r01", k=2, cost=cost)
-            outcomes[backend] = (
-                ranking,
-                service.dp_skipped_by_bound,
-                service.dp_pruned_by_triangle,
+            outcomes[backend] = service.nearest_runs(
+                "PA", "r01", k=2, cost=cost
             )
-        assert outcomes["serial"] == outcomes["thread"]
-        assert outcomes["serial"][0] == oracle[:2]
-        assert outcomes["serial"][1] > 0
+        assert outcomes["serial"] == outcomes["thread"] == oracle[:2]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_warm_topk_dispatches_only_survivors(self, tmp_path, backend):
+    @pytest.mark.parametrize("analytic", ["medoid", "outliers"])
+    def test_cold_family_prices_in_one_batch(
+        self, tmp_path, monkeypatch, analytic
+    ):
         store = populate_store(tmp_path, 8)
-        cost = LengthCost()
-        service = DiffService(
-            store, persistent=False, backend=backend, max_workers=2
+        oracle = DiffService(store, persistent=False)
+        names = oracle.runs("PA")
+        matrix = oracle.distance_matrix("PA")
+        service = DiffService(store, persistent=False)
+        sizes = _count_batches(service, monkeypatch)
+        if analytic == "medoid":
+            answer = service.medoid("PA")
+            expected = medoid_of(matrix, names=names)
+        else:
+            answer = service.outliers("PA", top=2)
+            expected = outliers_of(matrix, names=names, top=2)
+        assert answer == expected
+        assert sizes == [len(matrix)]
+        assert service.computed_pairs == len(matrix)
+
+    def test_partly_warm_medoid_prices_the_unknown_pairs_once(
+        self, tmp_path, monkeypatch
+    ):
+        # r01dup is ≡ r01: a pair with either one shares its content
+        # key with the same pair of the other, and is priced once.
+        store = _with_duplicate(tmp_path, 8)
+        service = DiffService(store, persistent=False)
+        service.nearest_runs("PA", "r02")
+        service.nearest_runs("PA", "r05")
+        names = service.runs("PA")
+        fingerprints = service.fingerprints("PA", names)
+        cost_key = cost_model_key(UnitCost())
+        unpriced = {
+            pair_key(fingerprints[a], fingerprints[b], cost_key)
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if fingerprints[a] != fingerprints[b]
+        }
+        unpriced = {
+            key for key in unpriced if service.cache.peek(key) is None
+        }
+        assert unpriced
+        sizes = _count_batches(service, monkeypatch)
+        matrix = DiffService(store, persistent=False).distance_matrix("PA")
+        assert service.medoid("PA") == medoid_of(matrix, names=names)
+        assert sizes == [len(unpriced)]
+
+    def test_partly_warm_nearest_probes_the_cache_linearly(
+        self, tmp_path, monkeypatch
+    ):
+        store = populate_store(tmp_path, 10)
+        service = DiffService(store, persistent=False)
+        service.nearest_runs("PA", "r10")
+        service.distances(
+            "PA", [("r01", "r02"), ("r01", "r03"), ("r01", "r04")]
         )
-        service.distances("PA", [("r01", "r02"), ("r01", "r03")], cost)
-        tasks_before = _backend_tasks(service)
-        computed_before = service.computed_pairs
-        service.nearest_runs("PA", "r01", k=1, cost=cost)
-        dispatched = _backend_tasks(service) - tasks_before
-        dropped = (
-            service.dp_skipped_by_bound + service.dp_pruned_by_triangle
-        )
-        assert service.dp_skipped_by_bound > 0
-        # r04..r08 were unknown: each one is either dropped or
-        # dispatched, never both, and every dispatched pair is a DP.
-        assert dispatched + dropped == 5
-        assert dispatched == service.computed_pairs - computed_before
+        probes = []
+        for method in ("get", "peek"):
+            real = getattr(service.cache, method)
+
+            def counting(*args, _real=real, **kwargs):
+                probes.append(method)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(service.cache, method, counting)
+        sizes = _count_batches(service, monkeypatch)
+        ranking = service.nearest_runs("PA", "r01", k=2)
+        matrix = DiffService(store, persistent=False).distance_matrix("PA")
+        assert ranking == k_nearest(matrix, "r01", k=2)
+        names = service.runs("PA")
+        assert len(probes) <= 2 * (len(names) - 1)
+        assert len(sizes) <= 1

@@ -203,6 +203,20 @@ class TestImportSurface:
         assert name not in getattr(module, "__all__", ())
         assert not hasattr(module, name)
 
+    def test_no_triangle_bounds(self, tmp_path):
+        """The analytics price in one batch since 7.0: no triangle
+        bound, cache read-through probe or triangle counter is left."""
+        from repro.core import bounds
+        from repro.corpus.cache import TwoTierCache
+        from repro.corpus.service import DiffService
+
+        assert [n for n in dir(bounds) if n.startswith("triangle")] == []
+        assert list(inspect.signature(TwoTierCache.peek).parameters) == [
+            "self", "key",
+        ]
+        service = DiffService(tmp_path, persistent=False)
+        assert not hasattr(service, "dp_pruned_by_triangle")
+
     def test_backend_workers_take_runs_directly(self):
         """No payload record: each worker takes the two runs, the cost
         model and the batch's shared tables."""
@@ -256,7 +270,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"

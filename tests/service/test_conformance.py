@@ -168,6 +168,26 @@ class TestErrorsBehaveIdentically:
         with pytest.raises(ReproError, match="not a mix"):
             api.diff("r01", run)
 
+    @pytest.mark.parametrize("argument", ["k", "top"])
+    def test_negative_counts_refused_alike(
+        self, local_ws, served_ws, argument
+    ):
+        """A negative ``k`` or ``top`` raises the same error type and
+        message locally and served, instead of slicing the ranking."""
+
+        def call(ws):
+            if argument == "k":
+                return ws.nearest("r01", k=-1)
+            return ws.outliers(top=-1)
+
+        with pytest.raises(ReproError) as local:
+            call(local_ws)
+        with pytest.raises(ReproError) as served:
+            call(served_ws)
+        assert type(served.value) is type(local.value)
+        assert str(served.value) == str(local.value)
+        assert str(local.value) == f"{argument} must be >= 0, got -1"
+
 
 class TestWritePaths:
     """Corpus mutations through either implementation land in the same

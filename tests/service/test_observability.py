@@ -187,6 +187,17 @@ class TestStatsWire:
         }
         assert 0.0 <= derived["memory_hit_ratio"] <= 1.0
 
+    def test_no_triangle_counter_on_the_wire(self, fresh_server):
+        remote = RemoteWorkspace(fresh_server.url)
+        remote.nearest("r01", k=1, spec="PA")
+        bodies = [
+            fetch(fresh_server.url + path)[2]
+            for path in ("/stats", "/metrics", "/metrics?format=json")
+        ]
+        for body in bodies:
+            assert b"dp_skipped_by_bound" in body
+            assert b"dp_pruned_by_triangle" not in body
+
     def test_v1_payload_still_decodes(self):
         legacy = {
             "v": 1,
