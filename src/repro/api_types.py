@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -110,6 +111,27 @@ def decode_cursor(cursor: Optional[str]) -> int:
     if offset < 0:
         raise ReproError("invalid pagination cursor: negative offset")
     return offset
+
+
+def default_spec_name(
+    spec: Optional[str], names: Callable[[], List[str]]
+) -> str:
+    """The specification a call means: ``spec``, else the only one of
+    ``names()``.  With zero or several, the local and the remote
+    workspace alike refuse, spelling out the names."""
+    if spec is not None:
+        return spec
+    listed = names()
+    if len(listed) == 1:
+        return listed[0]
+    if not listed:
+        raise ReproError(
+            "workspace holds no specifications; register one first"
+        )
+    raise ReproError(
+        "workspace holds several specifications "
+        f"({', '.join(listed)}); pass spec= to disambiguate"
+    )
 
 
 def _operations_to_payload(operations: Sequence[PathOperation]) -> list:

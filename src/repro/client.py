@@ -60,6 +60,7 @@ from repro.api_types import (
     QueryFilter,
     QueryPage,
     StatsSnapshot,
+    default_spec_name,
 )
 from repro.core.api import diff_runs
 from repro.corpus.analytics import check_count, k_nearest
@@ -69,8 +70,9 @@ from repro.corpus.analytics import outliers as _outliers
 from repro.corpus.fingerprint import cost_model_key
 from repro.costs.base import CostModel
 from repro.costs.standard import cost_to_spec
-from repro.errors import ReproError, TransportError
-from repro.io.xml_io import specification_from_xml, specification_to_xml
+from repro.errors import NotFoundError, ReproError, TransportError
+from repro.io.registry import SPEC_REGISTRY
+from repro.io.xml_io import specification_to_xml
 from repro.obs.logging import current_request_id, new_request_id
 from repro.transport import (
     IDEMPOTENT_METHODS,
@@ -143,7 +145,6 @@ class RemoteWorkspace:
         self.default_cost = cost
         if cost is not None:
             cost_to_spec(cost)  # fail fast on unserialisable models
-        self._specs: Dict[str, WorkflowSpecification] = {}
         # ETag revalidation memo: url -> (etag, cached outcome
         # payload).  LRU-bounded — a long-lived client sweeping a
         # growing corpus must not retain every payload forever.
@@ -272,18 +273,15 @@ class RemoteWorkspace:
         return list(payload["specs"])
 
     def specification(self, name: str) -> WorkflowSpecification:
-        """The named specification, fetched as XML (session-memoised)."""
-        with self._lock:
-            if name not in self._specs:
-                _, _, raw = self._request(
-                    "GET",
-                    f"/specs/{_quote(name)}",
-                    headers={"Accept": XML_TYPE},
-                )
-                self._specs[name] = specification_from_xml(
-                    raw.decode("utf8")
-                )
-            return self._specs[name]
+        """The named specification as the server stores it now
+        (fetched as XML, parsed once per content by the
+        :data:`~repro.io.registry.SPEC_REGISTRY`)."""
+        _, _, raw = self._request(
+            "GET",
+            f"/specs/{_quote(name)}",
+            headers={"Accept": XML_TYPE},
+        )
+        return SPEC_REGISTRY.specification(raw.decode("utf8"))
 
     def register(self, spec: WorkflowSpecification) -> None:
         """Upload a specification (``PUT /specs/{name}`` as XML)."""
@@ -293,8 +291,6 @@ class RemoteWorkspace:
             body=specification_to_xml(spec).encode("utf8"),
             headers={"Content-Type": XML_TYPE},
         )
-        with self._lock:
-            self._specs[spec.name] = spec
 
     # -- run management ---------------------------------------------------
     def runs(self, spec: Optional[str] = None) -> List[str]:
@@ -345,34 +341,18 @@ class RemoteWorkspace:
     ) -> WorkflowRun:
         """Generate a run client-side and upload it.
 
-        The specification is fetched once (memoised), the run is
-        produced by the same deterministic
+        The stored specification is fetched, the run is produced by
+        the same deterministic
         :func:`~repro.workflow.execution.execute_workflow` a local
         workspace uses, and the result is pushed with
         :meth:`import_run` — same seed, same run, wherever generated.
         """
-        spec_name = self._resolve_spec(spec)
+        spec_name = default_spec_name(spec, self.specifications)
         run = execute_workflow(
             self.specification(spec_name), params, seed=seed, name=name
         )
         self.import_run(run)
         return run
-
-    def _resolve_spec(self, spec: Optional[str]) -> str:
-        """Client-side default-spec resolution (mirrors the local rule)."""
-        if spec is not None:
-            return spec
-        names = self.specifications()
-        if len(names) == 1:
-            return names[0]
-        if not names:
-            raise ReproError(
-                "workspace holds no specifications; register one first"
-            )
-        raise ReproError(
-            "workspace holds several specifications "
-            f"({', '.join(names)}); pass spec= to disambiguate"
-        )
 
     # -- differencing -----------------------------------------------------
     def diff(
@@ -486,17 +466,20 @@ class RemoteWorkspace:
         identical numbers, one round trip.
         """
         check_count("k", k)
-        result = self.matrix(spec=spec, cost=cost)
-        if run_name not in result.runs:
-            from repro.errors import NotFoundError
-
+        if k == 0:  # nothing to price: check the run, fetch no matrix
+            spec_name = default_spec_name(spec, self.specifications)
+            names = self.runs(spec=spec_name)
+        else:
+            result = self.matrix(spec=spec, cost=cost)
+            spec_name, names = result.spec_name, result.runs
+        if run_name not in names:
             raise NotFoundError(
                 f"no stored run {run_name!r} for specification "
-                f"{result.spec_name!r}"
+                f"{spec_name!r}"
             )
-        return k_nearest(
-            result.distances, run_name, k=k, names=result.runs
-        )
+        if k == 0:
+            return []
+        return k_nearest(result.distances, run_name, k=k, names=names)
 
     def medoid(
         self,
@@ -515,6 +498,9 @@ class RemoteWorkspace:
     ) -> List[Tuple[str, float]]:
         """Runs ranked by descending mean distance to the corpus."""
         check_count("top", top)
+        if top == 0:  # nothing to price: resolve the spec, fetch no matrix
+            default_spec_name(spec, self.specifications)
+            return []
         result = self.matrix(spec=spec, cost=cost)
         return _outliers(result.distances, names=result.runs, top=top)
 

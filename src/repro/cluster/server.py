@@ -8,8 +8,8 @@ public socket and speaks the *same wire surface* as a single
 header and byte — so clients (and the conformance suite) cannot tell
 the difference.
 
-Every request has one owner, except the three cluster-wide reads and
-writes that must visit each worker:
+Every request has one owner, except the two cluster-wide reads that
+must visit each worker:
 
 * ``GET /diff/{a}/{b}`` → the worker owning
   :func:`~repro.cluster.shard.shard_for_pair` ``(a, b)``.  Every
@@ -18,8 +18,6 @@ writes that must visit each worker:
   cost exactly one DP cluster-wide; the parent forwards each of them.
 * ``GET/PUT /runs/{name}`` and ``POST /prov/import?name=`` → the worker
   owning :func:`~repro.cluster.shard.shard_for_name`.
-* ``PUT /specs/{name}`` → broadcast to every worker (each memoises
-  specifications and fingerprints in memory over the shared store).
 * ``GET /stats`` → every worker; integral counters sum, derived ratios
   are recomputed from the summed counters, and parent-level
   ``cluster_*`` counters ride along (``source`` becomes ``"cluster"``).
@@ -28,10 +26,13 @@ writes that must visit each worker:
   and the merged snapshot renders as Prometheus text or JSON.
 * ``GET /healthz`` → worker 0's payload plus a ``cluster`` block with
   per-worker liveness, ports and restart counts.
-* Everything else (``POST /matrix``, ``POST /query``, spec/run
-  listings, summaries, streams, 404s) → worker 0, verbatim.  A
-  family's matrix or query page is one job: one serial batch shares
-  DP cells that a split across workers would lose.
+* Everything else (``POST /matrix``, ``POST /query``,
+  ``PUT /specs/{name}``, spec/run listings, summaries, streams, 404s)
+  → worker 0, verbatim.  A family's matrix or query page is one job:
+  one serial batch shares DP cells that a split across workers would
+  lose.  A registration needs telling no other worker: every worker
+  resolves a specification from its stored file, and sees the new
+  content at its next request.
 
 The parent reaches each worker through one pool of persistent HTTP/1.1
 connections (:class:`~repro.transport.ConnectionPool`), replaced when
@@ -167,8 +168,6 @@ class _ClusterApp(RequestFrame):
             return self._forward(
                 shard_for_pair(parts[1], parts[2], count), request
             )
-        if len(parts) == 2 and parts[0] == "specs" and method == "PUT":
-            return self._broadcast(request)
         if len(parts) == 2 and parts[0] == "runs":
             return self._forward(
                 shard_for_name(parts[1], count), request
@@ -177,12 +176,12 @@ class _ClusterApp(RequestFrame):
             name = request.query.get("name", "")
             worker = shard_for_name(name, count) if name else 0
             return self._forward(worker, request)
-        # Everything else — matrices, queries, spec/run listings,
-        # summaries, streaming, unknown routes — is answered by worker
-        # 0 verbatim, envelope and all.  A family's matrix or query
-        # page is one job, and one serial batch shares DP cells that a
-        # split would lose; stream sessions keep their sequencing state
-        # in one hub.
+        # Everything else — matrices, queries, spec registrations and
+        # listings, run listings, summaries, streaming, unknown routes
+        # — is answered by worker 0 verbatim, envelope and all.  A
+        # family's matrix or query page is one job, and one serial
+        # batch shares DP cells that a split would lose; stream
+        # sessions keep their sequencing state in one hub.
         return self._forward(0, request)
 
     # -- proxy plumbing ---------------------------------------------------
@@ -262,34 +261,23 @@ class _ClusterApp(RequestFrame):
             },
         )
 
-    def _scatter(self, request: HttpRequest) -> List[HttpResponse]:
-        """The same request to every worker, one after another."""
-        return [
-            self._forward(i, request) for i in range(self.server.count)
-        ]
-
     def _gather(
         self, request: HttpRequest
     ) -> Tuple[Optional[HttpResponse], List[dict]]:
-        """Scatter ``request`` and decode every worker's JSON payload.
+        """Send ``request`` to every worker, one after another, and
+        decode each JSON payload (``/stats`` and ``/metrics`` only).
 
         Returns ``(failure, payloads)``: the first non-200 worker
         response (relayed verbatim) and no payloads, or ``None`` and
         one payload per worker, in shard order.
         """
-        responses = self._scatter(request)
+        responses = [
+            self._forward(i, request) for i in range(self.server.count)
+        ]
         for response in responses:
             if response.status != 200:
                 return response, []
         return None, [response.json_payload() for response in responses]
-
-    # -- broadcast writes --------------------------------------------------
-    def _broadcast(self, request: HttpRequest) -> HttpResponse:
-        """``PUT /specs/{name}``: every worker registers the spec."""
-        responses = self._scatter(request)
-        return next(
-            (r for r in responses if r.status != 200), responses[0]
-        )
 
     # -- aggregated health -------------------------------------------------
     def _healthz(self, request: HttpRequest) -> HttpResponse:

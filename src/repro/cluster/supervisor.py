@@ -166,13 +166,6 @@ class WorkerSupervisor:
             ]
         return [handle.status() for handle in handles]
 
-    def all_alive(self) -> bool:
-        with self._lock:
-            handles = list(self._handles.values())
-        return len(handles) == self.count and all(
-            h.alive() for h in handles
-        )
-
     def total_restarts(self) -> int:
         with self._lock:
             return sum(h.restarts for h in self._handles.values())

@@ -37,6 +37,7 @@ JSON shape.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.spec_costs import _achievable_mask
@@ -92,6 +93,10 @@ def profile_delta(
     return delta
 
 
+#: :func:`spec_max_op_leaves` per specification object, held weakly.
+_CEILINGS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
 def spec_max_op_leaves(spec) -> int:
     """``L``: the longest elementary path any edit op can move.
 
@@ -99,9 +104,13 @@ def spec_max_op_leaves(spec) -> int:
     root; every elementary subtree insertable/deletable anywhere is a
     branch-free run of some spec subtree, whose achievable counts the
     root's dominate (S parents add siblings, P parents take unions).
+    Computed once per (immutable) specification object.
     """
-    mask = _achievable_mask(spec.tree, {})
-    return mask.bit_length() - 1
+    ceiling = _CEILINGS.get(spec)
+    if ceiling is None:
+        mask = _achievable_mask(spec.tree, {})
+        ceiling = _CEILINGS[spec] = mask.bit_length() - 1
+    return ceiling
 
 
 def _power_packing_bound(

@@ -22,6 +22,7 @@ and lets the corpus service skip re-parsing runs it has already seen.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from typing import Optional
 
 from repro.costs.base import CostModel
@@ -29,6 +30,10 @@ from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
 _ALGORITHM = "sha256"
+
+
+#: :func:`spec_fingerprint` per specification object, held weakly.
+_DIGESTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _digest(payload: str) -> str:
@@ -41,15 +46,19 @@ def spec_fingerprint(spec: WorkflowSpecification) -> str:
     Independent of the specification's name, node ids, and node/edge
     insertion order: the hash covers the sorted label-level edge multiset
     and the annotated SP-tree's structure key (which encodes the fork and
-    loop families through their F/L tree nodes).
+    loop families through their F/L tree nodes).  Computed once per
+    (immutable) specification object.
     """
-    labels = spec.graph.labels()
-    edges = sorted(
-        (labels[u], labels[v], count)
-        for (u, v), count in spec.graph.edge_multiset().items()
-    )
-    payload = repr(("spec", tuple(edges), spec.tree.structure_key()))
-    return _digest(payload)
+    digest = _DIGESTS.get(spec)
+    if digest is None:
+        labels = spec.graph.labels()
+        edges = sorted(
+            (labels[u], labels[v], count)
+            for (u, v), count in spec.graph.edge_multiset().items()
+        )
+        payload = repr(("spec", tuple(edges), spec.tree.structure_key()))
+        digest = _DIGESTS[spec] = _digest(payload)
+    return digest
 
 
 def run_fingerprint(

@@ -23,22 +23,24 @@ Each entry also records the *specification's own digest*: run
 fingerprints embed it, so when a specification is re-registered with
 different structure (same name, new content), entries minted under the
 old spec no longer validate and are rebuilt rather than served — even
-across processes.
+across processes.  The digest is that of the specification object the
+caller resolved, never looked up by name, so nothing needs invalidating.
 
 The whole table is loaded at open; :meth:`FingerprintIndex.flush`
 writes only the rows that changed since (upserts, plus deletes for
 forgotten entries), so processes sharing a store never overwrite each
 other's entries.
 
-The index also memoises loaded :class:`WorkflowRun` objects per spec for
-the lifetime of the service instance, so a batch query parses each run
-at most once.
+The index also memoises loaded :class:`WorkflowRun` objects for the
+lifetime of the service instance, so a batch query parses each run at
+most once; a memoised run answers only a caller holding the very
+specification object it was parsed against.
 
-Entry and digest tables are guarded by a re-entrant lock (the service
-layer is multi-threaded); the run memo deliberately stays lock-free —
-XML parsing runs outside any lock and :meth:`remember` publishes with
-first-writer-wins dict semantics, so a rare duplicate parse costs time,
-never correctness.
+The entry table is guarded by a re-entrant lock (the service layer is
+multi-threaded); the run memo deliberately stays lock-free — XML
+parsing runs outside any lock and :meth:`FingerprintIndex.load_run`
+publishes with plain dict operations, so a rare duplicate parse costs
+time, never correctness.
 """
 
 from __future__ import annotations
@@ -81,13 +83,12 @@ class FingerprintIndex:
         #: (spec, run) -> {"spec": spec digest, "fingerprint", "profile",
         #: "labels", "size", "mtime_ns"}
         self._entries: Dict[EntryKey, dict] = {}
-        self._spec_digests: Dict[str, str] = {}
         self._runs: Dict[EntryKey, WorkflowRun] = {}
         #: Entries changed since the last flush (deleted when absent).
         self._dirty: Set[EntryKey] = set()
-        # Guards the entry/digest tables and the dirty set.  The run
-        # memo stays on bare dict ops (peek/remember's first-writer-wins
-        # contract): parsing happens outside any lock by design.
+        # Guards the entry table and the dirty set.  The run memo stays
+        # on bare dict ops (see load_run): parsing happens outside any
+        # lock by design.
         self._lock = threading.RLock()
         for spec_name, run_name, text in self.db.rows(
             "SELECT spec, run, entry FROM fingerprints"
@@ -125,40 +126,18 @@ class FingerprintIndex:
                 self._dirty.clear()
 
     # -- entries ---------------------------------------------------------
-    def spec_digest(self, spec: WorkflowSpecification) -> str:
-        """Memoised :func:`spec_fingerprint` (keyed by spec name)."""
-        key = spec.name
-        with self._lock:
-            if key not in self._spec_digests:
-                self._spec_digests[key] = spec_fingerprint(spec)
-            return self._spec_digests[key]
-
     def _entry(
         self, spec: WorkflowSpecification, run_name: str
     ) -> Optional[dict]:
-        """The run's entry, unless minted under an older version of the
+        """The run's entry, unless minted under another version of the
         specification (run fingerprints embed the spec digest, so such
         an entry is stale)."""
-        digest = self.spec_digest(spec)
+        digest = spec_fingerprint(spec)
         with self._lock:
             entry = self._entries.get((spec.name, run_name))
             if entry is None or entry.get("spec") != digest:
                 return None
             return entry
-
-    def forget_spec(self, spec_name: str) -> None:
-        """Drop everything memoised/indexed for one specification.
-
-        Call after re-registering a specification under an existing
-        name; the next query re-fingerprints against the new content.
-        """
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == spec_name]:
-                del self._entries[key]
-                self._dirty.add(key)
-            self._spec_digests.pop(spec_name, None)
-            for key in [k for k in self._runs if k[0] == spec_name]:
-                del self._runs[key]
 
     # -- fingerprints ---------------------------------------------------
     def fingerprint(
@@ -168,7 +147,7 @@ class FingerprintIndex:
 
         A valid entry answers without touching the run's XML beyond one
         ``stat``; otherwise the run is loaded, fingerprinted, and the
-        index entry refreshed.
+        index entry refreshed from a fresh parse.
         """
         stamp = self.store.run_stamp(spec.name, run_name)
         entry = self._entry(spec, run_name)
@@ -180,8 +159,9 @@ class FingerprintIndex:
             and isinstance(entry.get("fingerprint"), str)
         ):
             return entry["fingerprint"]
-        run = self.load_run(spec, run_name, refresh=entry is not None)
-        return self.record(run, as_name=run_name)
+        # The file may have changed since any parse the memo holds.
+        self._runs.pop((spec.name, run_name), None)
+        return self.record(self.load_run(spec, run_name), as_name=run_name)
 
     def record(
         self, run: WorkflowRun, as_name: Optional[str] = None
@@ -195,13 +175,14 @@ class FingerprintIndex:
         read, so fallback-reached runs cache like any other.
         """
         name = as_name or run.name
-        digest = run_fingerprint(run, self.spec_digest(run.spec))
+        spec_digest = spec_fingerprint(run.spec)
+        digest = run_fingerprint(run, spec_digest)
         stamp = self.store.run_stamp(run.spec.name, name)
         # The leaf profile and label counts ride along for free: the
         # run is in hand, counting is linear, and persisting them lets
         # warm bound checks and stream opens skip the XML parse.
         entry = {
-            "spec": self.spec_digest(run.spec),
+            "spec": spec_digest,
             "fingerprint": digest,
             "profile": encode_profile(leaf_profile(run.tree)),
             "labels": _label_counts(run),
@@ -276,40 +257,21 @@ class FingerprintIndex:
 
     # -- run objects ----------------------------------------------------
     def load_run(
-        self,
-        spec: WorkflowSpecification,
-        run_name: str,
-        refresh: bool = False,
+        self, spec: WorkflowSpecification, run_name: str
     ) -> WorkflowRun:
-        """Load a run through the memo (parse each XML at most once).
-
-        ``refresh`` forces a re-read, used when the on-disk file changed
-        underneath a memoised object.
+        """The run parsed against ``spec`` (each XML once per spec
+        object), keyed by the lookup name.  No ``stat`` here:
+        :meth:`fingerprint` checks freshness and drops a stale parse.
+        Parsing runs outside any lock; the first published parse wins.
         """
         key = (spec.name, run_name)
-        if refresh or key not in self._runs:
-            self._runs[key] = self.store.load_run(spec, run_name)
-        return self._runs[key]
-
-    def peek_run(
-        self, spec_name: str, run_name: str
-    ) -> Optional[WorkflowRun]:
-        """The memoised run object, or ``None`` (never touches disk)."""
-        return self._runs.get((spec_name, run_name))
-
-    def remember(
-        self, run: WorkflowRun, as_name: Optional[str] = None
-    ) -> WorkflowRun:
-        """Memoise a loaded run, first writer wins; returns the winner.
-
-        The concurrency seam for parallel loaders: parse outside any
-        lock, then publish here.  ``as_name`` keys the memo by the
-        lookup name (which differs from ``run.name`` for runs reached
-        through the store's literal-stem fallback) so later peeks with
-        the same lookup name hit.
-        """
-        key = (run.spec.name, as_name or run.name)
-        return self._runs.setdefault(key, run)
+        run = self._runs.get(key)
+        if run is None or run.spec is not spec:
+            loaded = self.store.load_run(spec, run_name)
+            run = self._runs.get(key)
+            if run is None or run.spec is not spec:
+                run = self._runs[key] = loaded
+        return run
 
     def cached_entry_count(self, spec_name: str) -> int:
         with self._lock:

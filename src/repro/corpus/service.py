@@ -32,6 +32,11 @@ engine over a :class:`~repro.io.store.WorkflowStore`:
   inverted :class:`~repro.corpus.script_index.ScriptIndex` that the
   query engine (:mod:`repro.query`) prunes candidates with.
 
+No specification is kept by name: every call resolves it through the
+store, and what derives from one (fingerprints, the op ceiling ``L``,
+family views, parsed runs) is keyed by the resolved object or its
+digest, so a re-registration anywhere is seen at once.
+
 Runs whose fingerprints coincide are ``≡``-equivalent, so their
 distance is 0 by the identity axiom — the service short-circuits such
 pairs without any DP at all (and seeds the cache under the canonical
@@ -64,8 +69,8 @@ service layer runs one thread per request):
   served cluster too: the parent routes every request for one run
   pair to the one worker whose service coalesces it);
 * the re-entrant service lock survives only as a **narrow** critical
-  section around metadata (spec memo, fingerprint backfills, family
-  views) and result publishing (cache puts, counters) — it is never
+  section around metadata (fingerprint backfills, family views) and
+  result publishing (cache puts, counters) — it is never
   held across a backend dispatch or a flight wait, so neither a slow
   cold batch nor the matrix batch that rebuilds a family view can
   stall warm traffic.
@@ -259,14 +264,11 @@ class DiffService:
         # Script DPs the query engine's cost gate decided by the
         # packing lower bound alone (:meth:`note_bound_skips`).
         self.dp_skipped_by_bound = 0
-        self._specs: Dict[str, WorkflowSpecification] = {}
         #: Family views per (spec name, cost key); replaced whole under
         #: the monitor, read with a bare dict get.
         self._views: Dict[Tuple[str, str], _FamilyView] = {}
-        #: Memoised ``L`` (max elementary-op leaf count) per spec name.
-        self._max_op_leaves: Dict[str, int] = {}
         # The narrow service lock (see the module docstring): guards
-        # metadata (spec memo, fingerprint backfills) and result
+        # metadata (fingerprint backfills, family views) and result
         # publishing (counters, cache puts) — never held across a
         # backend dispatch or a single-flight wait.  Re-entrant,
         # because brief sections nest (edit paths touch cached_script
@@ -354,27 +356,8 @@ class DiffService:
 
     # -- resolution -----------------------------------------------------
     def specification(self, spec_name: str) -> WorkflowSpecification:
-        with self._monitor():
-            if spec_name not in self._specs:
-                self._specs[spec_name] = self.store.load_specification(
-                    spec_name
-                )
-            return self._specs[spec_name]
-
-    def invalidate_specification(self, spec_name: str) -> None:
-        """Forget everything memoised for a specification.
-
-        Must be called after re-registering a specification under an
-        existing name (:meth:`repro.workspace.Workspace.register` does
-        this automatically): run fingerprints embed the spec digest, so
-        all of them — and the runs parsed against the old object — are
-        stale.  Cached *distances* need no invalidation; they are keyed
-        by content, and the new fingerprints simply miss.
-        """
-        with self._monitor():
-            self._specs.pop(spec_name, None)
-            self.index.forget_spec(spec_name)
-            self._drop_views(spec_name)
+        """The stored specification (one ``stat`` while unchanged)."""
+        return self.store.load_specification(spec_name)
 
     def runs(self, spec_name: str) -> List[str]:
         return self.store.list_runs(spec_name)
@@ -387,7 +370,7 @@ class DiffService:
         go through here so a corpus whose matrix is warm never
         re-parses a run's XML to view it.
         """
-        return self._load_run(self.specification(spec_name), run_name)
+        return self.index.load_run(self.specification(spec_name), run_name)
 
     def _resolve(
         self, spec_name: str, run_names: Sequence[str]
@@ -429,31 +412,7 @@ class DiffService:
         self.index.flush()  # backfills of older entries
         return counts
 
-    def _load_run(
-        self, spec: WorkflowSpecification, name: str
-    ) -> WorkflowRun:
-        """Load a run through the index memo (parse each XML once).
-
-        The memo is checked and published under the GIL's atomic dict
-        ops via peek/remember, with parsing kept outside any lock — a
-        rare race parses the same XML twice; first writer wins.
-        """
-        run = self.index.peek_run(spec.name, name)
-        if run is None:
-            run = self.index.remember(
-                self.store.load_run(spec, name), as_name=name
-            )
-        return run
-
     # -- lower bounds -----------------------------------------------------
-    def _spec_op_ceiling(self, spec: WorkflowSpecification) -> int:
-        """Memoised ``L``: the longest elementary path an edit op moves."""
-        value = self._max_op_leaves.get(spec.name)
-        if value is None:
-            value = spec_max_op_leaves(spec)
-            self._max_op_leaves[spec.name] = value
-        return value
-
     def _packing_bounds(
         self,
         spec: WorkflowSpecification,
@@ -464,7 +423,7 @@ class DiffService:
         the power family — every bound would be the vacuous 0.0)."""
         if not is_sound_for(cost):
             return {}
-        ceiling = self._spec_op_ceiling(spec)
+        ceiling = spec_max_op_leaves(spec)
         profiles = {}
         for pair in pairs:
             for name in pair:
@@ -680,8 +639,8 @@ class DiffService:
             if b < a:
                 a, b = b, a
             return compute_distance(
-                self._load_run(spec, a), self._load_run(spec, b), cost,
-                shared,
+                self.index.load_run(spec, a), self.index.load_run(spec, b),
+                cost, shared,
             )
 
         def publish(key, pair, value) -> None:
@@ -795,8 +754,8 @@ class DiffService:
         Computes (or recalls) only the ``N - 1`` distances involving
         ``run_name`` — never the full matrix — with every unknown one
         priced in one cold batch.  Ties break by name; ``k`` keeps the
-        head of the ranking (``k=0`` none, a negative ``k`` is an
-        error).
+        head of the ranking (``k=0`` none, pricing nothing; a negative
+        ``k`` is an error).
         """
         check_count("k", k)
         cost = cost or UnitCost()
@@ -806,6 +765,8 @@ class DiffService:
                 f"no stored run {run_name!r} for specification "
                 f"{spec_name!r}"
             )
+        if k == 0:
+            return []
         others = [other for other in names if other != run_name]
         spec, fingerprints = self._resolve(spec_name, names)
         distances = self._compute_pairs(
@@ -916,7 +877,8 @@ class DiffService:
         def work(pair, shared):
             run_a, run_b = pair
             return compute_script(
-                self._load_run(spec, run_a), self._load_run(spec, run_b),
+                self.index.load_run(spec, run_a),
+                self.index.load_run(spec, run_b),
                 cost, shared,
             )
 
@@ -995,7 +957,8 @@ class DiffService:
                 spec.name, cost_key, existing,
                 {name: fingerprints[name] for name in existing},
             )
-            self._drop_views(spec.name)
+            for key in [key for key in self._views if key[0] == spec.name]:
+                del self._views[key]
             if view is not None:
                 self._views[(spec.name, cost_key)] = view
         results = self._compute_pairs(spec, pairs, fingerprints, cost)
@@ -1012,22 +975,12 @@ class DiffService:
     def _adopt_run(self, run: WorkflowRun, meta=None):
         """Persist ``run`` and return its spec, fingerprints, and the
         new (existing, new) pairs; caller holds the service lock."""
-        spec = run.spec
-        # Same name, different content would mix runs of two
-        # specifications in one directory and mint fingerprints under
-        # the wrong spec digest: the store's guard refuses it, and
-        # persists a never-stored spec so other processes can read the
-        # corpus.
-        self.store.adopt_specification(spec)
-        # Adopt the first spec object seen, so later loads agree with it.
-        adopted = self._specs.setdefault(spec.name, spec)
-        if adopted is not spec:
-            # Same content, different object (the guard passed):
-            # re-annotate against the adopted spec so every memoised run
-            # of a corpus shares one spec object — the invariant that
-            # lets batch workers skip per-pair alignment and share
-            # subtree identities.
-            spec = adopted
+        # The store's guard refuses another spec of this name, saves a
+        # missing one, and returns the stored object; a run of an equal
+        # spec in another object is re-annotated against it, so every
+        # memoised run shares the object batches share subtrees by.
+        spec = self.store.adopt_specification(run.spec)
+        if spec is not run.spec:
             run = WorkflowRun(spec, run.graph, name=run.name)
         existing = [
             name for name in self.runs(spec.name) if name != run.name
@@ -1093,11 +1046,6 @@ class DiffService:
         ):
             return None
         return view
-
-    def _drop_views(self, spec_name: str) -> None:
-        """Forget every view of one family (caller holds the monitor)."""
-        for key in [key for key in self._views if key[0] == spec_name]:
-            del self._views[key]
 
     def _family_view(
         self, spec_name: str, cost: CostModel, names: List[str]
@@ -1199,10 +1147,12 @@ class DiffService:
         exactly, so the returned head is bit-identical to the full
         evaluation, ties included.  Without ``top``, or with one
         covering the family, every mean is needed and the full matrix
-        is folded.  ``top=0`` returns ``[]``; a negative ``top`` is an
-        error.
+        is folded.  ``top=0`` returns ``[]`` pricing nothing; a negative
+        ``top`` is an error.
         """
         check_count("top", top)
+        if top == 0:
+            return []
         cost = cost or UnitCost()
         names = self.runs(spec_name)
         if top is None or not 0 < top < len(names):

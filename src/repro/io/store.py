@@ -27,10 +27,11 @@ original name so listings stay faithful.  One sidecar file per entry —
 rather than a shared map — keeps every write atomic and free of
 read-modify-write races between concurrent savers.
 
-Stored specifications load through the process-wide content-addressed
-:data:`~repro.io.registry.SPEC_REGISTRY`, and
-:meth:`WorkflowStore.adopt_specification` is the one guard against
-replacing a stored specification with different content.
+A specification's identity is its stored file, resolved through the
+process-wide :data:`~repro.io.registry.SPEC_REGISTRY` (one ``stat``
+while the file is unchanged), and
+:meth:`WorkflowStore.adopt_specification`, which every run write meets,
+is the one guard against replacing it with different content.
 """
 
 from __future__ import annotations
@@ -53,13 +54,14 @@ from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str) -> os.stat_result:
     """Write ``text`` to ``path`` atomically (temp file + fsync + rename).
 
     Readers never observe a partial file: they see either the previous
     content or the full new content.  The temp file is named
     ``.<name>.XXXX.tmp``: no listing matches it, so a writer killed
-    mid-save leaves no phantom entry behind.
+    mid-save leaves no phantom entry behind.  Returns the written
+    file's ``stat`` (the rename keeps its inode, size and mtime).
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     descriptor, temp_name = tempfile.mkstemp(
@@ -70,6 +72,7 @@ def atomic_write(path: Path, text: str) -> None:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
+            written = os.fstat(handle.fileno())
         os.replace(temp_name, path)
     except BaseException:
         try:
@@ -77,6 +80,7 @@ def atomic_write(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+    return written
 
 
 #: Prefix of the temp files older versions of :func:`atomic_write` left
@@ -106,6 +110,25 @@ def _safe_name(name: str) -> str:
         digest = hashlib.sha256(name.encode("utf8")).hexdigest()[:8]
         cleaned = f"{cleaned}~{digest}"
     return cleaned
+
+
+def _stems(name: str) -> List[str]:
+    """The file stems an entry named ``name`` may be stored under.
+
+    Primary lookup is by sanitised stem.  As a recovery path, a
+    ``name`` that is itself the literal stem of an existing file is
+    accepted — so entries whose ``<stem>.name`` sidecar was lost
+    (listed under their raw stem) remain loadable, as do files written
+    under older, unsuffixed manglings *by the stem the listing reports*
+    (their original names are unrecoverable without a sidecar).
+    Literal stems containing ``~`` only ever arise from mangling, never
+    from sanitising a user name, so the fallback cannot shadow a
+    distinct entry.
+    """
+    stem = _safe_name(name)
+    if stem != name and os.path.basename(name) == name:
+        return [stem, name]
+    return [stem]
 
 
 def _record_name(directory: Path, stem: str, original: str) -> None:
@@ -170,33 +193,13 @@ class WorkflowStore:
         self.root.mkdir(parents=True, exist_ok=True)
         (self.root / "specs").mkdir(exist_ok=True)
         (self.root / "runs").mkdir(exist_ok=True)
+        self._spec_dir = str(self.root / "specs")
         self._runs_dir = str(self.root / "runs")
-
-    @staticmethod
-    def _locate(directory: Path, name: str) -> Optional[Path]:
-        """The file holding ``name``, or ``None``.
-
-        Primary lookup is by sanitised stem.  As a recovery path, a
-        ``name`` that is itself the literal stem of an existing file is
-        accepted — so entries whose ``<stem>.name`` sidecar was lost
-        (listed under their raw stem) remain loadable, as do files
-        written under older, unsuffixed manglings *by the stem the
-        listing reports* (their original names are unrecoverable
-        without a sidecar).  Literal stems containing ``~`` only ever
-        arise from mangling, never from sanitising a user name, so the
-        fallback cannot shadow a distinct entry.
-        """
-        primary = directory / f"{_safe_name(name)}.xml"
-        if primary.exists():
-            return primary
-        literal = directory / f"{name}.xml"
-        if literal.name == f"{name}.xml" and literal.exists():
-            return literal
-        return None
 
     # -- specifications -------------------------------------------------
     def save_specification(self, spec: WorkflowSpecification) -> Path:
-        """Persist a specification; returns the file path."""
+        """Persist (or replace) a specification; returns the file path.
+        The registry learns the file with ``spec`` as its object."""
         directory = self.root / "specs"
         stem = _safe_name(spec.name)
         path = directory / f"{stem}.xml"
@@ -204,39 +207,28 @@ class WorkflowStore:
         # iterate *.xml), whereas an unmapped mangled file would list
         # under its raw stem.
         _record_name(directory, stem, spec.name)
-        atomic_write(path, specification_to_xml(spec))
+        text = specification_to_xml(spec)
+        stat = atomic_write(path, text)
+        SPEC_REGISTRY.specification(text, spec, str(path), stat)
         return path
+
+    def _spec_paths(self, name: str) -> List[str]:
+        return [f"{self._spec_dir}{os.sep}{stem}.xml" for stem in _stems(name)]
 
     def has_specification(self, name: str) -> bool:
         """True when a specification named ``name`` is stored."""
-        return self._locate(self.root / "specs", name) is not None
-
-    def _specification_text(self, name: str) -> Optional[str]:
-        """The stored XML of specification ``name``; ``None`` if absent.
-
-        A file removed between lookup and read counts as absent.
-        """
-        path = self._locate(self.root / "specs", name)
-        if path is None:
-            return None
-        try:
-            return path.read_text(encoding="utf8")
-        except FileNotFoundError:
-            return None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ReproError(
-                f"cannot read stored specification {name!r}: {exc}"
-            ) from None
+        return any(os.path.exists(path) for path in self._spec_paths(name))
 
     def load_specification(self, name: str) -> WorkflowSpecification:
         """The stored specification ``name``, shared through the
-        process-wide :data:`~repro.io.registry.SPEC_REGISTRY`."""
-        text = self._specification_text(name)
-        if text is None:
-            raise NotFoundError(
-                f"no stored specification named {name!r}"
-            )
-        return SPEC_REGISTRY.specification(text)
+        process-wide :data:`~repro.io.registry.SPEC_REGISTRY`: the same
+        object while its file is unchanged (one ``stat``), the new
+        content as soon as any process rewrites it."""
+        for path in self._spec_paths(name):
+            spec = SPEC_REGISTRY.load(path, name)
+            if spec is not None:
+                return spec
+        raise NotFoundError(f"no stored specification named {name!r}")
 
     def adopt_specification(
         self, spec: WorkflowSpecification
@@ -252,12 +244,14 @@ class WorkflowStore:
         """
         from repro.corpus.fingerprint import spec_fingerprint
 
-        text = self._specification_text(spec.name)
-        if text is None:
+        try:
+            stored = self.load_specification(spec.name)
+        except NotFoundError:
             self.save_specification(spec)
             return spec
-        stored, digest = SPEC_REGISTRY.resolve(text)
-        if stored is not spec and digest != spec_fingerprint(spec):
+        if stored is not spec and (
+            spec_fingerprint(stored) != spec_fingerprint(spec)
+        ):
             raise ConflictError(
                 f"a different specification named {spec.name!r} already "
                 "exists in this store; import under another spec_name or "
@@ -279,12 +273,14 @@ class WorkflowStore:
         )
 
     def locate_run(self, spec_name: str, run_name: str) -> Optional[Path]:
-        """The existing file for a run (with the literal-stem fallback
-        of :meth:`_locate`), or ``None``.  Index consumers stat this
-        path so their freshness stamps track the file actually read."""
-        return self._locate(
-            self.root / "runs" / _safe_name(spec_name), run_name
-        )
+        """The existing file for a run (see :func:`_stems`), or
+        ``None``.  Index consumers stat this path so their freshness
+        stamps track the file actually read."""
+        directory = self.root / "runs" / _safe_name(spec_name)
+        for stem in _stems(run_name):
+            if (directory / f"{stem}.xml").exists():
+                return directory / f"{stem}.xml"
+        return None
 
     def run_stamp(
         self, spec_name: str, run_name: str
@@ -297,11 +293,7 @@ class WorkflowStore:
         read.
         """
         directory = f"{self._runs_dir}{os.sep}{_safe_name(spec_name)}{os.sep}"
-        stem = _safe_name(run_name)
-        candidates = [stem]
-        if stem != run_name and os.path.basename(run_name) == run_name:
-            candidates.append(run_name)
-        for candidate in candidates:
+        for candidate in _stems(run_name):
             try:
                 stat = os.stat(f"{directory}{candidate}.xml")
             except (OSError, ValueError):
@@ -316,6 +308,10 @@ class WorkflowStore:
     ) -> Path:
         """Persist a run under its specification's directory.
 
+        The run's specification meets :meth:`adopt_specification`
+        first: a conflicting one raises before anything is written,
+        and a missing one is saved with the run.
+
         ``meta`` is the operational account of the ingest
         (:class:`~repro.obs.runmeta.RunMetadata`); when omitted the
         current context is captured automatically.  It lands in a
@@ -324,6 +320,7 @@ class WorkflowStore:
         """
         from repro.obs.runmeta import capture_run_metadata
 
+        self.adopt_specification(run.spec)
         path = self.run_path(run.spec.name, run.name)
         _record_name(path.parent, path.stem, run.name)  # sidecar first
         if meta is None:
@@ -388,7 +385,7 @@ class WorkflowStore:
         embedded plan; foreign documents are SP-ized and land with a
         :class:`~repro.interchange.normalize.NormalizationReport`.  The
         specification is written only when none of its name is stored
-        (:meth:`adopt_specification`).
+        (:meth:`save_run`'s guard).
         Returns the :class:`~repro.interchange.convert.ImportResult`.
         """
         from repro.interchange.convert import import_document
@@ -398,7 +395,6 @@ class WorkflowStore:
         result = import_document(
             source, run_name=run_name, spec_name=spec_name
         )
-        self.adopt_specification(result.spec)
         self.save_run(
             result.run,
             meta=capture_run_metadata(

@@ -533,7 +533,7 @@ class WorkspaceApp(RequestFrame):
         """
         if spec is not None:
             spec = str(spec)
-            if not self.workspace._has_spec(spec):
+            if not self.workspace.store.has_specification(spec):
                 raise NotFoundError(
                     f"no stored specification named {spec!r}"
                 )

@@ -384,7 +384,7 @@ class StreamHub:
             self._counters["resumed"] += 1
             self._resumed_metric.inc()
             return self._copy_final(final_ack, resumed=True)
-        spec_known = self.workspace._has_spec(event.spec_name)
+        spec_known = self.workspace.store.has_specification(event.spec_name)
         mode = self._resolve_mode(event, spec_known)
         corpus_counters, medoid_run = (
             self._corpus_view(event) if spec_known else ({}, None)

@@ -47,6 +47,7 @@ from repro.api_types import (
     QueryPage,
     StatsSnapshot,
     decode_cursor,
+    default_spec_name,
     encode_cursor,
 )
 from repro.config import ReproConfig
@@ -109,10 +110,6 @@ class Workspace:
             metrics=self.metrics,
         )
         self.engine = QueryEngine(self.service)
-        self._specs: Dict[str, WorkflowSpecification] = {}
-        # Guards the spec memo; the heavyweight state below it
-        # (service, caches, indexes) carries its own lock discipline.
-        self._spec_lock = threading.RLock()
         self._stream_hub = None
         self._stream_hub_lock = threading.Lock()
 
@@ -133,57 +130,21 @@ class Workspace:
 
     # -- specification management ---------------------------------------
     def register(self, spec: WorkflowSpecification) -> None:
-        """Persist a specification and adopt it for later calls.
-
-        Re-registering an existing name invalidates every fingerprint
-        minted under the old content (the corpus service's rule).
-        """
-        with self._spec_lock:
-            self._specs[spec.name] = spec
-            self.store.save_specification(spec)
-            self.service.invalidate_specification(spec.name)
+        """Persist a specification, replacing a stored one of its name
+        (every process on the store sees the new content)."""
+        self.store.save_specification(spec)
 
     def specification(self, name: str) -> WorkflowSpecification:
-        """The named specification (memoised per workspace)."""
-        with self._spec_lock:
-            if name not in self._specs:
-                self._specs[name] = self.service.specification(name)
-            return self._specs[name]
+        """The named specification, as stored now."""
+        return self.store.load_specification(name)
 
     def specifications(self) -> List[str]:
-        """Names of every specification this workspace knows."""
-        return sorted(
-            set(self._specs) | set(self.store.list_specifications())
-        )
-
-    def _has_spec(self, name: str) -> bool:
-        """Whether :meth:`specifications` would list ``name``: a memo
-        probe, else one ``stat`` — no listing of ``specs/``."""
-        with self._spec_lock:
-            if name in self._specs:
-                return True
-        return self.store.has_specification(name)
+        """Names of every stored specification."""
+        return self.store.list_specifications()
 
     def _spec_name(self, spec: Optional[str]) -> str:
-        """Resolve the default specification for spec-less calls.
-
-        A workspace holding exactly one specification lets every call
-        omit ``spec=``; with zero or several, the ambiguity is refused
-        with the available names spelled out.
-        """
-        if spec is not None:
-            return spec
-        names = self.specifications()
-        if len(names) == 1:
-            return names[0]
-        if not names:
-            raise ReproError(
-                "workspace holds no specifications; register one first"
-            )
-        raise ReproError(
-            "workspace holds several specifications "
-            f"({', '.join(names)}); pass spec= to disambiguate"
-        )
+        """The specification a spec-less call means."""
+        return default_spec_name(spec, self.specifications)
 
     # -- run management ---------------------------------------------------
     def add_run(
@@ -197,7 +158,8 @@ class Workspace:
         return self.service.add_run(run, cost=cost or self.config.cost)
 
     def import_run(self, run: WorkflowRun) -> None:
-        """Persist a run without pricing it against the corpus."""
+        """Persist a run without pricing it against the corpus (its
+        specification meets the store's guard, as in :meth:`add_run`)."""
         self.store.save_run(run)
 
     def generate_run(
@@ -227,7 +189,7 @@ class Workspace:
         specifications that exist and simply have no runs yet.
         """
         spec_name = self._spec_name(spec)
-        if not self._has_spec(spec_name):
+        if not self.store.has_specification(spec_name):
             raise NotFoundError(
                 f"no stored specification named {spec_name!r}"
             )
@@ -543,11 +505,6 @@ class Workspace:
         :class:`~repro.interchange.convert.ImportResult`, or
         ``(ImportResult, {(existing, new): distance})`` when
         ``diff=True``.
-
-        The specification is not memoised here: it is persisted, and
-        :meth:`specification` reloads it through the process-wide spec
-        registry, so a flood of foreign documents (one derived
-        specification each) does not accumulate in the workspace.
         """
         if diff:
             return self.service.add_prov_document(

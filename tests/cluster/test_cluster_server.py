@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from _fixture import VARIED
 from _util import get_json, http_get, http_post, metric_total
 
 from repro.backends.base import SerialBackend
@@ -29,6 +30,10 @@ from repro.cluster.shard import shard_for_pair
 from repro.config import ReproConfig
 from repro.errors import ReproError
 from repro.service.server import DiffServer
+from repro.workflow.execution import execute_workflow
+from repro.workflow.real_workflows import emboss
+from repro.workflow.specification import WorkflowSpecification
+from repro.workspace import Workspace
 
 SPEC = "PA"
 RUNS = ("r01", "r02", "r03", "r04")
@@ -300,6 +305,43 @@ def _fire_together(url: str, k: int) -> list:
     for thread in threads:
         thread.join(timeout=120)
     return outcomes
+
+
+class TestSpecRegistration:
+    """``PUT /specs/{name}`` is a write with one owner like any other:
+    worker 0 registers, and every worker resolves the specification
+    from the store, so none needs telling."""
+
+    def test_one_upstream_request_and_every_worker_sees_it(
+        self, fresh_cluster, fresh_corpus
+    ):
+        app = fresh_cluster.app
+        client = RemoteWorkspace(fresh_cluster.url)
+        # Worker 1 resolves the old PA first.
+        a, b = next(pair for pair in PAIRS if shard_for_pair(*pair, 2) == 1)
+        assert client.diff(a, b, spec=SPEC).distance >= 0
+        replacement = WorkflowSpecification(emboss().graph, name=SPEC)
+        proxied = app.proxied
+        client.register(replacement)
+        assert app.proxied - proxied == 1
+        # Runs of the new content whose pair worker 1 owns.
+        names = [f"n{index}" for index in range(8)]
+        x, y = next(
+            (x, y)
+            for x in names
+            for y in names
+            if x != y and shard_for_pair(x, y, 2) == 1
+        )
+        for name, seed in ((x, 1), (y, 2)):
+            client.import_run(
+                execute_workflow(replacement, VARIED, seed=seed, name=name)
+            )
+        served = client.diff(x, y, spec=SPEC)
+        local = Workspace(
+            fresh_corpus, ReproConfig(backend="serial", persistent=False)
+        ).diff(x, y, spec=SPEC)
+        assert served.to_dict() == local.to_dict()
+        client.close()
 
 
 class TestCoalescing:

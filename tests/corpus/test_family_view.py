@@ -30,6 +30,7 @@ from repro.corpus.service import DiffService
 from repro.costs.standard import PowerCost, UnitCost
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import protein_annotation
+from repro.workflow.specification import WorkflowSpecification
 
 from tests.corpus.conftest import VARIED, populate_store
 
@@ -145,13 +146,23 @@ def test_overwrite_through_add_run_drops_the_view(tmp_path):
     _assert_answers(ws, tmp_path, UnitCost(), 2)
 
 
-def test_invalidate_specification_drops_the_view(tmp_path):
+def test_reregistered_spec_is_never_answered_from_the_old_view(tmp_path):
+    """A view recorded under one content of a specification never
+    answers for another: its fingerprints embed the old digest, so a
+    family re-registered with other content and regenerated under the
+    same run names rebuilds its view instead of serving the old one."""
     populate_store(tmp_path, 4)
     ws = Workspace(tmp_path, ReproConfig(backend="serial"))
     ws.matrix()
-    assert ws.service._views
-    ws.register(protein_annotation())
-    assert ws.service._views == {}
+    key = ("PA", cost_model_key(UnitCost()))
+    old = ws.service._views[key]
+    ws.register(WorkflowSpecification(protein_annotation().graph, name="PA"))
+    for seed in range(1, 5):
+        ws.generate_run(f"r{seed:02d}", params=VARIED, seed=seed + 10)
+    assert not _view_is_valid(ws, UnitCost())
+    _assert_answers(ws, tmp_path, UnitCost(), 2)
+    assert ws.service._views[key] is not old
+    assert ws.service._views[key].fingerprints != old.fingerprints
 
 
 def test_medoid_without_a_view_records_one(tmp_path):

@@ -1,5 +1,7 @@
 """The persistent fingerprint index: reuse, invalidation, memoisation."""
 
+import copy
+
 from repro.corpus.derived import DB_FILE, DerivedDB
 from repro.corpus.fingerprint import run_fingerprint
 from repro.corpus.index import FingerprintIndex
@@ -58,6 +60,34 @@ class TestFingerprintIndex:
         first = index.load_run(spec, "r02")
         assert index.load_run(spec, "r02") is first
 
+    def test_a_parse_without_an_entry_is_dropped_after_a_rewrite(
+        self, pa_store, varied_params
+    ):
+        """A run parsed before it was ever indexed, then overwritten, is
+        fingerprinted from the new file, not from the memoised parse
+        (the memo used to answer an index miss without a stamp)."""
+        spec = pa_store.load_specification("PA")
+        index = FingerprintIndex(pa_store)
+        stale = index.load_run(spec, "r01")
+        replacement = execute_workflow(
+            spec, varied_params, seed=77, name="r01"
+        )
+        pa_store.save_run(replacement)
+        assert index.fingerprint(spec, "r01") == run_fingerprint(replacement)
+        assert index.load_run(spec, "r01") is not stale
+
+    def test_the_memo_answers_only_its_spec_object(self, pa_store):
+        """A parse answers only callers holding the specification
+        object it was parsed against (after a re-registration, the
+        object resolved now is another one)."""
+        spec = pa_store.load_specification("PA")
+        index = FingerprintIndex(pa_store)
+        first = index.load_run(spec, "r02")
+        now = copy.deepcopy(spec)
+        again = index.load_run(now, "r02")
+        assert again is not first and again.spec is now
+        assert index.load_run(now, "r02") is again
+
     def test_fallback_loaded_runs_still_get_valid_stamps(self, pa_store):
         # A run only reachable via the literal-stem fallback (lost
         # .name sidecar) must still index with a freshness stamp, or it
@@ -110,12 +140,11 @@ class TestFingerprintIndex:
         spec = pa_store.load_specification("PA")
         first = open_index(pa_store)
         digest = first.fingerprint(spec, "r01")
+        # The persisted entry names another spec digest: stale.
+        first._entries[("PA", "r01")]["spec"] = "another-digest"
+        first._dirty.add(("PA", "r01"))
         first.flush()
         second = open_index(pa_store)
-        # The persisted entry names another spec digest: stale.
-        monkeypatch.setattr(
-            second, "spec_digest", lambda spec: "another-digest"
-        )
         calls = []
         original = second.load_run
 
@@ -124,7 +153,7 @@ class TestFingerprintIndex:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(second, "load_run", counting)
-        assert second.fingerprint(spec, "r01") != digest
+        assert second.fingerprint(spec, "r01") == digest
         assert calls  # re-fingerprinted from the XML
 
     def test_flush_writes_only_changed_rows(self, pa_store):

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.config import ReproConfig
 from repro.core.api import diff_runs
 from repro.corpus.service import DiffService
 from repro.costs.standard import CallableCost, LengthCost, UnitCost
-from repro.errors import ReproError
+from repro.errors import NotFoundError, ReproError
 from repro.graphs.flow_network import FlowNetwork
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import protein_annotation
@@ -233,6 +234,17 @@ class TestAnalyticsQueries:
     def test_zero_counts_keep_nothing(self, service):
         assert service.outliers("PA", top=0) == []
         assert service.nearest_runs("PA", "r01", k=0) == []
+
+    def test_zero_counts_price_nothing(self, corpus_factory):
+        """On a cold family of 6 runs ``outliers(top=0)`` used to price
+        all 15 pairs and ``nearest(k=0)`` 5, each to return ``[]``; the
+        run's existence is still checked."""
+        ws = Workspace(corpus_factory(6).root, ReproConfig(backend="serial"))
+        assert ws.outliers(top=0) == []
+        assert ws.nearest("r01", k=0) == []
+        with pytest.raises(NotFoundError, match="no stored run"):
+            ws.nearest("absent", k=0)
+        assert ws.service.computed_pairs == 0
 
     @pytest.mark.parametrize("argument", ["k", "top"])
     def test_negative_counts_refused(self, tmp_path, pa_store, argument):

@@ -196,12 +196,41 @@ class TestImportSurface:
             ("repro.backends.work", "ScriptTask"),
             # Moved in 6.0 to repro.corpus.singleflight.
             ("repro.cluster", "SingleFlight"),
+            # Removed in 8.0: nothing is keyed by a spec name to
+            # invalidate, and the run memo has one method.
+            ("repro.corpus.service", "DiffService.invalidate_specification"),
+            ("repro.corpus.index", "FingerprintIndex.spec_digest"),
+            ("repro.corpus.index", "FingerprintIndex.forget_spec"),
+            ("repro.corpus.index", "FingerprintIndex.peek_run"),
+            ("repro.corpus.index", "FingerprintIndex.remember"),
+            ("repro.cluster.supervisor", "WorkerSupervisor.all_alive"),
         ],
     )
     def test_removed_names_stay_removed(self, module_name, name):
-        module = importlib.import_module(module_name)
-        assert name not in getattr(module, "__all__", ())
-        assert not hasattr(module, name)
+        owner = importlib.import_module(module_name)
+        *parents, attribute = name.split(".")
+        for parent in parents:
+            owner = getattr(owner, parent)
+        assert attribute not in getattr(owner, "__all__", ())
+        assert not hasattr(owner, attribute)
+
+    def test_no_name_keyed_specification_state(self, tmp_path):
+        """One identity since 8.0, the stored file: no workspace,
+        service, index or client keeps specifications, their digests or
+        their op ceilings by name."""
+        from repro.client import RemoteWorkspace
+        from repro.workspace import Workspace
+
+        ws = Workspace(tmp_path)
+        holders = [
+            ws, ws.service, ws.service.index,
+            RemoteWorkspace("http://127.0.0.1:1"),
+        ]
+        for holder in holders:
+            for attribute in ("_specs", "_spec_digests", "_max_op_leaves"):
+                assert not hasattr(holder, attribute), (
+                    type(holder).__name__, attribute,
+                )
 
     def test_no_triangle_bounds(self, tmp_path):
         """The analytics price in one batch since 7.0: no triangle
@@ -270,7 +299,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"

@@ -1,6 +1,7 @@
 """The process-wide, content-addressed specification registry."""
 
 import copy
+import os
 import pickle
 import sys
 import threading
@@ -125,17 +126,50 @@ def test_corrupt_stored_spec_surfaces_as_repro_error(tmp_path):
 def test_spec_file_vanishing_before_the_read_counts_as_absent(
     tmp_path, monkeypatch
 ):
+    # The file is there when stat-ed (with a stamp the memo does not
+    # know, so it must be read) but gone when opened.
     store = WorkflowStore(tmp_path)
     spec = fresh_spec("vanish")
-    ghost = tmp_path / "specs" / "removed.xml"
-    monkeypatch.setattr(
-        WorkflowStore, "_locate", staticmethod(lambda directory, name: ghost)
-    )
+    path = store.save_specification(spec)
+    os.utime(path, ns=(0, 0))
+
+    def vanished(*args, **kwargs):
+        raise FileNotFoundError(str(path))
+
+    monkeypatch.setattr(registry, "open", vanished, raising=False)
     with pytest.raises(NotFoundError):
         store.load_specification(spec.name)
     assert store.adopt_specification(spec) is spec
     monkeypatch.undo()
     assert store.load_specification(spec.name).name == spec.name
+
+
+def test_an_unchanged_spec_file_is_stat_ed_not_read(tmp_path, monkeypatch):
+    """Loads of a saved spec return the saved object without opening
+    its file; a rewrite this process never saw (another process's) is
+    read once, at the next load."""
+    opened = []
+    real_open = open
+
+    def counting(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(registry, "open", counting, raising=False)
+    store = WorkflowStore(tmp_path)
+    spec = fresh_spec("stat")
+    store.save_specification(spec)
+    for _ in range(3):
+        assert store.load_specification(spec.name) is spec
+    assert opened == []
+    other = fresh_spec("stat", rename=lambda n: f"y-{n}", name=spec.name)
+    (tmp_path / "specs" / f"{spec.name}.xml").write_text(
+        xml_io.specification_to_xml(other), encoding="utf8"
+    )
+    reloaded = store.load_specification(spec.name)
+    assert reloaded is not spec
+    assert store.load_specification(spec.name) is reloaded
+    assert len(opened) == 1
 
 
 def test_same_digest_spec_never_overwrites_the_first(tmp_path):

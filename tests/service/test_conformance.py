@@ -15,11 +15,13 @@ valid; pytest executes tests in definition order.
 import pytest
 
 from repro.api_types import QueryFilter, StatsSnapshot, WorkspaceAPI
+from repro.corpus.fingerprint import spec_fingerprint
 from repro.costs.standard import LengthCost, PowerCost
-from repro.errors import NotFoundError, ReproError
+from repro.errors import ConflictError, NotFoundError, ReproError
 from repro.query.aggregate import module_churn, op_kind_histogram
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import emboss
+from repro.workflow.specification import WorkflowSpecification
 
 RUN_NAMES = ["r01", "r02", "r03", "r04"]
 
@@ -220,6 +222,24 @@ class TestWritePaths:
         )
         api.import_run(run)
         assert api.run(name, spec="PA").equivalent(run)
+
+    def test_conflicting_import_is_refused_alike(self, api):
+        """A run whose specification conflicts with the stored one of
+        its name raises the same :class:`ConflictError` everywhere, and
+        the store is left as it was (locally the run used to land)."""
+        conflicting = WorkflowSpecification(emboss().graph, name="PA")
+        run = execute_workflow(
+            conflicting, seed=5, name=f"clash-{type(api).__name__}"
+        )
+        runs = api.runs(spec="PA")
+        digest = spec_fingerprint(api.specification("PA"))
+        with pytest.raises(ConflictError) as refused:
+            api.import_run(run)
+        assert str(refused.value).startswith(
+            "a different specification named 'PA' already exists"
+        )
+        assert api.runs(spec="PA") == runs
+        assert spec_fingerprint(api.specification("PA")) == digest
 
     def test_second_spec_forces_explicit_resolution(self, api):
         api.register(emboss())

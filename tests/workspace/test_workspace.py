@@ -9,6 +9,7 @@ from repro.config import ReproConfig
 from repro.core.api import diff_runs
 from repro.costs.standard import LengthCost, PowerCost, UnitCost
 from repro.errors import ReproError
+from repro.io import registry
 from repro.pdiffview.session import DiffView
 from repro.query.predicates import Q
 from repro.workflow.execution import execute_workflow
@@ -272,10 +273,11 @@ class TestInterchange:
 
     def test_foreign_imports_do_not_grow_the_spec_memo(self, ws):
         # Each foreign document derives its own one-off specification;
-        # the workspace persists it instead of memoising it forever.
-        memo = len(ws._specs)
+        # the workspace persists it, and the one name memo (the spec
+        # registry's, process-wide) stays within its bound.
+        files = registry.SPEC_REGISTRY._files
         names = []
-        for index in range(50):
+        for index in range(registry.CAPACITY + 6):
             result = ws.import_prov(
                 random_prov_document(5, seed=index),
                 name=f"f{index}",
@@ -285,7 +287,8 @@ class TestInterchange:
             if index % 10 == 0:
                 result, _ = result
             names.append(result.spec.name)
-        assert len(ws._specs) == memo
+            assert len(files) <= registry.CAPACITY
+        assert len(files) == registry.CAPACITY
         for index, name in enumerate(names):
             assert ws.specification(name).name == name
             assert ws.runs(spec=name) == [f"f{index}"]
