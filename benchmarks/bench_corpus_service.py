@@ -171,7 +171,7 @@ def main() -> None:
 
     # -- distance_matrix: cold serial vs cold parallel ------------------
     store = fresh_store(base, "serial", n_runs)
-    serial = DiffService(store, max_workers=1)
+    serial = DiffService(store)
     seconds, matrix = timed(serial.distance_matrix, "PA")
     record("matrix_cold_serial", "matrix, cold cache, serial",
            seconds, serial.computed_pairs)

@@ -122,7 +122,7 @@ from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 from repro.workspace import Workspace
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__ = [
     "__version__",

@@ -4,13 +4,12 @@ The :class:`WorkerSupervisor` owns the cluster's worker processes.  It
 spawns ``count`` workers (``spawn`` start method — importable entry
 point, picklable arguments, no inherited locks), learns each worker's
 bound port over a one-shot pipe, and then watches liveness from a
-background thread: a worker that dies is restarted — first on its old
-port (so the parent's routing table stays stable; the server socket's
-``SO_REUSEADDR`` absorbs ``TIME_WAIT``), falling back to a fresh
-OS-assigned port when the old one cannot be rebound.  Restart counts
-are capped (:attr:`WorkerSupervisor.restart_limit`) so a worker that
-crashes on arrival cannot flap forever; a worker past its limit stays
-down and ``/healthz`` reports the cluster degraded.
+background thread: a worker that dies is restarted on a fresh
+OS-assigned port, like every worker (the routing parent opens a new
+connection pool for each incarnation, so nothing needs the old port).
+Restart counts are capped (:attr:`WorkerSupervisor.restart_limit`) so a
+worker that crashes on arrival cannot flap forever; a worker past its
+limit stays down and ``/healthz`` reports the cluster degraded.
 
 Supervision state is guarded by one small lock; the routing parent
 reads :meth:`incarnation` per request, so it always sees the current
@@ -114,7 +113,7 @@ class WorkerSupervisor:
             return self
         try:
             for index in range(self.count):
-                handle = self._spawn(index, port=0)
+                handle = self._spawn(index)
                 with self._lock:
                     self._handles[index] = handle
         except BaseException:
@@ -171,20 +170,12 @@ class WorkerSupervisor:
             return sum(h.restarts for h in self._handles.values())
 
     # -- spawning --------------------------------------------------------
-    def _spawn(self, index: int, port: int) -> WorkerHandle:
+    def _spawn(self, index: int) -> WorkerHandle:
         """Start one worker and wait for its readiness report."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(
-                index,
-                self.count,
-                self.root,
-                self.config,
-                self.host,
-                port,
-                child_conn,
-            ),
+            args=(index, self.root, self.config, self.host, child_conn),
             name=f"repro-cluster-worker:{index}",
         )
         process.start()
@@ -256,22 +247,17 @@ class WorkerSupervisor:
             extra={"worker": dead.index, "restarts": restarts},
         )
         try:
-            # Prefer the old port: the routing table (and any client
-            # that cached a worker address) stays valid.
-            handle = self._spawn(dead.index, port=dead.port)
+            handle = self._spawn(dead.index)
         except ReproError:
-            try:
-                handle = self._spawn(dead.index, port=0)
-            except ReproError:
-                logger.error(
-                    "worker %d failed to restart; will retry",
-                    dead.index,
-                    extra={"worker": dead.index},
-                )
-                # Count the attempt so a hopeless crash loop still
-                # hits the restart limit instead of spinning forever.
-                dead.restarts = restarts
-                return
+            logger.error(
+                "worker %d failed to restart; will retry",
+                dead.index,
+                extra={"worker": dead.index},
+            )
+            # Count the attempt so a hopeless crash loop still hits
+            # the restart limit instead of spinning forever.
+            dead.restarts = restarts
+            return
         handle.restarts = restarts
         with self._lock:
             if self._stopping.is_set():

@@ -35,24 +35,22 @@ __all__ = ["worker_main"]
 
 def worker_main(
     index: int,
-    count: int,
     root: str,
     config: ReproConfig,
     host: str,
-    port: int,
     conn,
 ) -> None:
     """Run one worker: build a server, report readiness, serve.
 
-    ``conn`` is the parent's pipe end; the worker sends one
-    ``{"index", "pid", "port"}`` dict once its socket is bound (the
-    parent blocks on this to learn the OS-assigned port under
-    ``port=0``) and then closes its end.
+    The server binds an OS-assigned port.  ``conn`` is the parent's
+    pipe end; the worker sends one ``{"index", "pid", "port"}`` dict
+    once its socket is bound (the parent blocks on this to learn the
+    port) and then closes its end.
     """
     from repro.service.server import DiffServer
 
     worker_config = dataclasses.replace(config, workers=0)
-    server = DiffServer(root, worker_config, host=host, port=port)
+    server = DiffServer(root, worker_config, host=host, port=0)
 
     def _drain(signum, frame):
         # stop() must not run on the serving thread: shutdown() would

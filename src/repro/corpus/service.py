@@ -200,12 +200,6 @@ class DiffService:
         A :class:`WorkflowStore` or a path to create one at.  A
         :class:`~repro.workspace.Workspace` passes its own store so the
         service and the workspace share files.
-    max_workers:
-        Parallelism for batch queries when ``backend`` is given by name
-        (or defaulted).  ``None`` lets the backend pick for the
-        machine; ``1`` forces serial execution (benchmarks compare the
-        two).  Ignored when ``backend`` is an already-constructed
-        instance, which carries its own width.
     cache_size:
         Bound of the in-memory distance-cache tier.
     persistent:
@@ -215,7 +209,8 @@ class DiffService:
     backend:
         Where cold batches execute: a name from
         :data:`repro.backends.base.BACKEND_NAMES` or an
-        :class:`~repro.backends.base.ExecutorBackend` instance.
+        :class:`~repro.backends.base.ExecutorBackend` instance, which
+        carries its own width (a name gets the machine's).
         Defaults to the serial backend: the DP is pure Python, so
         threads only contend for the GIL, and serial batches share
         one :class:`~repro.core.memo.SharedTables` without contention.
@@ -224,7 +219,6 @@ class DiffService:
     def __init__(
         self,
         store,
-        max_workers: Optional[int] = None,
         cache_size: int = 4096,
         persistent: bool = True,
         backend=None,
@@ -236,12 +230,7 @@ class DiffService:
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry()
         )
-        if isinstance(backend, ExecutorBackend):
-            # An instance carries its own width; max_workers is the
-            # by-name convenience knob and is documented as ignored.
-            self.backend: ExecutorBackend = backend
-        else:
-            self.backend = make_backend(backend or "serial", max_workers)
+        self.backend: ExecutorBackend = make_backend(backend or "serial")
         self.db = DerivedDB(
             self.store.root / "index" / DB_FILE if persistent else None
         )

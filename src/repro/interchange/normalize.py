@@ -31,6 +31,11 @@ specification; a foreign PROV document yields an arbitrary activity DAG.
 The output bundles the run, the derived specification, and a
 :class:`NormalizationReport` so callers (and the CLI) can show exactly
 how faithful the embedding is.
+
+:func:`normalize_document` is the one SP-izer: a streamed run is the
+document its events accumulate, and each of its snapshots is this
+function over that document
+(:class:`~repro.stream.incremental.IncrementalNormalizer`).
 """
 
 from __future__ import annotations
@@ -248,8 +253,6 @@ def _layered_sp_edges(
     source: str,
     sink: str,
     report: NormalizationReport,
-    depths: Optional[Dict[str, int]] = None,
-    reach: Optional[Dict[str, set]] = None,
 ) -> List[Tuple[str, str]]:
     """Rebuild a non-SP DAG as a series of parallel layers.
 
@@ -259,42 +262,31 @@ def _layered_sp_edges(
     series composition of parallel bundles — always SP — whose order
     relation is a superset of the input's (every original dependency
     survives transitively; the additions are reported).
-
-    ``depths``/``reach`` let a caller inject precomputed longest-path
-    depths and forward-reachability sets (the streaming layer maintains
-    both incrementally).  Injected depths may be *uniformly shifted*
-    relative to the source-seeded computation below — the layer
-    partition is shift-invariant — and both mappings only need to cover
-    the interior activities the layering and the forced-serialisation
-    scan actually query.
     """
     taken = set(activities)
     interior = [a for a in activities if a not in (source, sink)]
-    if depths is None:
-        preds: Dict[str, List[str]] = {a: [] for a in activities}
-        for a, b in pairs:
-            preds[b].append(a)
+    preds: Dict[str, List[str]] = {a: [] for a in activities}
+    for a, b in pairs:
+        preds[b].append(a)
 
-        depth: Dict[str, int] = {source: 0}
+    depth: Dict[str, int] = {source: 0}
 
-        def compute_depth(node: str) -> int:
-            if node in depth:
-                return depth[node]
-            value = 1 + max(
-                (compute_depth(p) for p in preds[node]), default=0
-            )
-            depth[node] = value
-            return value
+    def compute_depth(node: str) -> int:
+        if node in depth:
+            return depth[node]
+        value = 1 + max(
+            (compute_depth(p) for p in preds[node]), default=0
+        )
+        depth[node] = value
+        return value
 
-        # Iterative guard not needed: the DAG was cycle-checked and
-        # import sizes are document-scale, but recursion depth equals
-        # the longest path; process deepest-last via a topological pass
-        # instead.
-        order = _topological(activities, pairs)
-        for node in order:
-            compute_depth(node)
-    else:
-        depth = depths
+    # Iterative guard not needed: the DAG was cycle-checked and
+    # import sizes are document-scale, but recursion depth equals
+    # the longest path; process deepest-last via a topological pass
+    # instead.
+    order = _topological(activities, pairs)
+    for node in order:
+        compute_depth(node)
 
     layers: Dict[int, List[str]] = {}
     for node in interior:
@@ -323,8 +315,7 @@ def _layered_sp_edges(
 
     # Report the orderings the layering invented: pairs on different
     # layers that were incomparable in the source document.
-    if reach is None:
-        reach = _reachability(activities, pairs)
+    reach = _reachability(activities, pairs)
     for i, left in enumerate(groups[1:-1], start=1):
         for right in groups[i + 1 : -1]:
             for a in left:
@@ -420,27 +411,6 @@ def normalize_document(
     """
     report = NormalizationReport()
     activities, pairs = _dependency_dag(doc, report)
-    return _assemble(doc, activities, pairs, report, name, run_name)
-
-
-def _assemble(
-    doc: ProvDocument,
-    activities: List[str],
-    pairs: List[Tuple[str, str]],
-    report: NormalizationReport,
-    name: str,
-    run_name: str,
-    depths: Optional[Dict[str, int]] = None,
-    reach: Optional[Dict[str, set]] = None,
-) -> NormalizedImport:
-    """Close terminals, SP-ize if needed, and derive spec + run.
-
-    The tail of :func:`normalize_document`, shared with the streaming
-    layer: that caller arrives with an incrementally-maintained
-    dependency DAG plus precomputed ``depths``/``reach`` (forwarded to
-    :func:`_layered_sp_edges`), and must produce output bit-identical
-    to a whole-document import of the accumulated events.
-    """
     nodes, edges, source, sink = _close_terminals(
         activities, pairs, report
     )
@@ -454,10 +424,7 @@ def _assemble(
 
     if not is_series_parallel(candidate):
         report.was_series_parallel = False
-        edges = _layered_sp_edges(
-            nodes, edges, source, sink, report,
-            depths=depths, reach=reach,
-        )
+        edges = _layered_sp_edges(nodes, edges, source, sink, report)
         ordered = _topological(
             nodes + report.junctions,
             edges,

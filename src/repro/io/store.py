@@ -10,22 +10,26 @@ storage half: a directory layout
     <root>/runs/<spec-name>/<run-name>.xml
     <root>/index/derived.db
 
-with atomic writes (temp file + rename) so a crashed process never leaves
-a half-written catalog entry — the usual durability idiom for file-backed
-stores.  Temp files end in ``.tmp``, so no listing ever reports one (nor
-a ``.tmp-*`` leftover of older versions, whose temp files ended in
-``.xml``).  The ``index/`` area holds the derived-state database the corpus
-subsystem maintains (:mod:`repro.corpus.derived`: run fingerprints,
-distance and script caches, the script index); deleting it loses only
-recomputable state, never a specification or run.
+Each specification and each run is one XML document, written by one
+atomic write (temp file + fsync + rename), so a crashed process never
+leaves a half-written catalog entry — the usual durability idiom for
+file-backed stores.  The document carries its own name, and a run's
+also carries its operational metadata (:mod:`repro.obs.runmeta`), so
+there is no sidecar to keep in step with it.  Temp files end in
+``.tmp``, so no listing ever reports one (nor a ``.tmp-*`` leftover of
+older versions, whose temp files ended in ``.xml``).  The ``index/``
+area holds the derived-state database the corpus subsystem maintains
+(:mod:`repro.corpus.derived`: run fingerprints, distance and script
+caches, the script index); deleting it loses only recomputable state,
+never a specification or run.
 
 Names containing characters outside ``[A-Za-z0-9._-]`` are sanitised for
 the filesystem and suffixed with a short content hash so distinct names
 can never collide on disk (``"a/b"`` and ``"a_b"`` map to different
-files); a per-entry ``<stem>.name`` sidecar records each mangled stem's
-original name so listings stay faithful.  One sidecar file per entry —
-rather than a shared map — keeps every write atomic and free of
-read-modify-write races between concurrent savers.
+files); listings read such an entry's original name from its
+document's root.  Stores written before 9.0 also hold ``<stem>.name``
+and ``<stem>.meta.json`` sidecars: the first are ignored (the document
+names itself), the second are read only as a run's metadata fallback.
 
 A specification's identity is its stored file, resolved through the
 process-wide :data:`~repro.io.registry.SPEC_REGISTRY` (one ``stat``
@@ -38,8 +42,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
 import json
+import os
 import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
@@ -49,7 +53,12 @@ from repro.errors import ConflictError, NotFoundError, ReproError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.runmeta import RunMetadata
 from repro.io.registry import SPEC_REGISTRY
-from repro.io.xml_io import run_from_xml, run_to_xml, specification_to_xml
+from repro.io.xml_io import (
+    document_head,
+    run_from_xml,
+    run_to_xml,
+    specification_to_xml,
+)
 from repro.workflow.run import WorkflowRun
 from repro.workflow.specification import WorkflowSpecification
 
@@ -117,10 +126,9 @@ def _stems(name: str) -> List[str]:
 
     Primary lookup is by sanitised stem.  As a recovery path, a
     ``name`` that is itself the literal stem of an existing file is
-    accepted — so entries whose ``<stem>.name`` sidecar was lost
-    (listed under their raw stem) remain loadable, as do files written
-    under older, unsuffixed manglings *by the stem the listing reports*
-    (their original names are unrecoverable without a sidecar).
+    accepted — so entries whose document head is unreadable (listed
+    under their raw stem) remain loadable, as do files written under
+    older, unsuffixed manglings *by the stem the listing reports*.
     Literal stems containing ``~`` only ever arise from mangling, never
     from sanitising a user name, so the fallback cannot shadow a
     distinct entry.
@@ -131,30 +139,32 @@ def _stems(name: str) -> List[str]:
     return [stem]
 
 
-def _record_name(directory: Path, stem: str, original: str) -> None:
-    """Remember ``stem -> original`` when sanitisation mangled a name.
+def _document_name(path: str, stem: str) -> str:
+    """The name the document at ``path`` declares, or ``stem``.
 
-    Written as an individual ``<stem>.name`` sidecar file: the write is
-    atomic on its own, so concurrent savers of different entries can
-    never lose each other's mappings.
+    The raw stem stands in when the head is unreadable or its name does
+    not sanitise to ``stem`` (a name the listing could not load by).
     """
-    if stem == original:
-        return
-    atomic_write(directory / f"{stem}.name", original)
+    try:
+        name = document_head(path)[0].get("name", "")
+        if _safe_name(name) == stem:
+            return name
+    except (OSError, ReproError):
+        pass
+    return stem
 
 
 def _list_names(directory: str) -> List[str]:
     """The original names of the ``*.xml`` entries of ``directory``.
 
-    One ``listdir``: a ``<stem>.name`` sidecar is read only for stems
-    that have one in the same listing, and temp files never list.  A
-    missing directory lists as empty.
+    One ``listdir``.  Only :func:`_safe_name` puts a ``~`` in a stem,
+    so only those entries open their file, for the root's ``name``.
+    Temp files never list; a missing directory lists as empty.
     """
     try:
         entries = os.listdir(directory)
     except FileNotFoundError:
         return []
-    present = set(entries)
     names = []
     for entry in entries:
         if not entry.endswith(".xml") or entry.startswith(
@@ -162,15 +172,8 @@ def _list_names(directory: str) -> List[str]:
         ):
             continue
         stem = entry[:-4]
-        if f"{stem}.name" in present:
-            try:
-                with open(
-                    os.path.join(directory, f"{stem}.name"),
-                    encoding="utf8",
-                ) as handle:
-                    stem = handle.read()
-            except OSError:
-                pass
+        if "~" in stem:
+            stem = _document_name(os.path.join(directory, entry), stem)
         names.append(stem)
     return sorted(names)
 
@@ -200,13 +203,7 @@ class WorkflowStore:
     def save_specification(self, spec: WorkflowSpecification) -> Path:
         """Persist (or replace) a specification; returns the file path.
         The registry learns the file with ``spec`` as its object."""
-        directory = self.root / "specs"
-        stem = _safe_name(spec.name)
-        path = directory / f"{stem}.xml"
-        # Sidecar first: an orphaned name entry is harmless (listings
-        # iterate *.xml), whereas an unmapped mangled file would list
-        # under its raw stem.
-        _record_name(directory, stem, spec.name)
+        path = self.root / "specs" / f"{_safe_name(spec.name)}.xml"
         text = specification_to_xml(spec)
         stat = atomic_write(path, text)
         SPEC_REGISTRY.specification(text, spec, str(path), stat)
@@ -314,22 +311,16 @@ class WorkflowStore:
 
         ``meta`` is the operational account of the ingest
         (:class:`~repro.obs.runmeta.RunMetadata`); when omitted the
-        current context is captured automatically.  It lands in a
-        ``<stem>.meta.json`` sidecar next to the run document —
-        listings glob ``*.xml``, so sidecars never pollute run names.
+        current context is captured automatically.  It lands inside the
+        run's document, written with it in one atomic write.
         """
         from repro.obs.runmeta import capture_run_metadata
 
         self.adopt_specification(run.spec)
         path = self.run_path(run.spec.name, run.name)
-        _record_name(path.parent, path.stem, run.name)  # sidecar first
         if meta is None:
             meta = capture_run_metadata()
-        atomic_write(
-            path.parent / f"{path.stem}.meta.json",
-            json.dumps(meta.to_dict(), sort_keys=True),
-        )
-        atomic_write(path, run_to_xml(run))
+        atomic_write(path, run_to_xml(run, meta.to_dict()))
         return path
 
     def run_metadata(
@@ -337,21 +328,26 @@ class WorkflowStore:
     ) -> Optional["RunMetadata"]:
         """The operational metadata of a stored run, or ``None``.
 
-        Metadata is best-effort: a run without a sidecar (written by an
-        older version) or with a corrupt one is simply a run with no
-        metadata.
+        Read from the ``<meta>`` element at the head of the run's
+        document.  A run file written before 9.0 has none, and its
+        metadata is read from the ``<stem>.meta.json`` sidecar those
+        versions wrote beside it (nothing writes one any more).
+        Metadata is best-effort: a missing or malformed one is simply
+        no metadata.
         """
         from repro.obs.runmeta import RunMetadata
 
         path = self.locate_run(spec_name, run_name)
         if path is None:
             return None
-        sidecar = path.parent / f"{path.stem}.meta.json"
-        if not sidecar.exists():
-            return None
         try:
-            payload = json.loads(sidecar.read_text(encoding="utf8"))
-        except (OSError, ValueError):
+            meta = document_head(path)[1]
+            if meta is not None:
+                payload = json.loads(meta.text or "")
+            else:
+                sidecar = path.with_name(f"{path.stem}.meta.json")
+                payload = json.loads(sidecar.read_text(encoding="utf8"))
+        except (OSError, ValueError, ReproError):
             return None
         return RunMetadata.from_dict(payload)
 

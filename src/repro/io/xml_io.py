@@ -14,13 +14,21 @@ minimal and self-describing:
     </specification>
 
     <run name="r1" spec="PA">
+      <meta>{"ended": "…", "host": "…", …, "v": 1}</meta>
       <nodes><node id="FastaFormat-a" label="FastaFormat"/>…</nodes>
       <edges><edge source="…" target="…" key="0"/>…</edges>
     </run>
+
+Each document carries its own name, and a stored run carries its
+operational metadata (:class:`~repro.obs.runmeta.RunMetadata`) as the
+JSON payload of a leading ``<meta>`` element, so one file is the whole
+catalog entry.  :func:`document_head` reads the root and that element
+from the head of a file without parsing the graph.
 """
 
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 from typing import List, Optional, Tuple
 
@@ -141,10 +149,15 @@ def specification_from_xml(text: str) -> WorkflowSpecification:
     )
 
 
-def run_to_xml(run: WorkflowRun) -> str:
-    """Serialise a run graph to XML."""
+def run_to_xml(run: WorkflowRun, meta: Optional[dict] = None) -> str:
+    """Serialise a run graph to XML, with ``meta`` (a JSON-safe
+    metadata payload) as its leading ``<meta>`` element when given."""
     root = _graph_to_element(run.graph, "run", run.name)
     root.set("spec", run.spec.name)
+    if meta is not None:
+        element = ET.Element("meta")
+        element.text = json.dumps(meta, sort_keys=True)
+        root.insert(0, element)
     ET.indent(root)
     return ET.tostring(root, encoding="unicode")
 
@@ -164,3 +177,41 @@ def run_from_xml(
         )
     graph = _graph_from_element(root)
     return WorkflowRun(spec, graph, name=root.get("name", ""))
+
+
+#: Bytes :func:`document_head` reads at a time: a ``<meta>`` element and
+#: the root's attributes fit in the first block.
+_HEAD_BLOCK = 1024
+
+
+def document_head(path) -> Tuple[ET.Element, Optional[ET.Element]]:
+    """The root element of the XML file at ``path`` (its attributes,
+    not its children) and its leading ``<meta>`` element, if any.
+
+    Parses only up to the end of the root's first child, so a listing
+    or a metadata read never parses a run's graph.  Raises
+    :class:`ReproError` for malformed XML and :class:`OSError` for an
+    unreadable file.
+    """
+    parser = ET.XMLPullParser(events=("start", "end"))
+    opened: List[ET.Element] = []
+    with open(path, "rb") as handle:
+        try:
+            while True:
+                block = handle.read(_HEAD_BLOCK)
+                if block:
+                    parser.feed(block)
+                else:
+                    parser.close()
+                for event, element in parser.read_events():
+                    if event == "start":
+                        opened.append(element)
+                        continue
+                    # The first element to end: the root's first child
+                    # when it has no children of its own.
+                    first_child = len(opened) == 2
+                    if first_child and element.tag == "meta":
+                        return opened[0], element
+                    return opened[0], None
+        except ET.ParseError as exc:
+            raise ReproError(f"malformed XML in {path}: {exc}") from None

@@ -11,7 +11,7 @@ stack by :mod:`repro.service`, :mod:`repro.corpus.service` and the CLI:
   and propagated over HTTP as ``X-Request-Id``;
 * :mod:`repro.obs.runmeta` — CWLProv-style operational metadata (who,
   where, when, which tool version) captured for every ingested run and
-  persisted as a sidecar next to the run document.
+  persisted inside the run's own document.
 
 :mod:`repro.obs.promcheck` validates Prometheus exposition syntax — the
 CI job runs it against a live ``/metrics`` scrape, and the golden tests

@@ -3,17 +3,19 @@
 CWLProv keeps an operational account alongside every workflow result —
 the account's creating user, host, start/end timestamps and tool
 version.  :class:`RunMetadata` is this library's equivalent for stored
-runs: captured automatically whenever a run is persisted (native saves
-and ``POST /prov/import`` ingests alike), written as a
-``<run>.meta.json`` sidecar next to the run document by
+runs: captured automatically whenever a run is persisted (native saves,
+``POST /prov/import`` ingests and stream closes alike), written inside
+the run's own document as its ``<meta>`` element by
 :meth:`repro.io.store.WorkflowStore.save_run`, and surfaced through
 :class:`repro.api_types.QueryFilter`'s ``users``/``hosts`` clauses so a
 corpus can be sliced per-user or per-host — the future shard key.
+Stores written before 9.0 keep it in a ``<run>.meta.json`` sidecar,
+which :meth:`~repro.io.store.WorkflowStore.run_metadata` still reads.
 
 Metadata is *operational*, not semantic: it never participates in
 fingerprints, distances, or interchange round trips, and a run without
-a sidecar (e.g. written by an older version) is simply a run with no
-metadata — every reader treats the sidecar as optional.
+it (or with a malformed one) is simply a run with no metadata — every
+reader treats it as optional.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Any, Optional
 
 __all__ = ["META_VERSION", "RunMetadata", "capture_run_metadata"]
 
-#: Sidecar schema version (independent of the HTTP wire version).
+#: Payload schema version (independent of the HTTP wire version).
 META_VERSION = 1
 
 
@@ -70,7 +72,7 @@ class RunMetadata:
     request_id: Optional[str] = None  #: HTTP correlation ID, if any
 
     def to_dict(self) -> dict:
-        """JSON-safe sidecar payload."""
+        """JSON-safe payload (the run document's ``<meta>`` text)."""
         payload = {
             "v": META_VERSION,
             "user": self.user,
@@ -86,8 +88,8 @@ class RunMetadata:
 
     @classmethod
     def from_dict(cls, payload: Any) -> Optional["RunMetadata"]:
-        """Rebuild from a sidecar payload; ``None`` on any malformation
-        (metadata is best-effort — a corrupt sidecar is no sidecar)."""
+        """Rebuild from a payload; ``None`` on any malformation
+        (metadata is best-effort — a corrupt payload is no metadata)."""
         if not isinstance(payload, dict):
             return None
         if payload.get("v") != META_VERSION:

@@ -493,7 +493,10 @@ class StreamHub:
         for node in doc.activity_ids():
             graph.add_node(node, normalizer.effective_label(node))
         for relation in doc.relations:
-            graph.add_edge(relation.object, relation.subject)
+            # A self-dependency is no edge of the run, as for the
+            # importer; duplicates stay (a fork's parallel edges).
+            if relation.object != relation.subject:
+                graph.add_edge(relation.object, relation.subject)
         run = WorkflowRun(spec, graph, name=session.run_name)
         lines = [
             f"validated against registered specification "

@@ -94,17 +94,6 @@ class TestFactory:
         assert ThreadBackend(5).effective_jobs == 5
         assert ThreadBackend().effective_jobs >= 1
 
-    def test_instance_backend_ignores_service_max_workers(self, tmp_path):
-        """DiffService's documented contract: max_workers is the
-        by-name knob, ignored for an already-constructed instance."""
-        from repro.corpus.service import DiffService
-
-        backend = ThreadBackend()
-        service = DiffService(
-            tmp_path, max_workers=4, backend=backend
-        )
-        assert service.backend is backend
-
 
 class TestThreadWidth:
     """A thread backend runs exactly :attr:`effective_jobs` threads,

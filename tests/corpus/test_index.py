@@ -89,16 +89,14 @@ class TestFingerprintIndex:
         assert index.load_run(now, "r02") is again
 
     def test_fallback_loaded_runs_still_get_valid_stamps(self, pa_store):
-        # A run only reachable via the literal-stem fallback (lost
-        # .name sidecar) must still index with a freshness stamp, or it
-        # would be re-parsed on every query.
+        # A run reached by its raw stem (the literal-stem fallback)
+        # must still index with a freshness stamp, or it would be
+        # re-parsed on every query.
         spec = pa_store.load_specification("PA")
         run = pa_store.load_run(spec, "r01")
         run.name = "r one/odd"
         pa_store.save_run(run)
-        (sidecar,) = (pa_store.root / "runs" / "PA").glob("*.name")
-        stem = sidecar.name[: -len(".name")]
-        sidecar.unlink()
+        stem = pa_store.locate_run("PA", "r one/odd").stem
 
         index = FingerprintIndex(pa_store)
         digest = index.fingerprint(spec, stem)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends import ThreadBackend
 from repro.config import ReproConfig
 from repro.core.api import diff_runs
 from repro.corpus.service import DiffService
@@ -74,9 +75,9 @@ class TestDistanceMatrix:
         assert second.computed_pairs == 0
 
     def test_parallel_matches_serial(self, pa_store):
-        serial = DiffService(pa_store, max_workers=1, persistent=False)
+        serial = DiffService(pa_store, persistent=False)
         parallel = DiffService(
-            pa_store, max_workers=4, persistent=False, backend="thread"
+            pa_store, persistent=False, backend=ThreadBackend(4)
         )
         assert serial.distance_matrix("PA") == parallel.distance_matrix(
             "PA"

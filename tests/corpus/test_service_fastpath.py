@@ -16,6 +16,7 @@ Regression coverage for the hot-path fixes and the analytics' one path:
 
 import pytest
 
+from repro.backends import make_backend
 from repro.corpus.analytics import k_nearest
 from repro.corpus.fingerprint import cost_model_key, pair_key
 from repro.corpus.service import DiffService
@@ -253,7 +254,7 @@ class TestOneBatch:
         outcomes = {}
         for backend in ("serial", "thread"):
             service = DiffService(
-                store, persistent=False, backend=backend, max_workers=2
+                store, persistent=False, backend=make_backend(backend, 2)
             )
             # Warm one full row and two of the anchor's pairs.
             service.nearest_runs("PA", "r08", cost=cost)

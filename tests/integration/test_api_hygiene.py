@@ -204,6 +204,10 @@ class TestImportSurface:
             ("repro.corpus.index", "FingerprintIndex.peek_run"),
             ("repro.corpus.index", "FingerprintIndex.remember"),
             ("repro.cluster.supervisor", "WorkerSupervisor.all_alive"),
+            # Removed in 9.0: a second serialisation of runs and
+            # specifications, and a width knob no product caller set.
+            ("repro.io", "json_io"),
+            ("repro.corpus.service", "DiffService.max_workers"),
         ],
     )
     def test_removed_names_stay_removed(self, module_name, name):
@@ -213,6 +217,12 @@ class TestImportSurface:
             owner = getattr(owner, parent)
         assert attribute not in getattr(owner, "__all__", ())
         assert not hasattr(owner, attribute)
+        if hasattr(owner, "__path__"):  # nor a submodule of a package
+            assert importlib.util.find_spec(
+                f"{owner.__name__}.{attribute}"
+            ) is None
+        elif inspect.isclass(owner):  # nor a constructor parameter
+            assert attribute not in inspect.signature(owner).parameters
 
     def test_no_name_keyed_specification_state(self, tmp_path):
         """One identity since 8.0, the stored file: no workspace,
@@ -231,6 +241,29 @@ class TestImportSurface:
                 assert not hasattr(holder, attribute), (
                     type(holder).__name__, attribute,
                 )
+
+    def test_the_stream_keeps_no_sp_ization_of_its_own(self):
+        """A stream SP-izes through the importer since 9.0: it keeps
+        no depths or reachability closures beside its document."""
+        from repro.stream.incremental import IncrementalNormalizer
+
+        normalizer = IncrementalNormalizer()
+        normalizer.add_edge("ex:a", "ex:b")
+        for attribute in ("_reach", "_coreach", "_depth"):
+            assert not hasattr(normalizer, attribute), attribute
+
+    def test_the_importer_takes_no_injected_layering(self):
+        """``normalize_document`` is the one SP-izer: no function of
+        the importer takes precomputed depths or reachability."""
+        from repro.interchange import normalize
+
+        for name, member in vars(normalize).items():
+            if (
+                inspect.isfunction(member)
+                and member.__module__ == normalize.__name__
+            ):
+                parameters = set(inspect.signature(member).parameters)
+                assert not parameters & {"depths", "reach"}, name
 
     def test_no_triangle_bounds(self, tmp_path):
         """The analytics price in one batch since 7.0: no triangle
@@ -299,7 +332,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"
@@ -451,7 +484,6 @@ class TestDocumentation:
             "repro.pdiffview.clustering",
             "repro.pdiffview.session",
             "repro.io.xml_io",
-            "repro.io.json_io",
             "repro.io.store",
             "repro.workspace",
             "repro.config",

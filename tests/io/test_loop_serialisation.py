@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.api import edit_distance
-from repro.io.json_io import run_from_json, run_to_json
 from repro.io.xml_io import run_from_xml, run_to_xml
 from repro.workflow.execution import ExecutionParams, execute_workflow
 
@@ -28,7 +27,7 @@ class TestLoopRuns:
     ):
         direct = edit_distance(fig2_r1, fig2_r3)
         r1 = run_from_xml(run_to_xml(fig2_r1), fig2_spec)
-        r3 = run_from_json(run_to_json(fig2_r3), fig2_spec)
+        r3 = run_from_xml(run_to_xml(fig2_r3), fig2_spec)
         assert edit_distance(r1, r3) == pytest.approx(direct)
 
 
@@ -53,12 +52,12 @@ class TestMultiEdgeRuns:
         assert restored.graph.edge_multiset() == run.graph.edge_multiset()
         assert restored.equivalent(run)
 
-    def test_keys_disambiguate_in_json(self):
+    def test_keys_disambiguate_in_xml(self):
         from repro.workflow.generators import random_specification
         from repro.workflow.generators import random_run_pair
 
         spec = random_specification(12, 0.2, seed=9)  # multi-edge heavy
         one, _ = random_run_pair(spec, seed=1)
-        restored = run_from_json(run_to_json(one), spec)
+        restored = run_from_xml(run_to_xml(one), spec)
         assert restored.graph.num_edges == one.graph.num_edges
         assert restored.equivalent(one)

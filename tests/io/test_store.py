@@ -1,9 +1,14 @@
 """Tests for the file-backed workflow store."""
 
+import json
+
 import pytest
 
 from repro.errors import ReproError
+from repro.io import store as store_module
 from repro.io.store import WorkflowStore, _safe_name
+from repro.io.xml_io import run_to_xml
+from repro.obs.runmeta import capture_run_metadata
 from repro.workflow.execution import execute_workflow
 from repro.workflow.real_workflows import protein_annotation
 
@@ -103,15 +108,14 @@ class TestCollidingNames:
         assert store.list_runs("fig2") == ["day 1/am"]
         assert store.load_run(fig2_spec, "day 1/am").equivalent(run)
 
-    def test_lost_sidecar_entries_remain_loadable(self, tmp_path, fig2_spec):
-        # If a .name sidecar is lost, listings fall back to raw file
-        # stems; those stems must still round-trip through load_run.
+    def test_raw_stem_entries_remain_loadable(self, tmp_path, fig2_spec):
+        # A listing falls back to the raw file stem when it cannot read
+        # a document's name; that stem must round-trip through load_run.
         store = WorkflowStore(tmp_path)
         run = execute_workflow(fig2_spec, seed=4, name="a/b")
         store.save_run(run)
-        (sidecar,) = (tmp_path / "runs" / "fig2").glob("*.name")
-        sidecar.unlink()
-        (listed,) = store.list_runs("fig2")
+        (path,) = (tmp_path / "runs" / "fig2").glob("*.xml")
+        listed = path.stem
         assert listed.startswith("a_b~")  # the raw mangled stem
         assert store.load_run(fig2_spec, listed).equivalent(run)
 
@@ -227,3 +231,71 @@ class TestRunStamp:
         monkeypatch.setattr(os, "stat", counting_stat)
         assert store.run_stamp("fig2", "R1") is not None
         assert len(calls) == 1
+
+
+class TestOneDocument:
+    """A run is one file, written once, that names itself and carries
+    its metadata; what stores written before 9.0 hold still reads."""
+
+    def test_save_run_is_one_atomic_write(
+        self, tmp_path, fig2_spec, fig2_r1, monkeypatch
+    ):
+        store = WorkflowStore(tmp_path)
+        store.save_specification(fig2_spec)
+        writes = []
+        real_write = store_module.atomic_write
+
+        def counting_write(path, text):
+            writes.append(path)
+            return real_write(path, text)
+
+        monkeypatch.setattr(store_module, "atomic_write", counting_write)
+        assert writes == [store.save_run(fig2_r1)]
+
+    @pytest.mark.parametrize("payload", ["{not json", "", '{"v": 99}'])
+    def test_a_malformed_meta_is_no_metadata(
+        self, tmp_path, fig2_spec, fig2_r1, payload
+    ):
+        store = WorkflowStore(tmp_path)
+        path = store.save_run(fig2_r1)
+        text = path.read_text(encoding="utf8")
+        start = text.index("<meta>") + len("<meta>")
+        end = text.index("</meta>")
+        path.write_text(text[:start] + payload + text[end:], encoding="utf8")
+        assert store.run_metadata("fig2", "R1") is None
+        assert store.load_run(fig2_spec, "R1").equivalent(fig2_r1)
+
+    @pytest.mark.parametrize("name", ["R1", "r one/odd"])
+    def test_a_pre_9_entry_keeps_its_name_and_metadata(
+        self, tmp_path, fig2_spec, name
+    ):
+        # What 8.x wrote: the run's XML without <meta>, the metadata in
+        # <stem>.meta.json, and a <stem>.name for a mangled name.
+        store = WorkflowStore(tmp_path)
+        store.save_specification(fig2_spec)
+        run = execute_workflow(fig2_spec, seed=3, name=name)
+        path = store.run_path("fig2", name)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(run_to_xml(run), encoding="utf8")
+        meta = capture_run_metadata(origin="prov-import")
+        path.with_name(f"{path.stem}.meta.json").write_text(
+            json.dumps(meta.to_dict(), sort_keys=True), encoding="utf8"
+        )
+        if path.stem != name:
+            path.with_name(f"{path.stem}.name").write_text(
+                name, encoding="utf8"
+            )
+        assert store.list_runs("fig2") == [name]
+        assert store.run_metadata("fig2", name) == meta
+        assert store.load_run(fig2_spec, name).equivalent(run)
+
+    def test_a_head_that_names_no_entry_lists_the_raw_stem(
+        self, tmp_path, fig2_spec
+    ):
+        store = WorkflowStore(tmp_path)
+        path = store.save_run(execute_workflow(fig2_spec, seed=4, name="a/b"))
+        # A copy names "a/b", which does not mangle to its stem.
+        copied = path.with_name("x~0000.xml")
+        copied.write_text(path.read_text(encoding="utf8"), encoding="utf8")
+        path.write_text("<run", encoding="utf8")  # an unreadable head
+        assert store.list_runs("fig2") == sorted([path.stem, "x~0000"])

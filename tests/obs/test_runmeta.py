@@ -1,7 +1,9 @@
-"""Operational run metadata: sidecars, capture, and query slicing."""
+"""Operational run metadata: the run file's ``<meta>``, capture, and
+query slicing."""
 
 import dataclasses
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -34,21 +36,31 @@ def ws(tmp_path) -> Workspace:
     return workspace
 
 
-def _write_meta(ws, run_name, **changes):
-    """Rewrite one run's sidecar with modified metadata fields."""
+def _edit_meta(ws, run_name, edit):
+    """Rewrite one run file after ``edit(root, meta element)``."""
     spec = ws.store.list_specifications()[0]
     path = ws.store.locate_run(spec, run_name)
-    sidecar = path.parent / f"{path.stem}.meta.json"
-    meta = RunMetadata.from_dict(
-        json.loads(sidecar.read_text(encoding="utf8"))
-    )
-    sidecar.write_text(
-        json.dumps(
+    root = ET.fromstring(path.read_text(encoding="utf8"))
+    edit(root, root.find("meta"))
+    path.write_text(ET.tostring(root, encoding="unicode"), encoding="utf8")
+
+
+def _write_meta(ws, run_name, **changes):
+    """Rewrite one run's ``<meta>`` with modified metadata fields."""
+
+    def replace(root, element):
+        meta = RunMetadata.from_dict(json.loads(element.text))
+        element.text = json.dumps(
             dataclasses.replace(meta, **changes).to_dict(),
             sort_keys=True,
-        ),
-        encoding="utf8",
-    )
+        )
+
+    _edit_meta(ws, run_name, replace)
+
+
+def _drop_meta(ws, run_name):
+    """Remove one run's ``<meta>`` element."""
+    _edit_meta(ws, run_name, lambda root, element: root.remove(element))
 
 
 class TestCapture:
@@ -91,20 +103,20 @@ class TestSidecars:
         assert runs == ["r01", "r02", "r03"]
         assert not any("meta" in name for name in runs)
 
-    def test_missing_sidecar_is_no_metadata(self, ws):
+    def test_missing_meta_is_no_metadata(self, ws):
         spec = ws.store.list_specifications()[0]
-        path = ws.store.locate_run(spec, "r01")
-        (path.parent / f"{path.stem}.meta.json").unlink()
+        _drop_meta(ws, "r01")
         assert ws.store.run_metadata(spec, "r01") is None
         # The run itself is untouched.
         assert "r01" in ws.store.list_runs(spec)
 
-    def test_corrupt_sidecar_is_no_metadata(self, ws):
+    def test_corrupt_meta_is_no_metadata(self, ws):
         spec = ws.store.list_specifications()[0]
-        path = ws.store.locate_run(spec, "r02")
-        (path.parent / f"{path.stem}.meta.json").write_text(
-            "{not json", encoding="utf8"
-        )
+
+        def corrupt(root, element):
+            element.text = "{not json"
+
+        _edit_meta(ws, "r02", corrupt)
         assert ws.store.run_metadata(spec, "r02") is None
 
 
@@ -132,8 +144,8 @@ class TestQuerySlicing:
         spec = ws.store.list_specifications()[0]
         _write_meta(ws, "r01", user="alice")
         _write_meta(ws, "r02", user="alice")
-        path = ws.store.locate_run(spec, "r02")
-        (path.parent / f"{path.stem}.meta.json").unlink()
+        _drop_meta(ws, "r02")
+        assert ws.store.run_metadata(spec, "r02") is None
         docs = ws.query(QueryFilter(users=("alice",)))
         assert docs == []
 

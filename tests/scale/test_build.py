@@ -65,7 +65,7 @@ class TestBuild:
 
     def test_everything_enters_via_prov_import(self, workspace):
         """No backdoor: every stored run carries the import-path
-        metadata sidecar (``origin == "prov-import"``)."""
+        metadata (``origin == "prov-import"``)."""
         CorpusBuilder(
             workspace, BuildPlan(runs=10, matrix_runs=2)
         ).build()

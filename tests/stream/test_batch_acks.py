@@ -3,11 +3,12 @@
 The hub builds one live snapshot per batch (for the ack of its last
 event) and keeps the label-surplus bounds exact after every event from
 the label-count changes the incremental normaliser reports.  These
-tests pin both halves: the number of ``_assemble`` calls a batch makes,
-and — over random foreign documents in ``derive`` mode and executed
-fixture runs in ``validated`` mode, with activities referenced before
-they are declared under another label — exact bounds after every event
-and byte-identical acks at every batch size.
+tests pin both halves: the number of snapshots (``normalize_document``
+calls) a batch makes, and — over random foreign documents in
+``derive`` mode and executed fixture runs in ``validated`` mode, with
+activities referenced before they are declared under another label —
+exact bounds after every event and byte-identical acks at every batch
+size.
 """
 
 from __future__ import annotations
@@ -48,16 +49,17 @@ _dirs = itertools.count(1)
 
 @pytest.fixture
 def assemble_calls(monkeypatch):
-    """Count every ``_assemble`` call, whichever module looks it up."""
+    """Count every ``normalize_document`` call, whichever module looks
+    it up."""
     calls = []
-    original = normalize._assemble
+    original = normalize.normalize_document
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(normalize, "_assemble", counting)
-    monkeypatch.setattr(incremental, "_assemble", counting)
+    monkeypatch.setattr(normalize, "normalize_document", counting)
+    monkeypatch.setattr(incremental, "normalize_document", counting)
     return calls
 
 
