@@ -23,106 +23,71 @@ caches):
 True
 """
 
-from repro.api_types import (
-    DiffOutcome,
-    ErrorEnvelope,
-    ImportSummary,
-    MatrixResult,
-    QueryFilter,
-    QueryPage,
-    StatsSnapshot,
-    StreamSummary,
-    WorkspaceAPI,
-)
-from repro.backends.base import (
-    ExecutorBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
-)
-from repro.client import RemoteWorkspace
-from repro.config import ReproConfig
-from repro.core.api import (
-    DiffResult,
-    distance_only,
-    edit_distance,
-)
-from repro.core.verify import VerificationReport, verify_diff
-from repro.corpus.fingerprint import run_fingerprint, spec_fingerprint
-from repro.costs.base import CostModel
-from repro.costs.standard import (
-    CallableCost,
-    LabelWeightedCost,
-    LengthCost,
-    PowerCost,
-    UnitCost,
-)
-from repro.errors import (
-    ConflictError,
-    CostModelError,
-    EditScriptError,
-    GraphStructureError,
-    InterchangeError,
-    InvalidRunError,
-    MatchingError,
-    NotFoundError,
-    NotSeriesParallelError,
-    ReproError,
-    SpecificationError,
-)
-from repro.graphs.flow_network import FlowNetwork
-from repro.interchange import (
-    ImportResult,
-    NormalizationReport,
-    export_run_document,
-    export_run_json,
-    export_script_document,
-    import_document,
-)
-from repro.obs import (
-    MetricsRegistry,
-    RunMetadata,
-    configure_logging,
-    get_logger,
-)
-from repro.pdiffview.session import DiffView
-from repro.service import DiffServer, serve
-from repro.stream import (
-    IncrementalNormalizer,
-    LiveStatus,
-    StreamAck,
-    StreamHub,
-    StreamSession,
-)
-from repro.query.aggregate import (
-    GroupDivergence,
-    ModuleChurn,
-    module_churn,
-    op_kind_histogram,
-)
-from repro.query.engine import ScriptDoc
-from repro.query.predicates import Predicate, Q
-from repro.workflow.execution import ExecutionParams, execute_workflow
-from repro.workflow.generators import (
-    random_prov_document,
-    random_run_pair,
-    random_sp_graph,
-    random_specification,
-)
-from repro.workflow.real_workflows import (
-    all_real_workflows,
-    baidd,
-    emboss,
-    mb,
-    pgaq,
-    protein_annotation,
-    saxpf,
-)
-from repro.workflow.run import WorkflowRun
-from repro.workflow.specification import WorkflowSpecification
-from repro.workspace import Workspace
+import importlib
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
+
+#: Where each export lives: ``import repro`` loads none of them, and
+#: ``repro.X`` imports X's module on first access (PEP 562).
+_EXPORTS = {
+    "repro.api_types": (
+        "DiffOutcome ErrorEnvelope ImportSummary MatrixResult QueryFilter "
+        "QueryPage StatsSnapshot StreamSummary WorkspaceAPI"
+    ),
+    "repro.backends.base": (
+        "ExecutorBackend SerialBackend ThreadBackend make_backend"
+    ),
+    "repro.client": "RemoteWorkspace",
+    "repro.config": "ReproConfig",
+    "repro.core.api": "DiffResult distance_only edit_distance",
+    "repro.core.verify": "VerificationReport verify_diff",
+    "repro.corpus.fingerprint": "run_fingerprint spec_fingerprint",
+    "repro.costs.base": "CostModel",
+    "repro.costs.standard": (
+        "CallableCost LabelWeightedCost LengthCost PowerCost UnitCost"
+    ),
+    "repro.errors": (
+        "ConflictError CostModelError EditScriptError GraphStructureError "
+        "InterchangeError InvalidRunError MatchingError NotFoundError "
+        "NotSeriesParallelError ReproError SpecificationError"
+    ),
+    "repro.graphs.flow_network": "FlowNetwork",
+    "repro.interchange": (
+        "ImportResult NormalizationReport export_run_document "
+        "export_run_json export_script_document import_document"
+    ),
+    "repro.obs.logging": "configure_logging get_logger",
+    "repro.obs.metrics": "MetricsRegistry",
+    "repro.obs.runmeta": "RunMetadata",
+    "repro.pdiffview.session": "DiffView",
+    "repro.service.server": "DiffServer serve",
+    "repro.stream.client": "StreamSession",
+    "repro.stream.events": "LiveStatus StreamAck",
+    "repro.stream.hub": "StreamHub",
+    "repro.stream.incremental": "IncrementalNormalizer",
+    "repro.query.aggregate": (
+        "GroupDivergence ModuleChurn module_churn op_kind_histogram"
+    ),
+    "repro.query.engine": "ScriptDoc",
+    "repro.query.predicates": "Predicate Q",
+    "repro.workflow.execution": "ExecutionParams execute_workflow",
+    "repro.workflow.generators": (
+        "random_prov_document random_run_pair random_sp_graph "
+        "random_specification"
+    ),
+    "repro.workflow.real_workflows": (
+        "all_real_workflows baidd emboss mb pgaq protein_annotation saxpf"
+    ),
+    "repro.workflow.run": "WorkflowRun",
+    "repro.workflow.specification": "WorkflowSpecification",
+    "repro.workspace": "Workspace",
+}
+_MODULE_OF = {
+    name: module
+    for module, names in _EXPORTS.items()
+    for name in names.split()
+}
+
 
 __all__ = [
     "__version__",
@@ -222,3 +187,15 @@ __all__ = [
     "MatchingError",
     "InterchangeError",
 ]
+
+
+def __getattr__(name):
+    """Resolve an export from its module's current attribute."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -503,9 +503,9 @@ def derive_stats(
 ) -> Dict[str, float]:
     """The ``derived`` block of a :class:`StatsSnapshot`.
 
-    Each hit ratio is hits over lookups (``0.0`` with no lookups); the
-    cluster parent passes its workers' *summed* counters, so a busy
-    worker weighs more than an idle one.
+    Each hit ratio is hits over lookups (``0.0`` with no lookups); a
+    cluster's ``/stats`` passes its workers' *summed* counters, so a
+    busy worker weighs more than an idle one.
     """
 
     def ratio(hits: int, lookups: int) -> float:

@@ -22,8 +22,8 @@ directly (6.0 removed the ``DistanceTask``/``ScriptTask`` payloads,
 which existed to be pickled to the deleted process pool).
 
 The one path that runs the DP on more than one core is ``repro serve
---workers N`` (:mod:`repro.cluster`), which routes requests to worker
-processes.  Property tests assert bit-identical distance matrices and
+--workers N`` (:mod:`repro.cluster`), whose worker processes accept
+requests from one socket.  Property tests assert bit-identical distance matrices and
 edit-script costs across backends.  Select one through
 :class:`repro.config.ReproConfig` (``backend="thread"``, ``jobs=8``)
 or pass an instance anywhere a backend is accepted.
@@ -36,7 +36,7 @@ from repro.backends.base import (
     ThreadBackend,
     make_backend,
 )
-from repro.backends.work import compute_distance, compute_script
+
 
 __all__ = [
     "BACKEND_NAMES",
@@ -47,3 +47,14 @@ __all__ = [
     "compute_distance",
     "compute_script",
 ]
+
+
+def __getattr__(name):
+    """The workers load the DP core on first use, not with the package."""
+    if name in ("compute_distance", "compute_script"):
+        from repro.backends import work
+
+        return getattr(work, name)
+    raise AttributeError(
+        f"module 'repro.backends' has no attribute {name!r}"
+    )

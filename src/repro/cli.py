@@ -63,18 +63,17 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro import __version__
-from repro.api_types import QueryFilter
 from repro.backends.base import BACKEND_NAMES
-from repro.client import RemoteWorkspace
-from repro.config import ReproConfig
 from repro.costs.base import CostModel
 from repro.costs.standard import UnitCost, cost_from_spec
 from repro.errors import CostModelError, ReproError
 from repro.obs.logging import LOG_FORMATS, LOG_LEVELS
-from repro.workspace import Workspace
+
+# Each command imports what it uses when it runs, so ``repro serve
+# --workers N`` supervises without loading the library it serves.
 
 #: What a subcommand operates on: local store or remote endpoint.
-AnyWorkspace = Union[Workspace, RemoteWorkspace]
+AnyWorkspace = Union["Workspace", "RemoteWorkspace"]  # noqa: F821
 
 
 def _cost_model(text: str) -> CostModel:
@@ -94,8 +93,10 @@ def _store_dir(text: str) -> Path:
     return path
 
 
-def _build_filter(args: argparse.Namespace) -> QueryFilter:
+def _build_filter(args: argparse.Namespace):
     """The declarative filter the query flags describe."""
+    from repro.api_types import QueryFilter
+
     return QueryFilter(
         kinds=tuple(args.kind or ()),
         touches=tuple(args.touches or ()),
@@ -122,11 +123,16 @@ def _workspace(args: argparse.Namespace) -> AnyWorkspace:
                 "pass either a STORE directory or --remote URL, "
                 "not both"
             )
+        from repro.client import RemoteWorkspace
+
         return RemoteWorkspace(remote, cost=args.cost)
     if store is None:
         raise ReproError(
             "a STORE directory is required (or pass --remote URL)"
         )
+    from repro.config import ReproConfig
+    from repro.workspace import Workspace
+
     # Environment (``REPRO_*``) fills whatever the flags left unset;
     # explicit flags always win (from_env skips None overrides).
     return Workspace(
@@ -241,7 +247,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_import(args: argparse.Namespace) -> int:
     workspace = _workspace(args)
-    if isinstance(workspace, RemoteWorkspace):
+    if args.remote:
         return _import_remote(workspace, args)
     result, distances = workspace.import_prov(
         args.document,
@@ -276,9 +282,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
     return 0
 
 
-def _import_remote(
-    workspace: RemoteWorkspace, args: argparse.Namespace
-) -> int:
+def _import_remote(workspace, args: argparse.Namespace) -> int:
     """``repro import --remote``: POST the document, print the summary."""
     summary = workspace.import_prov(
         args.document,
@@ -369,6 +373,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
+    from repro.config import ReproConfig
+
     config = ReproConfig.from_env(
         cost=args.cost,
         backend=args.backend,
@@ -379,7 +385,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=getattr(args, "workers", None),
     )
     if config.workers >= 1:
-        from repro.cluster.server import ClusterServer
+        from repro.cluster.supervisor import ClusterServer
 
         server = ClusterServer(
             args.store, config, host=args.host, port=args.port
@@ -812,9 +818,8 @@ def _parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="serve through N sharded worker processes behind a "
-        "routing parent (default 0 = single process, or "
-        "REPRO_WORKERS)",
+        help="serve through N pre-forked worker processes sharing "
+        "one socket (default 0 = single process, or REPRO_WORKERS)",
     )
     srv.add_argument(
         "--drain-timeout",

@@ -175,8 +175,8 @@ class RemoteWorkspace:
             "X-Request-Id", current_request_id() or new_request_id()
         )
         # Idempotent requests retry transient connection failures — a
-        # cluster parent restarting a crashed worker refuses or resets
-        # connections for a beat; two short backoffs ride it out
+        # worker that dies resets its connections, and a restarting
+        # server refuses them for a beat; two short backoffs ride it out
         # without masking a genuinely down server for long.  The pool
         # resends them at once when a reused connection turns out dead.
         # POSTs (imports, stream batches) are never resent: the first

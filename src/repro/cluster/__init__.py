@@ -1,23 +1,10 @@
-"""Sharded multi-process serving cluster: ``repro serve --workers N``.
+"""Pre-forked multi-process serving: ``repro serve --workers N``.
 
-:mod:`repro.cluster.server` runs a parent process that forwards each
-request to one of N pre-forked per-worker HTTP servers, supervised by
-:mod:`repro.cluster.supervisor`: diffs by run-pair shard and run
-writes by run-name shard (:mod:`repro.cluster.shard`), matrices,
-queries, spec registrations and the rest to worker 0.  Only
-``/stats`` and ``/metrics`` (merged) visit every worker; each worker
-resolves specifications from the store, so a registration needs
-telling no other.  Workers share the store's derived-state database
-(:mod:`repro.corpus.derived`), so a restarted worker starts warm and N
-workers warm once, not N times.  The parent does not coalesce: pair
-routing sends identical diffs to one worker, whose service coalesces
-them (:mod:`repro.corpus.singleflight`), so K identical concurrent
-cold diffs cost one DP cluster-wide.  See ``docs/SCALING.md``.
+:mod:`repro.cluster.supervisor` binds one socket and supervises N
+ordinary diff servers that accept from it; no process forwards a
+request.  :mod:`repro.cluster.server` is each worker's app, which
+answers ``/healthz``, ``/stats`` and ``/metrics`` for the whole
+cluster.  Workers share the store: its derived-state database and its
+stream journals, so a restarted worker starts warm and a stream resumes
+on any worker.  See ``docs/SCALING.md``.
 """
-
-from repro.cluster.shard import shard_for_name, shard_for_pair
-
-__all__ = [
-    "shard_for_name",
-    "shard_for_pair",
-]

@@ -1,266 +1,350 @@
-"""Worker process lifecycle: spawn, watch, restart, stop.
+"""The supervising parent of ``repro serve --workers N``, and its workers.
 
-The :class:`WorkerSupervisor` owns the cluster's worker processes.  It
-spawns ``count`` workers (``spawn`` start method — importable entry
-point, picklable arguments, no inherited locks), learns each worker's
-bound port over a one-shot pipe, and then watches liveness from a
-background thread: a worker that dies is restarted on a fresh
-OS-assigned port, like every worker (the routing parent opens a new
-connection pool for each incarnation, so nothing needs the old port).
-Restart counts are capped (:attr:`WorkerSupervisor.restart_limit`) so a
-worker that crashes on arrival cannot flap forever; a worker past its
-limit stays down and ``/healthz`` reports the cluster degraded.
-
-Supervision state is guarded by one small lock; the routing parent
-reads :meth:`incarnation` per request, so it always sees the current
-incarnation of a shard's worker (and drops its pooled connections to a
-restarted one).
+A :class:`ClusterServer` binds one listening socket and has a
+:class:`WorkerSupervisor` spawn ordinary diff servers that serve it
+(:func:`worker_main`, ``spawn`` start method), so the parent serves no
+request.  It records the membership (index, pid, restarts) in a private
+runtime directory, restarts a worker that dies up to ``restart_limit``
+times, and closes the socket once none is left.  Nothing here imports
+the library the workers serve, so the parent stays small.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import multiprocessing
 import os
+import shutil
+import signal
+import socket
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.cluster.worker import worker_main
 from repro.config import ReproConfig
 from repro.errors import ReproError
-from repro.obs.logging import get_logger
+from repro.obs.logging import configure_logging, get_logger
 
-__all__ = ["WorkerHandle", "WorkerSupervisor"]
+__all__ = ["ClusterServer", "WorkerSupervisor", "worker_main"]
 
 logger = get_logger("cluster.supervisor")
 
-#: Seconds to wait for a spawned worker to report its bound port.
+#: Seconds to wait for a spawned worker to report ready.
 START_TIMEOUT = 60.0
 
+#: The membership file in the runtime directory.
+MEMBERS_FILE = "members.json"
 
-@dataclass
-class WorkerHandle:
-    """One live (or lately deceased) worker incarnation."""
 
-    index: int
-    process: Any
-    port: int
-    pid: int
-    restarts: int = 0
+def write_json(path: str, payload: Any) -> None:
+    """Replace ``path`` with ``payload`` in one atomic rename."""
+    temporary = f"{path}.{os.getpid()}.tmp"
+    with open(temporary, "w", encoding="utf8") as handle:
+        json.dump(payload, handle)
+    os.replace(temporary, path)
 
-    def alive(self) -> bool:
-        return self.process.is_alive()
 
-    def status(self) -> Dict[str, Any]:
-        """The ``/healthz`` row for this worker."""
-        return {
-            "index": self.index,
-            "pid": self.pid,
-            "port": self.port,
-            "alive": self.alive(),
-            "restarts": self.restarts,
-        }
+def worker_main(index: int, root: str, config, listener, runtime, conn):
+    """One worker: a diff server on the parent's socket, until SIGTERM.
+
+    Reports ``{"ready": True}`` (or ``{"error": ...}``) on ``conn``.
+    SIGTERM drains as ``repro serve`` does; SIGUSR1 asks for a fresh
+    snapshot for a sibling's scrape.
+    """
+    from repro.cluster.server import _ClusterApp
+    from repro.service.server import DiffServer
+
+    try:
+        server = DiffServer(
+            root,
+            dataclasses.replace(config, workers=0),
+            listener=listener,
+            app=lambda workspace: _ClusterApp(workspace, runtime, index),
+        )
+    except ReproError as exc:
+        conn.send({"error": str(exc)})
+        raise SystemExit(1) from None
+    # stop() must not run on the serving thread: shutdown() would
+    # deadlock against the serve_forever loop it waits on.
+    drain = threading.Thread(target=server.stop, daemon=True)
+    signal.signal(
+        signal.SIGTERM, lambda *_: drain.ident is None and drain.start()
+    )
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGUSR1, server.app.request_snapshot)
+    server.app.write_snapshot()
+    conn.send({"ready": True})
+    conn.close()
+    try:
+        server.serve_forever()
+    finally:
+        if drain.ident is None:
+            server.stop()
+        else:
+            drain.join()  # the in-flight requests finish first
 
 
 class WorkerSupervisor:
-    """Spawns and supervises the cluster's worker processes."""
+    """Spawns, watches and restarts the cluster's worker processes."""
 
     def __init__(
         self,
         root,
         config: ReproConfig,
         count: int,
-        host: str = "127.0.0.1",
+        listener: Optional[socket.socket] = None,
+        runtime: Optional[str] = None,
         poll_interval: float = 0.2,
         restart_limit: int = 10,
     ):
-        if count < 1:
-            raise ReproError(
-                f"cluster needs at least one worker, got {count}"
-            )
-        # Accept what ClusterServer accepts: a path or an existing
-        # WorkflowStore/Workspace (unwrapped to its directory).  The
-        # old unconditional str(root) turned a passed-in store object
-        # into its repr — workers then mkdir'd a
-        # ``<...WorkflowStore object at 0x...>`` directory under CWD.
-        if isinstance(root, (str, os.PathLike)):
-            self.root = os.fspath(root)
-        else:
-            store_root = getattr(root, "store", root)  # Workspace
-            store_root = getattr(store_root, "root", None)  # store
-            if not isinstance(store_root, (str, os.PathLike)):
+        # A path, or a WorkflowStore or Workspace unwrapped to its
+        # directory (str() of a store object would be its repr).
+        if not isinstance(root, (str, os.PathLike)):
+            root = getattr(getattr(root, "store", root), "root", None)
+            if not isinstance(root, (str, os.PathLike)):
                 raise ReproError(
-                    "worker supervisor root must be a path or a "
-                    f"store, not {type(root).__name__}"
+                    "worker supervisor root must be a path or a store"
                 )
-            self.root = os.fspath(store_root)
+        self.root = os.fspath(root)
         self.config = config
         self.count = count
-        self.host = host
+        self.listener = listener
+        self.runtime = runtime
         self.poll_interval = poll_interval
         self.restart_limit = restart_limit
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.Lock()
-        self._handles: Dict[int, WorkerHandle] = {}
+        #: The current process of each worker index, and its restarts.
+        self._handles: Dict[int, Any] = {}
+        self._restarts: Dict[int, int] = dict.fromkeys(range(count), 0)
+        self._abandoned: set = set()
         self._stopping = threading.Event()
+        #: Set once every worker is down past its restart limit.
+        self.exhausted = threading.Event()
         self._watcher: Optional[threading.Thread] = None
 
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> "WorkerSupervisor":
-        """Spawn all workers and begin liveness supervision."""
-        if self._handles:
-            return self
+    def start(self) -> None:
+        """Spawn every worker at once, and return once all are ready."""
+        self._write_members()  # no member yet: degraded until all are up
+        spawned = []
         try:
-            for index in range(self.count):
-                handle = self._spawn(index)
-                with self._lock:
-                    self._handles[index] = handle
+            spawned = [self._spawn(index) for index in range(self.count)]
+            for index, started in enumerate(spawned):
+                self._handles[index] = self._await_ready(index, *started)
         except BaseException:
+            for process, _ in spawned:
+                process.kill()
             self.stop()
             raise
-        self._watcher = threading.Thread(
-            target=self._watch,
-            name="repro-cluster-supervisor",
-            daemon=True,
-        )
+        self._write_members()
+        self._watcher = threading.Thread(target=self._watch, daemon=True)
         self._watcher.start()
-        return self
 
     def stop(self, drain_timeout: float = 10.0) -> None:
-        """Terminate every worker: SIGTERM (graceful drain), then kill."""
+        """SIGTERM every worker (each drains), then kill stragglers."""
         self._stopping.set()
         if self._watcher is not None:
             self._watcher.join(timeout=5)
-            self._watcher = None
         with self._lock:
-            handles = list(self._handles.values())
+            processes = list(self._handles.values())
             self._handles.clear()
-        for handle in handles:
-            if handle.alive():
-                handle.process.terminate()
+        for process in processes:
+            process.terminate()
         deadline = time.monotonic() + max(1.0, drain_timeout)
-        for handle in handles:
-            remaining = max(0.1, deadline - time.monotonic())
-            handle.process.join(timeout=remaining)
-            if handle.alive():
-                handle.process.kill()
-                handle.process.join(timeout=2)
+        for process in processes:
+            process.join(timeout=max(0.1, deadline - time.monotonic()))
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=2)
 
-    # -- routing-table reads ---------------------------------------------
-    def incarnation(self, index: int) -> WorkerHandle:
-        """The current incarnation of shard ``index``'s worker."""
+    def _write_members(self) -> None:
         with self._lock:
-            handle = self._handles.get(index)
-        if handle is None:
-            raise ReproError(f"no worker for shard {index}")
-        return handle
-
-    def statuses(self) -> List[Dict[str, Any]]:
-        """Per-worker ``/healthz`` rows, in shard order."""
-        with self._lock:
-            handles = [
-                self._handles[i]
-                for i in sorted(self._handles)
+            members = [
+                {"index": i, "pid": p.pid, "restarts": self._restarts[i]}
+                for i, p in sorted(self._handles.items())
             ]
-        return [handle.status() for handle in handles]
+        write_json(
+            os.path.join(self.runtime, MEMBERS_FILE),
+            {
+                "workers": self.count,
+                "restarts": sum(m["restarts"] for m in members),
+                "members": members,
+            },
+        )
 
-    def total_restarts(self) -> int:
-        with self._lock:
-            return sum(h.restarts for h in self._handles.values())
-
-    # -- spawning --------------------------------------------------------
-    def _spawn(self, index: int) -> WorkerHandle:
-        """Start one worker and wait for its readiness report."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+    def _spawn(self, index: int):
+        receive, send = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(index, self.root, self.config, self.host, child_conn),
+            args=(
+                index, self.root, self.config, self.listener,
+                self.runtime, send,
+            ),
             name=f"repro-cluster-worker:{index}",
         )
         process.start()
-        child_conn.close()
+        send.close()
+        return process, receive
+
+    def _await_ready(self, index: int, process, conn):
+        """Wait for a spawned worker's report: serving, or its error."""
+        deadline = time.monotonic() + START_TIMEOUT
         try:
-            deadline = time.monotonic() + START_TIMEOUT
-            while not parent_conn.poll(0.1):
-                if not process.is_alive():
+            while not conn.poll(0.1):
+                if not process.is_alive() or time.monotonic() > deadline:
+                    process.kill()
                     raise ReproError(
-                        f"cluster worker {index} exited during startup "
+                        f"cluster worker {index} did not start "
                         f"(exit code {process.exitcode})"
                     )
-                if time.monotonic() > deadline:
-                    process.terminate()
-                    raise ReproError(
-                        f"cluster worker {index} did not report ready "
-                        f"within {START_TIMEOUT}s"
-                    )
-            try:
-                ready = parent_conn.recv()
-            except EOFError:
-                raise ReproError(
-                    f"cluster worker {index} closed its readiness "
-                    "pipe without reporting a port"
-                ) from None
+            report = conn.recv()
+        except EOFError:
+            report = {"error": "it closed its readiness pipe"}
         finally:
-            parent_conn.close()
+            conn.close()
+        if "error" in report:
+            raise ReproError(
+                f"cluster worker {index} failed to start: "
+                f"{report['error']}"
+            )
         logger.info(
-            "worker %d ready on port %d (pid %d)",
-            index, ready["port"], ready["pid"],
-            extra={
-                "worker": index,
-                "port": ready["port"],
-                "pid": ready["pid"],
-            },
+            "worker %d ready (pid %d)", index, process.pid,
+            extra={"worker": index, "pid": process.pid},
         )
-        return WorkerHandle(
-            index=index,
-            process=process,
-            port=ready["port"],
-            pid=ready["pid"],
-        )
+        return process
 
-    # -- liveness --------------------------------------------------------
     def _watch(self) -> None:
         while not self._stopping.wait(self.poll_interval):
-            for index in range(self.count):
-                with self._lock:
-                    handle = self._handles.get(index)
-                if handle is None or handle.alive():
-                    continue
-                if self._stopping.is_set():
-                    return
-                self._restart(handle)
+            with self._lock:
+                dead = [
+                    (index, process)
+                    for index, process in self._handles.items()
+                    if index not in self._abandoned
+                    and not process.is_alive()
+                ]
+            for index, process in dead:
+                self._restart(index, process.exitcode)
 
-    def _restart(self, dead: WorkerHandle) -> None:
-        restarts = dead.restarts + 1
+    def _restart(self, index: int, exitcode) -> None:
+        # ``is_alive`` reaped the process, so the workers see its pid
+        # gone: the cluster reads degraded until the replacement is up.
+        self._write_members()
+        restarts = self._restarts[index] + 1
         if restarts > self.restart_limit:
             logger.error(
                 "worker %d exceeded restart limit (%d); leaving down",
-                dead.index, self.restart_limit,
-                extra={"worker": dead.index},
+                index, self.restart_limit, extra={"worker": index},
             )
+            with self._lock:
+                self._abandoned.add(index)
+                if len(self._abandoned) == self.count:
+                    self.exhausted.set()
             return
         logger.warning(
             "worker %d died (exit code %s); restarting (%d/%d)",
-            dead.index, dead.process.exitcode,
-            restarts, self.restart_limit,
-            extra={"worker": dead.index, "restarts": restarts},
+            index, exitcode, restarts, self.restart_limit,
+            extra={"worker": index, "restarts": restarts},
         )
+        # Count every attempt, so a hopeless crash loop still hits the
+        # restart limit instead of spinning forever.
+        self._restarts[index] = restarts
         try:
-            handle = self._spawn(dead.index)
+            process = self._await_ready(index, *self._spawn(index))
         except ReproError:
-            logger.error(
-                "worker %d failed to restart; will retry",
-                dead.index,
-                extra={"worker": dead.index},
-            )
-            # Count the attempt so a hopeless crash loop still hits
-            # the restart limit instead of spinning forever.
-            dead.restarts = restarts
             return
-        handle.restarts = restarts
         with self._lock:
             if self._stopping.is_set():
-                handle.process.terminate()
+                process.terminate()
                 return
-            self._handles[dead.index] = handle
+            self._handles[index] = process
+        self._write_members()
+
+
+class ClusterServer:
+    """``N`` pre-forked diff servers accepting from one socket.
+
+    The lifecycle of a :class:`~repro.service.server.DiffServer` —
+    :meth:`start`, :meth:`serve_forever`, :meth:`stop`, a context
+    manager, :attr:`url` — over its wire surface.
+    """
+
+    def __init__(
+        self,
+        root,
+        config: Optional[ReproConfig] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        workers: Optional[int] = None,
+    ):
+        self.config = config or ReproConfig()
+        count = workers if workers is not None else self.config.workers
+        if count < 1:
+            raise ReproError(
+                f"a cluster needs at least 1 worker, got {count}"
+            )
+        if not isinstance(self.config.backend, str):
+            raise ReproError(
+                "cluster serving requires the backend by name "
+                "(a live ExecutorBackend instance cannot cross the "
+                "worker process boundary)"
+            )
+        configure_logging(
+            level=self.config.log_level, format=self.config.log_format
+        )
+        self.listener = socket.create_server((host, port), backlog=128)
+        # The workers that lose the race for a connection must not
+        # block in accept().
+        self.listener.setblocking(False)
+        self.host, self.port = self.listener.getsockname()[:2]
+        self.runtime = tempfile.mkdtemp(prefix="repro-cluster-")
+        self.supervisor = WorkerSupervisor(
+            root, self.config, count, self.listener, self.runtime
+        )
+        self._stopped = threading.Event()
+        self._stop_lock = threading.Lock()
+
+    @property
+    def url(self) -> str:
+        """The service base URL, e.g. ``http://127.0.0.1:8321``."""
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "ClusterServer":
+        """Spawn the workers; returns once every one is serving."""
+        try:
+            self.supervisor.start()
+        except BaseException:
+            self.stop()
+            raise
+        return self
+
+    def serve_forever(self) -> None:
+        """Supervise until :meth:`stop`; raises once no worker is left."""
+        self.start()
+        logger.info(
+            "serving %s with %d workers", self.url, self.supervisor.count,
+            extra={"host": self.host, "port": self.port},
+        )
+        while not self._stopped.wait(0.2):
+            if self.supervisor.exhausted.is_set():
+                self.stop()
+                raise ReproError(
+                    "every cluster worker exceeded its restart limit"
+                )
+
+    def stop(self, drain_timeout: float = 10.0) -> None:
+        """Drain the workers, close the socket, remove the runtime
+        directory.  Idempotent."""
+        with self._stop_lock:
+            if not self._stopped.is_set():
+                self.supervisor.stop(drain_timeout=drain_timeout)
+                self.listener.close()
+                shutil.rmtree(self.runtime, ignore_errors=True)
+                self._stopped.set()
+
+    def __enter__(self) -> "ClusterServer":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()

@@ -113,8 +113,8 @@ class ReproConfig:
     workers:
         Server worker processes for ``repro serve``.  ``0`` (the
         default) serves single-process; ``N >= 1`` pre-forks ``N``
-        sharded worker processes behind a routing parent
-        (:class:`~repro.cluster.server.ClusterServer`).  Ignored by
+        worker processes accepting from one socket
+        (:class:`~repro.cluster.supervisor.ClusterServer`).  Ignored by
         non-serving workspaces.
     """
 

@@ -22,7 +22,7 @@ wrong-``user_version`` file is replaced by an empty database at open,
 and its contents are recomputed on demand; a read that fails is a miss.
 Nothing in this module raises.  ``sqlite3`` is imported only when a
 database is opened, so processes that never open one (the cluster's
-routing parent) never load it.
+supervising parent) never load it.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ service layer runs one thread per request):
   :class:`~repro.corpus.singleflight.SingleFlight` table: concurrent
   callers needing the same content-addressed pair elect one *leader*
   whose single DP feeds every *follower* — a thundering herd on one
-  cold ``GET /diff/{a}/{b}`` costs exactly one computation (in a
-  served cluster too: the parent routes every request for one run
-  pair to the one worker whose service coalesces it);
+  cold ``GET /diff/{a}/{b}`` costs exactly one computation per
+  process (a served cluster coalesces in each worker, so at most one
+  per worker);
 * the re-entrant service lock survives only as a **narrow** critical
   section around metadata (fingerprint backfills, family views) and
   result publishing (cache puts, counters) — it is never
@@ -87,6 +87,7 @@ hanging past the drain deadline.
 from __future__ import annotations
 
 import bisect
+import contextvars
 import dataclasses
 import threading
 import time
@@ -127,6 +128,11 @@ from repro.workflow.specification import WorkflowSpecification
 
 #: Batch-size histogram buckets: powers of two up to a full matrix
 #: sweep of a mid-sized corpus.
+#: The specification a request resolved once (:meth:`DiffService.resolved`).
+_RESOLVED: contextvars.ContextVar[Optional[WorkflowSpecification]] = (
+    contextvars.ContextVar("repro_resolved_spec", default=None)
+)
+
 _BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                   512.0, 1024.0)
 
@@ -346,7 +352,19 @@ class DiffService:
     # -- resolution -----------------------------------------------------
     def specification(self, spec_name: str) -> WorkflowSpecification:
         """The stored specification (one ``stat`` while unchanged)."""
+        spec = _RESOLVED.get()
+        if spec is not None and spec.name == spec_name:
+            return spec
         return self.store.load_specification(spec_name)
+
+    @contextmanager
+    def resolved(self, spec: WorkflowSpecification):
+        """Answer ``spec``'s name with ``spec`` inside the block."""
+        token = _RESOLVED.set(spec)
+        try:
+            yield
+        finally:
+            _RESOLVED.reset(token)
 
     def runs(self, spec_name: str) -> List[str]:
         return self.store.list_runs(spec_name)

@@ -10,9 +10,9 @@ serialises them behind whatever lock guards the cache.
 
 The table's one user is :class:`~repro.corpus.service.DiffService`,
 whose cold-batch routine is the only place that begins flights.  A
-served cluster (``repro serve --workers N``) needs no second table:
-the parent routes every ``GET /diff`` for one run pair to one worker,
-and that worker's service coalesces identical requests here.
+served cluster (``repro serve --workers N``) has one table per worker
+and none across them, so K identical cold diffs cost at most one DP
+per worker.
 
 Deadlock discipline: a thread that leads several flights must finish
 (or fail) **all** of them before waiting on any flight it follows.

@@ -18,37 +18,33 @@ CI job runs it against a live ``/metrics`` scrape, and the golden tests
 use it to keep the renderer honest.
 """
 
-from repro.obs.logging import (
-    LOG_FORMATS,
-    bound_request_id,
-    configure_logging,
-    current_request_id,
-    get_logger,
-    new_request_id,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.promcheck import parse_exposition
-from repro.obs.runmeta import RunMetadata, capture_run_metadata
+import importlib
 
-__all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "LOG_FORMATS",
-    "MetricsRegistry",
-    "RunMetadata",
-    "bound_request_id",
-    "capture_run_metadata",
-    "configure_logging",
-    "current_request_id",
-    "get_logger",
-    "new_request_id",
-    "parse_exposition",
-]
+#: Where each export lives; the package imports none of them eagerly, so
+#: a process that only logs never loads the metrics registry.
+_EXPORTS = {
+    "repro.obs.logging": (
+        "LOG_FORMATS bound_request_id configure_logging "
+        "current_request_id get_logger new_request_id"
+    ),
+    "repro.obs.metrics": (
+        "Counter DEFAULT_LATENCY_BUCKETS Gauge Histogram MetricsRegistry"
+    ),
+    "repro.obs.promcheck": "parse_exposition",
+    "repro.obs.runmeta": "RunMetadata capture_run_metadata",
+}
+_MODULE_OF = {
+    name: module
+    for module, names in _EXPORTS.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    """Resolve an export from its module's current attribute."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

@@ -30,7 +30,7 @@ registry.
 
 :meth:`MetricsRegistry.snapshot` returns the registry as a JSON-safe
 dict (the ``/metrics?format=json`` face), and :func:`render_exposition`
-renders such a snapshot — one registry's, or the cluster parent's merge
+renders such a snapshot — one registry's, or a cluster worker's merge
 of several — in the Prometheus text exposition format (version 0.0.4):
 ``# HELP``/``# TYPE`` preambles, label-sorted sample lines, cumulative
 histogram buckets with the ``+Inf`` terminator and ``_sum``/``_count``
@@ -436,8 +436,8 @@ def render_exposition(snapshot: Dict[str, dict]) -> str:
     """A JSON metrics snapshot as Prometheus text exposition 0.0.4.
 
     ``snapshot`` has the ``/metrics?format=json`` shape
-    (:meth:`MetricsRegistry.snapshot`): one registry's, or the cluster
-    parent's merge of its workers' and its own.  Families render in
+    (:meth:`MetricsRegistry.snapshot`): one registry's, or a cluster
+    worker's merge of its own and its siblings'.  Families render in
     name order with escaped ``# HELP`` (omitted when empty) and ``#
     TYPE`` preambles; every histogram series ends its buckets with the
     ``+Inf`` one, equal to its ``_count``.

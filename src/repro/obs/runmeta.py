@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Optional
 
+from repro import __version__
+
 __all__ = ["META_VERSION", "RunMetadata", "capture_run_metadata"]
 
 #: Payload schema version (independent of the HTTP wire version).
@@ -53,12 +55,6 @@ def _current_host() -> str:
         return "unknown"
 
 
-def _tool_version() -> str:
-    import repro
-
-    return repro.__version__
-
-
 @dataclass(frozen=True)
 class RunMetadata:
     """The operational account of one persisted run."""
@@ -70,6 +66,7 @@ class RunMetadata:
     tool_version: str
     origin: str = "native"  #: ``native`` or the import origin
     request_id: Optional[str] = None  #: HTTP correlation ID, if any
+    session: Optional[str] = None  #: the stream session that closed it
 
     def to_dict(self) -> dict:
         """JSON-safe payload (the run document's ``<meta>`` text)."""
@@ -84,6 +81,8 @@ class RunMetadata:
         }
         if self.request_id is not None:
             payload["request_id"] = self.request_id
+        if self.session is not None:
+            payload["session"] = self.session
         return payload
 
     @classmethod
@@ -96,6 +95,7 @@ class RunMetadata:
             return None
         try:
             request_id = payload.get("request_id")
+            session = payload.get("session")
             return cls(
                 user=str(payload["user"]),
                 host=str(payload["host"]),
@@ -106,6 +106,7 @@ class RunMetadata:
                 request_id=(
                     None if request_id is None else str(request_id)
                 ),
+                session=None if session is None else str(session),
             )
         except (KeyError, TypeError, ValueError):
             return None
@@ -115,6 +116,7 @@ def capture_run_metadata(
     origin: str = "native",
     started: Optional[str] = None,
     ended: Optional[str] = None,
+    session: Optional[str] = None,
 ) -> RunMetadata:
     """Capture the current operational context as :class:`RunMetadata`.
 
@@ -131,7 +133,8 @@ def capture_run_metadata(
         host=_current_host(),
         started=started if started is not None else now,
         ended=ended if ended is not None else now,
-        tool_version=_tool_version(),
+        tool_version=__version__,
         origin=origin,
         request_id=current_request_id(),
+        session=session,
     )

@@ -31,7 +31,7 @@ what the ROADMAP's scale item actually gates on:
 
 Everything goes through the ``WorkspaceAPI`` surface (``import_prov``,
 ``matrix``, ``query``, ``medoid``, ``stream``, ``stats``), so the same
-driver measures a local store, a remote server, or a sharded cluster
+driver measures a local store, a remote server, or a cluster
 unchanged.
 """
 

@@ -58,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 from urllib.parse import unquote
 
+from repro import __version__
 from repro.api_types import (
     ErrorEnvelope,
     ImportSummary,
@@ -93,13 +94,6 @@ NDJSON_TYPE = "application/x-ndjson"
 REQUEST_ID_HEADER = "X-Request-Id"
 
 logger = get_logger("service.app")
-
-
-def _package_version() -> str:
-    """The installed package version (lazy: avoids a circular import)."""
-    import repro
-
-    return repro.__version__
 
 
 @dataclass
@@ -158,8 +152,8 @@ class HttpResponse:
     ) -> "HttpResponse":
         """A JSON response: compact, sorted keys, one trailing newline.
 
-        Deterministic, so equal payloads are equal bytes (the cluster
-        parent merges through here too, keeping its bodies identical to
+        Deterministic, so equal payloads are equal bytes (a cluster
+        worker merges through here too, keeping its bodies identical to
         a single process's).  Compact on purpose: any ``indent`` routes
         ``json.dumps`` through CPython's pure-Python encoder, while
         compact separators keep the C encoder — a six-item query page
@@ -216,8 +210,8 @@ def wants_json_metrics(request: HttpRequest) -> bool:
     ``?format=json`` (or, without ``format``, ``Accept:
     application/json``) selects JSON; ``prometheus`` and ``text`` select
     the text exposition.  Any other format raises :class:`ReproError`
-    (a 400) — the one check the single-process server and the cluster
-    parent share, so both answer a bad format byte-identically.
+    (a 400) — the one check a single process and a cluster worker
+    share, so both answer a bad format byte-identically.
     """
     format_param = request.query.get("format", "").strip().lower()
     if format_param not in ("", "json", "prometheus", "text"):
@@ -234,9 +228,9 @@ def page_offset(body: dict) -> int:
     """Check a ``POST /query`` body's page parameters; the offset.
 
     ``limit`` must be a non-negative integer (not a bool) and
-    ``cursor`` a string that decodes.  Both apps call this before
-    anything else reads the body, so one process and the cluster
-    parent report the same fault on a body with several.
+    ``cursor`` a string that decodes.  The app calls this before
+    anything else reads the body, so a body with several faults
+    reports this one first.
     """
     limit = body.get("limit")
     if limit is not None:
@@ -285,15 +279,14 @@ class RequestFrame:
     request metric families.  :meth:`reject` does the same for a
     request the transport refused to read.
 
-    Metric families and ``/stats`` keys carry the app's ``prefix``:
-    ``server`` for a :class:`WorkspaceApp`, ``cluster`` for the routing
-    parent.  A subclass supplies ``_route`` (and ``abort_inflight`` if
-    it coalesces computations), and defines ``handle`` in its own
-    class body (``return self._framed(request)``), so tracers that wrap
-    one class's ``handle`` never count a request twice.
+    Metric families and ``/stats`` keys are ``server_*``.  A subclass
+    supplies ``_route`` (and ``abort_inflight`` if it coalesces
+    computations), and defines ``handle`` in its own class body
+    (``return self._framed(request)``), so tracers that wrap one
+    class's ``handle`` never count a request twice.
     """
 
-    def __init__(self, metrics: MetricsRegistry, prefix: str):
+    def __init__(self, metrics: MetricsRegistry):
         #: Guarded by ``_counter_lock`` — the threading server drives
         #: one thread per request, and ``+= 1`` alone is not atomic.
         self.requests = 0
@@ -301,28 +294,24 @@ class RequestFrame:
         self.errors = 0
         self._in_flight = 0
         self._counter_lock = threading.Lock()
-        self._stats_keys = tuple(
-            f"{prefix}_{name}"
-            for name in ("requests", "not_modified", "errors", "in_flight")
-        )
         self._requests_metric = metrics.counter(
-            f"{prefix}_requests_total",
+            "server_requests_total",
             "HTTP requests handled, by route, method and status.",
         )
         self._latency_metric = metrics.histogram(
-            f"{prefix}_request_seconds",
+            "server_request_seconds",
             "HTTP request handling latency in seconds, by route.",
         )
         self._errors_metric = metrics.counter(
-            f"{prefix}_errors_total",
+            "server_errors_total",
             "Requests that left as error envelopes, by error type.",
         )
         self._not_modified_metric = metrics.counter(
-            f"{prefix}_not_modified_total",
+            "server_not_modified_total",
             "Diff reads answered by ETag revalidation (304).",
         )
         metrics.gauge(
-            f"{prefix}_in_flight",
+            "server_in_flight",
             "Requests currently being handled.",
         ).set_function(self.in_flight)
 
@@ -342,18 +331,15 @@ class RequestFrame:
         with self._counter_lock:
             return self._in_flight
 
-    def abort_inflight(self, error: BaseException) -> int:
-        """Fail coalesced waiters at drain; the parent has none."""
-        return 0
-
     def frame_counters(self) -> Dict[str, int]:
         """The frame's counters under their ``/stats`` names."""
         with self._counter_lock:
-            values = (
-                self.requests, self.not_modified, self.errors,
-                self._in_flight,
-            )
-        return dict(zip(self._stats_keys, values))
+            return {
+                "server_requests": self.requests,
+                "server_not_modified": self.not_modified,
+                "server_errors": self.errors,
+                "server_in_flight": self._in_flight,
+            }
 
     # -- the frame ------------------------------------------------------
     def _framed(self, request: HttpRequest) -> HttpResponse:
@@ -460,7 +446,7 @@ class WorkspaceApp(RequestFrame):
     """
 
     def __init__(self, workspace: Workspace):
-        super().__init__(workspace.metrics, "server")
+        super().__init__(workspace.metrics)
         self.workspace = workspace
         # Touch the streaming hub so its ``stream_*`` metric families
         # exist (at zero) from the first scrape, not from the first
@@ -554,23 +540,27 @@ class WorkspaceApp(RequestFrame):
         return HttpResponse.json(
             {
                 "status": "ok",
-                "version": _package_version(),
+                "version": __version__,
                 "wire_version": WIRE_VERSION,
                 "specifications": len(self.workspace.specifications()),
             }
         )
 
     def _stats(self) -> HttpResponse:
+        return HttpResponse.json(self.stats_payload(self.frame_counters()))
+
+    def stats_payload(self, frame_counters: Dict[str, int]) -> dict:
+        """The ``/stats`` payload, with a frame's request counters."""
         snapshot = self.workspace.stats_snapshot()
         snapshot.source = "server"
-        snapshot.counters.update(self.frame_counters())
+        snapshot.counters.update(frame_counters)
         # The streaming hub's counters ride along (``stream_*``), from
         # the same numbers the ``stream_*`` metric families export —
         # ``/stats`` and ``/metrics`` always agree.
         snapshot.counters.update(
             self.workspace.stream_hub.summary().as_counters()
         )
-        return HttpResponse.json(snapshot.to_dict())
+        return snapshot.to_dict()
 
     def _metrics(self, request: HttpRequest) -> HttpResponse:
         """The registry's scrape face: Prometheus text, or JSON.
@@ -698,32 +688,36 @@ class WorkspaceApp(RequestFrame):
     def _diff(
         self, request: HttpRequest, run_a: str, run_b: str
     ) -> HttpResponse:
-        spec = self._spec_param(request)
+        service = self.workspace.service
+        spec = request.query.get("spec")
+        # The request's one specification resolution (404 if unknown).
+        resolved = None if spec is None else service.specification(spec)
         cost = self._cost_param(request.query.get("cost"))
-        spec_name = self.workspace._spec_name(spec)
+        if resolved is None:
+            resolved = service.specification(self.workspace._spec_name(None))
+        spec_name = resolved.name
         headers: Dict[str, str] = {}
         cost_key = cost_model_key(cost)
-        if cost_key is not None:
-            # Revalidation is two index stats: unchanged run files
-            # answer from the fingerprint index without XML parsing.
-            fingerprints = self.workspace.service.fingerprints(
-                spec_name, [run_a, run_b]
-            )
-            tag = script_key(
-                fingerprints[run_a], fingerprints[run_b], cost_key
-            )
-            etag = '"' + hashlib.sha256(
-                tag.encode("utf8")
-            ).hexdigest()[:32] + '"'
-            headers["ETag"] = etag
-            headers["Cache-Control"] = "no-cache"
-            if request.header("if-none-match") == etag:
-                return HttpResponse(
-                    status=304, body=b"", headers=headers
+        with service.resolved(resolved):
+            if cost_key is not None:
+                # Revalidation is two index stats: unchanged run files
+                # answer from the fingerprint index without XML parsing.
+                fingerprints = service.fingerprints(spec_name, [run_a, run_b])
+                tag = script_key(
+                    fingerprints[run_a], fingerprints[run_b], cost_key
                 )
-        outcome = self.workspace.diff(
-            run_a, run_b, spec=spec_name, cost=cost
-        )
+                etag = '"' + hashlib.sha256(
+                    tag.encode("utf8")
+                ).hexdigest()[:32] + '"'
+                headers["ETag"] = etag
+                headers["Cache-Control"] = "no-cache"
+                if request.header("if-none-match") == etag:
+                    return HttpResponse(
+                        status=304, body=b"", headers=headers
+                    )
+            outcome = self.workspace.diff(
+                run_a, run_b, spec=spec_name, cost=cost
+            )
         return HttpResponse.json(outcome.to_dict(), headers=headers)
 
     def _matrix(self, request: HttpRequest) -> HttpResponse:

@@ -1,15 +1,13 @@
 """The stdlib HTTP host for the diff service (``repro serve``).
 
-:class:`HttpHost` binds an app to a
+:class:`DiffServer` binds a :class:`~repro.service.app.WorkspaceApp`
+over one shared :class:`Workspace` (whose corpus service is a
+lock-disciplined monitor — see :mod:`repro.corpus.service`) to a
 :class:`~http.server.ThreadingHTTPServer` — one thread per open
 connection, kept alive across requests (HTTP/1.1) — and owns the
-serve/drain lifecycle; :class:`DiffServer`
-hosts a :class:`~repro.service.app.WorkspaceApp` over one shared
-:class:`Workspace` (whose corpus service is a lock-disciplined monitor
-— see :mod:`repro.corpus.service`), and the cluster parent
-(:class:`~repro.cluster.server.ClusterServer`) hosts its router on the
-same class.  No third-party dependencies: the wire layer is ~a hundred
-lines over ``http.server``.
+serve/drain lifecycle.  Each worker of ``repro serve --workers N`` is
+one, accepting from its parent's socket.  No third-party dependencies:
+the wire layer is ~a hundred lines over ``http.server``.
 
 Two driving styles:
 
@@ -38,7 +36,7 @@ import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 from urllib.parse import parse_qs, urlsplit
 
 from repro.config import ReproConfig
@@ -72,7 +70,7 @@ class _Connections:
 
     A kept-alive connection outlives its requests: its handler thread
     waits on the socket for the next one, and stopping the accept loop
-    does not stop it.  So :meth:`HttpHost.stop` shuts every idle
+    does not stop it.  So :meth:`DiffServer.stop` shuts every idle
     connection, and a request in flight answers with ``Connection:
     close``.  A connection is idle (waiting for a request line) or busy
     (between a request and its response).
@@ -335,31 +333,66 @@ def _make_handler(
     return Handler
 
 
-class HttpHost:
-    """The stdlib HTTP lifecycle both servers share.
+class DiffServer:
+    """One workspace served over HTTP.
 
-    Binds an app (a :class:`~repro.service.app.RequestFrame` subclass
-    that also offers ``handle``) through
-    :func:`_make_handler`, serves it, and drains it.  A subclass
-    builds its app and may hook :meth:`_before_serving` (the cluster
-    starts its workers) and :meth:`_after_drain` (the cluster stops
-    them).
+    Binds its app to a :class:`~http.server.ThreadingHTTPServer`
+    (through :func:`_make_handler`), serves it, and drains it.
+
+    Parameters
+    ----------
+    root:
+        Store directory, an existing
+        :class:`~repro.io.store.WorkflowStore`, or a fully built
+        :class:`Workspace` to share.
+    config:
+        The :class:`ReproConfig` for a workspace built from a path
+        (ignored when ``root`` is already a workspace — except that its
+        logging knobs still apply when given).
+    host / port:
+        Bind address.  ``port=0`` picks a free port.
+    listener:
+        An already listening socket to accept from instead of binding
+        one (``host``/``port`` are then ignored): each worker of
+        ``repro serve --workers N`` serves its parent's socket.
+    app:
+        Builds the request handler from the workspace (default
+        :class:`~repro.service.app.WorkspaceApp`); a cluster worker
+        passes :class:`~repro.cluster.server._ClusterApp`.
     """
 
     def __init__(
-        self, app: RequestFrame, config: ReproConfig, host: str, port: int
+        self,
+        root,
+        config: Optional[ReproConfig] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        listener: Optional[socket.socket] = None,
+        app: Optional[Callable[[Workspace], RequestFrame]] = None,
     ):
+        self.workspace = (
+            root
+            if isinstance(root, Workspace)
+            else Workspace(root, config)
+        )
+        self.config = config or self.workspace.config
         configure_logging(
-            level=config.log_level,
-            format=config.log_format,
+            level=self.config.log_level,
+            format=self.config.log_format,
         )
-        self.app = app
-        self.config = config
+        self.app = (app or WorkspaceApp)(self.workspace)
         self._connections = _Connections()
-        self.httpd = ThreadingHTTPServer(
-            (host, port),
-            _make_handler(app, config.max_body_bytes, self._connections),
+        handler = _make_handler(
+            self.app, self.config.max_body_bytes, self._connections
         )
+        if listener is None:
+            self.httpd = ThreadingHTTPServer((host, port), handler)
+        else:
+            self.httpd = ThreadingHTTPServer(
+                listener.getsockname(), handler, bind_and_activate=False
+            )
+            self.httpd.socket.close()
+            self.httpd.socket = listener
         # Handler threads are daemonic: after a drain timeout the
         # process may exit with stragglers still running — the
         # documented hard-exit fallback.
@@ -383,24 +416,16 @@ class HttpHost:
         """The service base URL, e.g. ``http://127.0.0.1:8321``."""
         return f"http://{self.host}:{self.port}"
 
-    def _before_serving(self) -> None:
-        """Runs before the first accept; idempotent."""
-
-    def _after_drain(self, drain_timeout: float) -> None:
-        """Runs once the listener has drained, before the socket closes."""
-
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`stop` (blocking)."""
-        self._before_serving()
         logger.info(
             "serving %s", self.url,
             extra={"host": self.host, "port": self.port},
         )
         self.httpd.serve_forever()
 
-    def start(self) -> "HttpHost":
+    def start(self) -> "DiffServer":
         """Serve on a background daemon thread; returns ``self``."""
-        self._before_serving()
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self.httpd.serve_forever,
@@ -469,7 +494,6 @@ class HttpHost:
                 remaining,
                 extra={"in_flight": remaining},
             )
-        self._after_drain(drain_timeout)
         logger.info("server stopped", extra=self.app.frame_counters())
         self._connections.shut(busy=True)
         self._connections.join(timeout=1.0)
@@ -478,48 +502,11 @@ class HttpHost:
             self._thread.join(timeout=5)
             self._thread = None
 
-    def __enter__(self) -> "HttpHost":
+    def __enter__(self) -> "DiffServer":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-
-class DiffServer(HttpHost):
-    """One workspace served over HTTP.
-
-    Parameters
-    ----------
-    root:
-        Store directory, an existing
-        :class:`~repro.io.store.WorkflowStore`, or a fully built
-        :class:`Workspace` to share.
-    config:
-        The :class:`ReproConfig` for a workspace built from a path
-        (ignored when ``root`` is already a workspace — except that its
-        logging knobs still apply when given).
-    host / port:
-        Bind address.  ``port=0`` picks a free port.
-    """
-
-    def __init__(
-        self,
-        root,
-        config: Optional[ReproConfig] = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-    ):
-        self.workspace = (
-            root
-            if isinstance(root, Workspace)
-            else Workspace(root, config)
-        )
-        super().__init__(
-            WorkspaceApp(self.workspace),
-            config or self.workspace.config,
-            host,
-            port,
-        )
 
 
 def serve(

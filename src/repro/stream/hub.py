@@ -9,11 +9,13 @@ corpus, and — on ``run_close`` — folds the finished run into the
 corpus through the existing incremental
 :meth:`~repro.corpus.service.DiffService.add_run`.
 
-**Nothing is persisted before close.**  An open (or abandoned, or
-errored) session lives entirely in hub memory; queries, listings and
-diffs never see a half-ingested run.  A failed close (validation or
-conflict) does not advance the sequence number, so the client can
-repair and retry the same ``run_close``.
+**A session lives in its journal** (:mod:`repro.stream.journal`); a
+hub's in-memory session is a cache of it, replayed through the same
+apply path (counting nothing twice) whenever the journal is not what
+the hub applied — so a session resumes on any process over the store.
+Nothing is visible before ``run_close`` lands the run.  A failed close
+(validation or conflict) does not advance the sequence number, so the
+client can repair and retry the same ``run_close``.
 
 Two session modes, chosen at ``run_open``:
 
@@ -47,9 +49,11 @@ families in the same locked region, so ``GET /stats`` (via
 
 from __future__ import annotations
 
+import json
+import os
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+import time
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.api_types import ImportSummary, StreamSummary
 from repro.errors import (
@@ -68,12 +72,12 @@ from repro.stream.events import (
     RunOpen,
     StreamAck,
     StreamEvent,
+    encode_events,
+    event_from_dict,
 )
 from repro.stream.incremental import IncrementalNormalizer, LabelChange
+from repro.stream.journal import Journal, JournalDirectory
 from repro.workflow.run import WorkflowRun
-
-#: Closed sessions retained for idempotent replay of their final ack.
-MAX_CLOSED_RETAINED = 64
 
 MODE_AUTO = "auto"
 MODE_VALIDATED = "validated"
@@ -81,33 +85,35 @@ MODE_DERIVE = "derive"
 
 
 class _Session:
-    """One open streaming session (all state in hub memory)."""
+    """One open streaming session: its journal, applied in memory.
 
-    def __init__(
-        self,
-        open_event: RunOpen,
-        mode: str,
-        corpus_counters: Dict[str, Dict[str, int]],
-        medoid_run: Optional[str],
-    ):
-        self.open_payload = open_event.to_dict()
-        self.session_id = open_event.session
-        self.spec_name = open_event.spec_name
-        self.run_name = open_event.run_name
-        self.threshold = open_event.threshold
-        self.mode = mode
+    ``frozen`` is the journal's first record: the ``open`` frame, the
+    ``mode``, the corpus view at open (label ``counters``, ``medoid``)
+    and when the session ``started`` (ISO) and was ``opened`` (ns).
+    """
+
+    def __init__(self, frozen: dict):
+        self.frozen = frozen
+        self.open_payload = frozen["open"]
+        self.open_event = event_from_dict(frozen["open"])
+        self.session_id = self.open_event.session
+        self.spec_name = self.open_event.spec_name
+        self.run_name = self.open_event.run_name
+        self.threshold = self.open_event.threshold
+        self.mode = frozen["mode"]
         self.last_seq = 1
         self.normalizer = IncrementalNormalizer(
-            name=open_event.spec_name, run_name=open_event.run_name
+            name=self.spec_name, run_name=self.run_name
         )
         #: Frozen corpus view: per-run label multisets at open time.
-        self.corpus_counters = corpus_counters
-        self.medoid_run = medoid_run
+        self.corpus_counters: Dict[str, Dict[str, int]] = frozen["counters"]
+        self.medoid_run: Optional[str] = frozen["medoid"]
         #: Label-surplus bound per corpus run, exact after every event.
-        self.bounds: Dict[str, int] = dict.fromkeys(corpus_counters, 0)
+        self.bounds: Dict[str, int] = dict.fromkeys(self.corpus_counters, 0)
         self.flagged = False
         self.flagged_at_seq: Optional[int] = None
-        self.opened_meta = capture_run_metadata(origin="stream")
+        #: The journal's ``(inode, size)`` this session reflects.
+        self.stamp: Tuple[int, int] = (0, 0)
 
     # -- online bounds ---------------------------------------------------
     def update_bounds(self, changes: List[LabelChange]) -> None:
@@ -175,24 +181,27 @@ class _Session:
         )
 
 
-class StreamHub:
-    """Every open streaming session of one workspace, lock-disciplined.
+#: A closed session: its ``run_open`` payload and its final ack.
+_Closed = Tuple[dict, StreamAck]
 
-    One coarse lock serialises event application (the corpus service
-    below has its own monitor); reads (:meth:`live`, :meth:`summary`)
-    take the same lock briefly.  Shared by the in-process
-    :meth:`Workspace.stream` transport and the HTTP route, so both
-    faces see one session namespace.
+
+class StreamHub:
+    """Every streaming session of one workspace, lock-disciplined.
+
+    One coarse lock serialises event application in this process, and
+    each session's journal lock serialises it across processes (the
+    corpus service below has its own monitor); reads (:meth:`live`,
+    :meth:`summary`) take the same locks briefly.  Shared by the
+    in-process :meth:`Workspace.stream` transport and the HTTP route,
+    so both faces see one session namespace — the store's.
     """
 
     def __init__(self, workspace):
         self.workspace = workspace
+        self.journals = JournalDirectory(workspace.store.root)
         self._lock = threading.RLock()
-        self._sessions: "OrderedDict[str, _Session]" = OrderedDict()
-        #: Closed sessions: id -> (open payload, final ack), bounded.
-        self._closed: "OrderedDict[str, Tuple[dict, StreamAck]]" = (
-            OrderedDict()
-        )
+        #: Open sessions by id: a cache of their journals.
+        self._sessions: Dict[str, _Session] = {}
         self._counters = {
             "sessions_opened": 0,
             "events_ingested": 0,
@@ -233,29 +242,38 @@ class StreamHub:
         )
         metrics.gauge(
             "stream_open_sessions",
-            "Streaming sessions currently open.",
+            "Streaming sessions currently open in the store.",
         ).set_function(self.open_sessions)
 
     # -- introspection ----------------------------------------------------
     def open_sessions(self) -> int:
-        with self._lock:
-            return len(self._sessions)
+        """Open sessions in the store (its open journals)."""
+        return len(self.journals.open_sessions())
 
     def summary(self) -> StreamSummary:
         """The hub's counters as a typed :class:`StreamSummary`."""
         with self._lock:
             return StreamSummary(
-                open_sessions=len(self._sessions),
+                open_sessions=self.open_sessions(),
                 **self._counters,
             )
 
     def live(self) -> List[LiveStatus]:
         """Analytics snapshots of every open session, oldest first."""
+        sessions = []
         with self._lock:
-            return [
-                session.live_status()
-                for session in self._sessions.values()
-            ]
+            for session_id in self.journals.open_sessions():
+                journal = self.journals.lock(session_id)
+                if journal is None:
+                    continue  # closed meanwhile
+                try:
+                    state = self._load(session_id, journal)
+                finally:
+                    journal.release()
+                if isinstance(state, _Session):
+                    sessions.append(state)
+            sessions.sort(key=lambda s: (s.frozen["opened"], s.session_id))
+            return [session.live_status() for session in sessions]
 
     # -- event application ------------------------------------------------
     def apply(self, event: StreamEvent) -> StreamAck:
@@ -270,8 +288,8 @@ class StreamHub:
         protocol violation aborts the batch with a
         :class:`~repro.errors.StreamProtocolError` (or a more specific
         :class:`~repro.errors.ReproError`), leaving the already-applied
-        prefix acknowledged — the client re-handshakes with
-        ``run_open`` and resumes from the acked sequence number.
+        prefix journaled and acknowledged — the client re-handshakes
+        with ``run_open`` and resumes from the acked sequence number.
         An open session's ack carries the batch's one ``LiveStatus``.
         """
         if not events:
@@ -282,73 +300,125 @@ class StreamHub:
                 "one batch must address one session, got "
                 + ", ".join(sorted(repr(s) for s in session_ids))
             )
+        (session_id,) = session_ids
         with self._lock:
-            ack: Optional[StreamAck] = None
-            duplicates = 0
-            resumed = False
+            journal = self.journals.lock(
+                session_id, create=isinstance(events[0], RunOpen)
+            )
             try:
-                for event in events:
-                    ack = self._apply_locked(event)
-                    duplicates += ack.duplicates
-                    resumed = resumed or ack.resumed
-            except ReproError:
-                self._counters["rejected_frames"] += 1
-                self._rejected_metric.inc()
-                raise
+                state = self._load(session_id, journal)
+                applied: List[StreamEvent] = []
+                duplicates, resumed = 0, False
+                try:
+                    for event in events:
+                        state, ack = self._apply_locked(
+                            state, event, journal, applied
+                        )
+                        duplicates += ack.duplicates
+                        resumed = resumed or ack.resumed
+                except ReproError:
+                    self._counters["rejected_frames"] += 1
+                    self._rejected_metric.inc()
+                    raise
+                finally:
+                    if isinstance(state, _Session):
+                        journal.append(encode_events(applied))
+                        state.stamp = journal.stamp()
+                        self._sessions[session_id] = state
+            finally:
+                if journal is not None:
+                    if journal.stamp()[1] == 0:
+                        # A run_open that failed: no session after all.
+                        os.unlink(journal.path)
+                    journal.release()
             ack.duplicates = duplicates
             ack.resumed = resumed
             if ack.status == "open":
-                ack.live = self._sessions[ack.session].live_status()
+                ack.live = state.live_status()
             return ack
 
-    def _apply_locked(self, event: StreamEvent) -> StreamAck:
+    def _load(
+        self, session_id: str, journal: Optional[Journal]
+    ) -> Union[_Session, _Closed, None]:
+        """The session as its journal has it: cached, or replayed."""
+        cached = self._sessions.pop(session_id, None)
+        if journal is None:
+            return None
+        if cached is not None and cached.stamp == journal.stamp():
+            self._sessions[session_id] = cached
+            return cached
+        records = journal.records()
+        if not records:
+            return None
+        session = _Session(records[0])
+        self._advance(session, session.open_event, replay=True)
+        for record in records[1:]:
+            if "final" in record:
+                return session.open_payload, StreamAck.from_dict(
+                    record["final"]
+                )
+            self._advance(session, event_from_dict(record), replay=True)
+        session.stamp = journal.stamp()
+        self._sessions[session_id] = session
+        return session
+
+    def _apply_locked(self, state, event, journal, applied):
+        """Apply one event to ``state``; the new state and its ack."""
         if isinstance(event, RunOpen):
-            return self._open(event)
-        session = self._sessions.get(event.session)
-        if session is None:
-            return self._event_without_session(event)
-        if event.seq <= session.last_seq:
+            return self._open(state, event, journal)
+        if not isinstance(state, _Session):
+            return state, self._event_without_session(state, event)
+        if event.seq <= state.last_seq:
             # Idempotent replay of an already-applied frame.
             self._counters["duplicates"] += 1
             self._duplicates_metric.inc()
-            return self._ack(session, duplicates=1)
-        if event.seq != session.last_seq + 1:
+            return state, self._ack(state, duplicates=1)
+        if event.seq != state.last_seq + 1:
             raise StreamProtocolError(
                 f"session {event.session!r}: out-of-order seq "
-                f"{event.seq} (expected {session.last_seq + 1}; "
+                f"{event.seq} (expected {state.last_seq + 1}; "
                 f"resume from the last acknowledged frame)"
             )
         if isinstance(event, RunClose):
-            return self._close(session, event)
-        normalizer = session.normalizer
-        if isinstance(event, ActivityEvent):
-            changes = normalizer.add_activity(event.node, event.label)
-        elif isinstance(event, EdgeEvent):
-            changes = normalizer.add_edge(event.src, event.dst)
-        else:  # pragma: no cover - event_from_dict is exhaustive
-            raise StreamProtocolError(
+            return self._close(state, event, journal, applied)
+        if not isinstance(event, (ActivityEvent, EdgeEvent)):
+            raise StreamProtocolError(  # pragma: no cover - exhaustive
                 f"unknown event kind {event.kind!r}"
             )
-        session.update_bounds(changes)
-        self._ingested(session, event)
-        return self._ack(session)
+        self._advance(state, event)
+        applied.append(event)
+        return state, self._ack(state)
 
-    def _ingested(self, session: _Session, event: StreamEvent) -> None:
-        """Count one applied event, then check the divergence flag."""
+    def _advance(
+        self, session: _Session, event: StreamEvent, replay: bool = False
+    ) -> None:
+        """Apply one frame to ``session``, then check the divergence
+        flag; a replay counts nothing."""
+        if isinstance(event, ActivityEvent):
+            changes = session.normalizer.add_activity(event.node, event.label)
+        elif isinstance(event, EdgeEvent):
+            changes = session.normalizer.add_edge(event.src, event.dst)
+        else:
+            changes = []
+        session.update_bounds(changes)
         session.last_seq = event.seq
+        fired = session.check_flag(event.seq)
+        if replay:
+            return
         self._counters["events_ingested"] += 1
         self._events_metric.inc(kind=event.kind)
-        if session.check_flag(event.seq):
+        if fired:
             self._counters["flagged"] += 1
             self._flags_metric.inc()
 
-    def _event_without_session(self, event: StreamEvent) -> StreamAck:
-        retained = self._closed.get(event.session)
-        if retained is not None:
-            _, final_ack = retained
+    def _event_without_session(
+        self, closed: Optional[_Closed], event: StreamEvent
+    ) -> StreamAck:
+        if closed is not None:
+            _, final_ack = closed
             if event.seq <= final_ack.acked_seq:
                 # Replay of a frame the closed session already applied:
-                # answer with the cached final ack.
+                # answer with its final ack.
                 self._counters["duplicates"] += 1
                 self._duplicates_metric.inc()
                 return self._copy_final(final_ack, duplicates=1)
@@ -362,39 +432,41 @@ class StreamHub:
         )
 
     # -- open / resume -----------------------------------------------------
-    def _open(self, event: RunOpen) -> StreamAck:
-        existing = self._sessions.get(event.session)
-        if existing is not None:
-            if existing.open_payload != event.to_dict():
+    def _open(self, state, event: RunOpen, journal: Journal):
+        if state is not None:
+            is_open = isinstance(state, _Session)
+            if (state.open_payload if is_open else state[0]) != (
+                event.to_dict()
+            ):
                 raise ConflictError(
                     f"session {event.session!r} is already open with "
                     "a different run_open payload"
+                    if is_open
+                    else f"session id {event.session!r} was already "
+                    "used by a different run"
                 )
             self._counters["resumed"] += 1
             self._resumed_metric.inc()
-            return self._ack(existing, resumed=True)
-        retained = self._closed.get(event.session)
-        if retained is not None:
-            open_payload, final_ack = retained
-            if open_payload != event.to_dict():
-                raise ConflictError(
-                    f"session id {event.session!r} was already used "
-                    "by a different run"
-                )
-            self._counters["resumed"] += 1
-            self._resumed_metric.inc()
-            return self._copy_final(final_ack, resumed=True)
+            if is_open:
+                return state, self._ack(state, resumed=True)
+            return state, self._copy_final(state[1], resumed=True)
         spec_known = self.workspace.store.has_specification(event.spec_name)
         mode = self._resolve_mode(event, spec_known)
-        corpus_counters, medoid_run = (
+        counters, medoid = (
             self._corpus_view(event) if spec_known else ({}, None)
         )
-        session = _Session(event, mode, corpus_counters, medoid_run)
-        self._sessions[event.session] = session
+        frozen = {
+            "open": event.to_dict(), "mode": mode, "counters": counters,
+            "medoid": medoid, "opened": time.time_ns(),
+            "started": capture_run_metadata(origin="stream").started,
+        }
+        # The journal holds the session before anything acknowledges it.
+        journal.append((json.dumps(frozen) + "\n").encode("utf8"))
+        session = _Session(frozen)
         self._counters["sessions_opened"] += 1
         self._opened_metric.inc()
-        self._ingested(session, event)
-        return self._ack(session)
+        self._advance(session, event)
+        return session, self._ack(session)
 
     def _resolve_mode(self, event: RunOpen, spec_known: bool) -> str:
         mode = event.mode
@@ -434,17 +506,19 @@ class StreamHub:
 
     # -- close -------------------------------------------------------------
     def _close(
-        self, session: _Session, event: RunClose
-    ) -> StreamAck:
-        """Validate/normalise, enter the corpus, retire the session.
+        self,
+        session: _Session,
+        event: RunClose,
+        journal: Journal,
+        applied: List[StreamEvent],
+    ):
+        """Validate/normalise, land the run, then journal the final ack.
 
-        Raises (validation failure, specification conflict) leave the
-        sequence number untouched: the half-closed run stays invisible
-        and the client may repair state and retry the close.
+        A raise (validation failure, conflict) leaves the sequence
+        number untouched, so the client may repair and retry.  The run's
+        ``<meta>`` names the session: a close replayed after a crash
+        between landing and journaling finds its run landed.
         """
-        meta = capture_run_metadata(
-            origin="stream", started=session.opened_meta.started
-        )
         if session.mode == MODE_VALIDATED:
             run, report_dict, report_lines = self._validated_run(session)
         else:
@@ -452,9 +526,29 @@ class StreamHub:
             run = result.run
             report_dict = result.report.to_dict()
             report_lines = list(result.report.summary_lines())
-        distances = self.workspace.service.add_run(
-            run, cost=self.workspace.config.cost, meta=meta
-        )
+        service = self.workspace.service
+        cost = self.workspace.config.cost
+        landed = self.workspace.store.run_metadata(run.spec.name, run.name)
+        if landed is not None and landed.session == session.session_id:
+            distances = service.distances(
+                run.spec.name,
+                [
+                    (name, run.name)
+                    for name in service.runs(run.spec.name)
+                    if name != run.name
+                ],
+                cost,
+            )
+        else:
+            distances = service.add_run(
+                run,
+                cost=cost,
+                meta=capture_run_metadata(
+                    origin="stream",
+                    started=session.frozen["started"],
+                    session=session.session_id,
+                ),
+            )
         summary = ImportSummary(
             spec_name=run.spec.name,
             run_name=run.name,
@@ -465,7 +559,7 @@ class StreamHub:
             report_lines=report_lines,
             new_pairs=dict(distances),
         )
-        self._ingested(session, event)
+        self._advance(session, event)
         self._counters["runs_closed"] += 1
         self._closed_metric.inc()
         final_ack = StreamAck(
@@ -474,14 +568,18 @@ class StreamHub:
             status="closed",
             result=summary,
         )
-        del self._sessions[session.session_id]
-        self._closed[session.session_id] = (
-            session.open_payload,
-            final_ack,
+        journal.append(
+            encode_events(applied)
+            + (
+                json.dumps({"final": final_ack.to_dict()}, sort_keys=True)
+                + "\n"
+            ).encode("utf8")
         )
-        while len(self._closed) > MAX_CLOSED_RETAINED:
-            self._closed.popitem(last=False)
-        return self._copy_final(final_ack)
+        applied.clear()
+        self.journals.retire(journal)
+        self._sessions.pop(session.session_id, None)
+        closed = (session.open_payload, final_ack)
+        return closed, self._copy_final(final_ack)
 
     def _validated_run(self, session: _Session):
         """Build and validate the streamed graph as a run of the

@@ -1,8 +1,7 @@
 """Persistent HTTP/1.1 connections: the package's one client transport.
 
-Both HTTP clients of the package — :class:`repro.client.RemoteWorkspace`
-and the cluster parent's upstream round trips
-(:mod:`repro.cluster.server`) — send every request through a
+The package's HTTP client, :class:`repro.client.RemoteWorkspace`, sends
+every request through a
 :class:`ConnectionPool`: persistent :class:`http.client.HTTPConnection`
 objects to one peer, reused last-in first-out.  Reuse saves each
 request a TCP handshake, and the server a new handler thread (the

@@ -323,8 +323,8 @@ class Workspace:
         run listing for transport.  Cold pairs fan out on the
         configured backend, warm pairs answer from the cache tiers.
         One call is one batch: every cold pair shares the batch's DP
-        cells, which is why a served cluster forwards each matrix
-        request whole to one worker.
+        cells, which is why a served cluster's matrix request is one
+        worker's job.
         """
         cost = cost or self.config.cost
         spec_name = self._spec_name(spec)
@@ -452,8 +452,8 @@ class Workspace:
         the corpus's deterministic listing order, so an opaque cursor
         (``page.next_cursor``) resumes exactly where the previous page
         stopped.  ``limit=None`` returns everything in one page.
-        A served cluster forwards each page request whole to one
-        worker, so its pages are exactly this method's.
+        A served cluster answers each page request in one worker, so
+        its pages are exactly this method's.
         """
         filter = filter if filter is not None else QueryFilter()
         cost = cost or self.config.cost

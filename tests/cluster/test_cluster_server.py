@@ -1,18 +1,15 @@
-"""The routing cluster over the wire: routing, supervision, merge.
+"""The pre-forked cluster over the wire: supervision and merged scrapes.
 
 Bit-identity of /matrix and /query against the in-process workspace
 is asserted by the conformance suite (its ``served_ws`` fixture's
 ``cluster`` parameter); here we pin down the cluster-only behaviours —
-one owner per request, one DP for identical cold diffs through the
-owning worker's single-flight, restart-on-crash, aggregation shapes,
-header relay, pooled upstream connections — plus a raw-wire
-byte-identity spot check on ``/diff``.
+at most one DP per worker for identical cold diffs, restart-on-crash,
+the merged health and scrape shapes — plus a raw-wire byte-identity
+spot check on ``/diff``.
 """
 
 from __future__ import annotations
 
-import collections
-import http.client
 import json
 import os
 import signal
@@ -26,7 +23,6 @@ from _util import get_json, http_get, http_post, metric_total
 
 from repro.backends.base import SerialBackend
 from repro.client import RemoteWorkspace
-from repro.cluster.shard import shard_for_pair
 from repro.config import ReproConfig
 from repro.errors import ReproError
 from repro.service.server import DiffServer
@@ -38,28 +34,6 @@ from repro.workspace import Workspace
 SPEC = "PA"
 RUNS = ("r01", "r02", "r03", "r04")
 PAIRS = [(a, b) for a in RUNS for b in RUNS if a != b]
-
-
-@pytest.fixture
-def connects(monkeypatch):
-    """Connections this process opens, by destination port (the
-    cluster parent runs in-thread, so its upstream ones count too)."""
-    counts = collections.Counter()
-    real_connect = http.client.HTTPConnection.connect
-
-    def counting(self):
-        counts[self.port] += 1
-        return real_connect(self)
-
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
-    return counts
-
-
-def _worker_ports(cluster) -> dict:
-    return {
-        member["index"]: member["port"]
-        for member in cluster.supervisor.statuses()
-    }
 
 
 class TestConstruction:
@@ -98,7 +72,7 @@ class TestClusterSurface:
         for member in members:
             assert member["alive"] is True
             assert member["pid"] > 0
-            assert member["port"] > 0
+            assert "port" not in member
         # The single-process healthz fields survive the merge.
         assert "wire_version" in payload
         assert payload["specifications"] >= 1
@@ -165,8 +139,9 @@ class TestClusterSurface:
         assert payload["source"] == "cluster"
         counters = payload["counters"]
         assert counters["cluster_workers"] == 2
-        assert counters["cluster_requests"] >= 1
+        assert counters["server_requests"] >= 1
         assert counters["cluster_worker_restarts"] == 0
+        assert "cluster_requests" not in counters
         assert "memory_hit_ratio" in payload["derived"]
         assert "lock_wait_seconds" in payload["derived"]
 
@@ -178,7 +153,8 @@ class TestClusterSurface:
         assert 'worker="0"' in text
         assert 'worker="1"' in text
         assert "cluster_workers 2" in text
-        assert "# TYPE cluster_proxied_requests_total counter" in text
+        assert "cluster_proxied_requests_total" not in text
+        assert "cluster_requests_total" not in text
 
     def test_metrics_json_merged(self, cluster):
         snapshot = get_json(f"{cluster.url}/metrics?format=json")
@@ -227,37 +203,8 @@ def _requests_by_route(snapshot: dict, family: str, route: str) -> float:
 
 
 class TestOneOwner:
-    """Each ``/matrix`` and ``/query`` is forwarded whole to one worker:
-    one upstream request per client request, and the answer is the
-    full one whatever the body carries."""
-
-    def test_each_matrix_and_query_costs_one_upstream_request(
-        self, fresh_cluster
-    ):
-        k = 3
-        app = fresh_cluster.app
-        proxied = app.proxied
-        for _ in range(k):
-            status, _, _ = http_post(
-                f"{fresh_cluster.url}/matrix", {"spec": SPEC}
-            )
-            assert status == 200
-            status, _, _ = http_post(
-                f"{fresh_cluster.url}/query", {"spec": SPEC, "limit": 2}
-            )
-            assert status == 200
-        # ``app.proxied`` is /stats' ``cluster_proxied``, read in
-        # process: a /stats request forwards to every worker itself.
-        assert app.proxied - proxied == 2 * k
-        snapshot = get_json(f"{fresh_cluster.url}/metrics?format=json")
-        for route in ("/matrix", "/query"):
-            parent = _requests_by_route(
-                snapshot, "cluster_requests_total", route
-            )
-            workers = _requests_by_route(
-                snapshot, "server_requests_total", route
-            )
-            assert workers == parent == k, route
+    """Each ``/matrix`` and ``/query`` is one worker's job: the answer
+    is the full one whatever the body carries."""
 
     @pytest.mark.parametrize("route", ["matrix", "query"])
     def test_a_shard_key_gets_the_full_answer(self, cluster, route):
@@ -275,16 +222,6 @@ class TestOneOwner:
         else:
             assert sharded["total_matches"] == 6
             assert len(sharded["items"]) == 6
-
-
-def _diff_requests_by_worker(snapshot: dict) -> dict:
-    """The workers' ``GET /diff/{a}/{b}`` request counts, by worker."""
-    counts = collections.Counter()
-    for sample in snapshot["metrics"]["server_requests_total"]["samples"]:
-        labels = sample["labels"]
-        if labels["route"] == "/diff/{a}/{b}" and labels["method"] == "GET":
-            counts[int(labels["worker"])] += sample["value"]
-    return counts
 
 
 def _fire_together(url: str, k: int) -> list:
@@ -307,57 +244,87 @@ def _fire_together(url: str, k: int) -> list:
     return outcomes
 
 
-class TestSpecRegistration:
-    """``PUT /specs/{name}`` is a write with one owner like any other:
-    worker 0 registers, and every worker resolves the specification
-    from the store, so none needs telling."""
+def _answered_by_worker(snapshot: dict, route: str) -> dict:
+    """``route``'s request counts in a merged scrape, by worker."""
+    counts: dict = {}
+    for sample in snapshot["metrics"]["server_requests_total"]["samples"]:
+        labels = sample["labels"]
+        if labels["route"] == route:
+            worker = int(labels["worker"])
+            counts[worker] = counts.get(worker, 0) + sample["value"]
+    return counts
 
-    def test_one_upstream_request_and_every_worker_sees_it(
+
+def _until_both_workers(url: str, request, route: str) -> None:
+    """Send ``request()`` on fresh connections until both workers
+    answered ``route`` once (bounded)."""
+    for _ in range(200):
+        request()
+        snapshot = get_json(f"{url}/metrics?format=json")
+        if len(_answered_by_worker(snapshot, route)) == 2:
+            return
+    pytest.fail(f"one worker answered every {route}")
+
+
+class TestSpecRegistration:
+    """``PUT /specs/{name}`` is one write by whichever worker accepts
+    it, and every worker resolves the specification from the store, so
+    none needs telling."""
+
+    def test_every_worker_sees_a_registration(
         self, fresh_cluster, fresh_corpus
     ):
-        app = fresh_cluster.app
-        client = RemoteWorkspace(fresh_cluster.url)
-        # Worker 1 resolves the old PA first.
-        a, b = next(pair for pair in PAIRS if shard_for_pair(*pair, 2) == 1)
-        assert client.diff(a, b, spec=SPEC).distance >= 0
-        replacement = WorkflowSpecification(emboss().graph, name=SPEC)
-        proxied = app.proxied
-        client.register(replacement)
-        assert app.proxied - proxied == 1
-        # Runs of the new content whose pair worker 1 owns.
-        names = [f"n{index}" for index in range(8)]
-        x, y = next(
-            (x, y)
-            for x in names
-            for y in names
-            if x != y and shard_for_pair(x, y, 2) == 1
+        url = fresh_cluster.url
+        # Both workers resolve the old PA first.
+        _until_both_workers(
+            url,
+            lambda: http_get(f"{url}/diff/r01/r02?spec={SPEC}"),
+            "/diff/{a}/{b}",
         )
-        for name, seed in ((x, 1), (y, 2)):
+        client = RemoteWorkspace(url)
+        replacement = WorkflowSpecification(emboss().graph, name=SPEC)
+        client.register(replacement)
+        for name, seed in (("n1", 1), ("n2", 2)):
             client.import_run(
                 execute_workflow(replacement, VARIED, seed=seed, name=name)
             )
-        served = client.diff(x, y, spec=SPEC)
+        client.close()
         local = Workspace(
             fresh_corpus, ReproConfig(backend="serial", persistent=False)
-        ).diff(x, y, spec=SPEC)
-        assert served.to_dict() == local.to_dict()
-        client.close()
+        ).diff("n1", "n2", spec=SPEC)
+        before = _answered_by_worker(
+            get_json(f"{url}/metrics?format=json"), "/diff/{a}/{b}"
+        )
+        answers = set()
+
+        def diff_new_runs():
+            status, _, body = http_get(f"{url}/diff/n1/n2?spec={SPEC}")
+            assert status == 200
+            answers.add(body)
+
+        for _ in range(200):
+            diff_new_runs()
+            after = _answered_by_worker(
+                get_json(f"{url}/metrics?format=json"), "/diff/{a}/{b}"
+            )
+            if all(after[w] > before.get(w, 0) for w in (0, 1)):
+                break
+        else:
+            pytest.fail("one worker answered every diff")
+        assert len(answers) == 1
+        assert json.loads(answers.pop()) == local.to_dict()
 
 
 class TestCoalescing:
-    """One coalescing layer: the parent forwards every diff request to
-    the pair's owning worker, whose service coalesces identical cold
-    computations onto one DP."""
+    """No cross-worker coalescing: each worker's service coalesces
+    identical cold computations onto one DP, so K simultaneous
+    identical cold diffs cost at most one DP per worker."""
 
-    def test_concurrent_identical_cold_diffs_one_dp(
+    def test_concurrent_identical_cold_diffs_at_most_n_dps(
         self, fresh_cluster
     ):
-        """K=8 identical cold ``GET /diff`` requests cost exactly 1 DP.
-
-        Pair routing sends all eight to one worker, where concurrent
-        arrivals follow the leader's single-flight DP and stragglers
-        hit the now-warm cache — the DP kernel runs once either way.
-        """
+        """K=8 identical cold ``GET /diff`` requests cost at most 2
+        DPs on two workers, and every answer is identical."""
         k = 8
         outcomes = _fire_together(
             f"{fresh_cluster.url}/diff/r01/r02?spec={SPEC}", k
@@ -371,100 +338,27 @@ class TestCoalescing:
         snapshot = get_json(
             f"{fresh_cluster.url}/metrics?format=json"
         )
-        assert metric_total(snapshot, "dp_invocations_total") == 1
-
-    def test_every_identical_diff_reaches_the_owning_worker(
-        self, fresh_cluster
-    ):
-        """The parent forwards each of K simultaneous identical cold
-        diffs: ``proxied`` and the owner's ``/diff`` requests both rise
-        by exactly K, the other worker sees none, and the owner's
-        single-flight still prices the pair once."""
-        k = 6
-        app = fresh_cluster.app
-        owner = shard_for_pair("r02", "r03", 2)
-        proxied = app.proxied
-        outcomes = _fire_together(
-            f"{fresh_cluster.url}/diff/r02/r03?spec={SPEC}", k
-        )
-        # Read before any scrape: /metrics forwards to every worker.
-        forwarded = app.proxied - proxied
-        assert [status for status, _ in outcomes] == [200] * k
-        assert len({body for _, body in outcomes}) == 1
-        assert forwarded == k
-        snapshot = get_json(f"{fresh_cluster.url}/metrics?format=json")
-        assert _diff_requests_by_worker(snapshot) == {owner: k}
-        assert metric_total(snapshot, "dp_invocations_total") == 1
+        assert 1 <= metric_total(snapshot, "dp_invocations_total") <= 2
 
     def test_parent_reports_no_coalescing(self, cluster):
-        """No parent-side flight table: ``/stats`` carries no
-        ``cluster_coalesced`` key and neither face of the merged scrape
-        a ``cluster_coalesced_requests_total`` family."""
+        """No parent-side flight table or relay: ``/stats`` carries no
+        ``cluster_coalesced`` or ``cluster_proxied`` key and neither
+        face of the merged scrape such a family."""
         counters = get_json(f"{cluster.url}/stats")["counters"]
         assert "cluster_coalesced" not in counters
-        assert "cluster_proxied" in counters
+        assert "cluster_proxied" not in counters
         snapshot = get_json(f"{cluster.url}/metrics?format=json")
         assert "cluster_coalesced_requests_total" not in snapshot["metrics"]
-        assert "cluster_proxied_requests_total" in snapshot["metrics"]
+        assert "cluster_proxied_requests_total" not in snapshot["metrics"]
         status, _, body = http_get(f"{cluster.url}/metrics")
         assert status == 200
         assert b"cluster_coalesced" not in body
 
 
-class TestUpstreamConnections:
-    """The parent keeps one pool of persistent connections per worker:
-    never more connections to a worker than it had requests in flight
-    for that worker at once."""
-
-    def test_sequential_diffs_reuse_one_connection_per_worker(
-        self, fresh_cluster, connects
-    ):
-        assert {shard_for_pair(a, b, 2) for a, b in PAIRS} == {0, 1}
-        remote = RemoteWorkspace(fresh_cluster.url, etag_cache_size=1)
-        for _ in range(3):
-            for a, b in PAIRS:
-                assert remote.diff(a, b, spec=SPEC).run_b == b
-        assert connects[fresh_cluster.port] == 1
-        ports = _worker_ports(fresh_cluster)
-        assert {i: connects[port] for i, port in ports.items()} == {
-            0: 1, 1: 1,
-        }
-
-    def test_concurrent_clients_bound_upstream_connections(
-        self, fresh_cluster, connects
-    ):
-        remote = RemoteWorkspace(fresh_cluster.url, etag_cache_size=1)
-        barrier = threading.Barrier(8)
-        failures = []
-
-        def client(index):
-            barrier.wait()
-            try:
-                for round_ in range(12):
-                    a, b = PAIRS[(index + round_) % len(PAIRS)]
-                    remote.diff(a, b, spec=SPEC)
-            except Exception as exc:  # noqa: BLE001 - asserted below
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=client, args=(i,)) for i in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(120)
-        assert failures == []
-        assert 1 <= connects[fresh_cluster.port] <= 8
-        for port in _worker_ports(fresh_cluster).values():
-            assert 1 <= connects[port] <= 8
-
-
 class TestSupervision:
     def test_worker_crash_is_restarted_and_serving_resumes(
-        self, fresh_cluster, connects
+        self, fresh_cluster
     ):
-        # Every pair once: the parent now holds a pooled connection to
-        # each worker, the victim included.
         for a, b in PAIRS:
             status, _, _ = http_get(
                 f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
@@ -490,26 +384,24 @@ class TestSupervision:
         assert replacement["pid"] != victim["pid"]
         assert replacement["restarts"] >= 1
 
-        # Every pair still answers — including pairs owned by the
-        # restarted shard, over one fresh connection to the new
-        # incarnation (the dead one's were dropped) — and the restart
-        # is visible in /stats.
-        connects.clear()
+        # Every pair still answers, and the restart is visible in
+        # /stats.
         for a, b in PAIRS:
             status, _, _ = http_get(
                 f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
             )
             assert status == 200
-        assert connects[replacement["port"]] == 1
         stats = get_json(f"{fresh_cluster.url}/stats")
         assert stats["counters"]["cluster_worker_restarts"] >= 1
 
     def test_restarted_worker_answers_from_the_shared_database(
         self, fresh_cluster
     ):
-        """A worker killed after computing a pair answers it again,
-        once restarted, without a new DP: workers persist derived state
-        in the store's database, so a restart starts warm."""
+        """A pair computed before every worker was killed is answered
+        again, once they restart, without a new DP: workers persist
+        derived state in the store's database, so a restart starts
+        warm.  No worker owns a pair, so the counts are summed over the
+        workers."""
         a, b = "r01", "r03"
         url = f"{fresh_cluster.url}/diff/{a}/{b}?spec={SPEC}"
         status, _, before = http_get(url)
@@ -518,25 +410,23 @@ class TestSupervision:
         computed = (counters["computed_pairs"], counters["computed_scripts"])
         assert computed == (0, 1)
 
-        owner = shard_for_pair(a, b, 2)
         health = get_json(f"{fresh_cluster.url}/healthz")
-        victim = health["cluster"]["members"][owner]
-        os.kill(victim["pid"], signal.SIGKILL)
+        for victim in health["cluster"]["members"]:
+            os.kill(victim["pid"], signal.SIGKILL)
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             block = get_json(f"{fresh_cluster.url}/healthz")["cluster"]
-            if block["alive"] == 2 and block["restarts"] >= 1:
+            if block["alive"] == 2 and block["restarts"] >= 2:
                 break
             time.sleep(0.2)
         else:
-            pytest.fail("worker was not restarted")
+            pytest.fail("workers were not restarted")
 
         status, _, after = http_get(url)
         assert (status, after) == (200, before)
         counters = get_json(f"{fresh_cluster.url}/stats")["counters"]
-        # The restarted owner's counters start at zero and the other
-        # worker never saw the pair: no DP ran anywhere, and the answer
-        # came out of the database.
+        # Every worker's counters start at zero after its restart: no
+        # DP ran anywhere, and the answer came out of the database.
         assert (
             counters["computed_pairs"], counters["computed_scripts"]
         ) == (0, 0)

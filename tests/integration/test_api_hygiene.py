@@ -165,6 +165,58 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         assert "clean" in proc.stdout
 
+    def test_the_supervising_parent_stays_lean(self, tmp_path):
+        """``import repro``, ``import repro.cli`` and the supervising
+        path of ``repro serve --workers N`` — bind, spawn a worker, wait
+        until it serves, stop — load none of the library it serves."""
+        code = (
+            "import sys\n"
+            "import repro, repro.cli\n"
+            "from repro.cluster.supervisor import ClusterServer\n"
+            "from repro.config import ReproConfig\n"
+            "config = ReproConfig.from_env(log_format='off')\n"
+            f"with ClusterServer({str(tmp_path)!r}, config, workers=1):\n"
+            "    pass\n"
+            "heavy = ('core', 'corpus', 'interchange', 'query', 'service',\n"
+            "         'stream', 'workspace', 'client')\n"
+            "loaded = sorted(m for m in sys.modules\n"
+            "                if m.split('.')[:2][-1] in heavy\n"
+            "                and m.startswith('repro.'))\n"
+            "assert not loaded, loaded\n"
+            "print('lean')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "lean" in proc.stdout
+
+    def test_the_cluster_relays_nothing(self):
+        """No module under ``src/repro/cluster`` imports an HTTP
+        client: no process forwards a request."""
+        offenders = []
+        cluster = Path(REPO_SRC, "repro", "cluster")
+        for path in sorted(cluster.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module]
+                else:
+                    continue
+                offenders.extend(
+                    f"{path.name}: {name}"
+                    for name in names
+                    if name in ("http.client", "repro.transport")
+                )
+        assert offenders == []
+
     def test_corpus_never_imports_the_cluster(self):
         """Static companion of the subprocess check: no module under
         ``src/repro/corpus`` names :mod:`repro.cluster` in an import."""
@@ -208,6 +260,10 @@ class TestImportSurface:
             # specifications, and a width knob no product caller set.
             ("repro.io", "json_io"),
             ("repro.corpus.service", "DiffService.max_workers"),
+            # Removed in 10.0: the relaying parent and its routing.
+            ("repro.cluster", "shard"),
+            ("repro.cluster.supervisor", "WorkerSupervisor.incarnation"),
+            ("repro.cluster.server", "ClusterServer.wait_for_worker"),
         ],
     )
     def test_removed_names_stay_removed(self, module_name, name):
@@ -332,7 +388,7 @@ class TestImportSurface:
             if line.startswith("version = ")
         )
         assert line == f'version = "{repro.__version__}"'
-        assert repro.__version__ == "9.0.0"
+        assert repro.__version__ == "10.0.0"
 
     def test_pyproject_declares_no_dependencies(self):
         pyproject = Path(REPO_SRC).parent / "pyproject.toml"

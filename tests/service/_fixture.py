@@ -16,7 +16,9 @@ workspace and a remote server built from this script.
 
 from __future__ import annotations
 
+import shutil
 import sys
+from pathlib import Path
 
 from repro.config import ReproConfig
 from repro.workflow.execution import ExecutionParams
@@ -42,6 +44,12 @@ RUN_SEEDS = (1, 2, 3, 4)
 def run_name(seed: int) -> str:
     """The fixture run name for a seed."""
     return f"r{seed:02d}"
+
+
+def forget_sessions(root) -> None:
+    """Delete a store's stream journals: sessions outlive a workspace,
+    so a test that wants none open starts from here."""
+    shutil.rmtree(Path(root) / "streams", ignore_errors=True)
 
 
 def build_corpus(root) -> Workspace:

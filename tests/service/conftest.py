@@ -105,7 +105,7 @@ def cluster_url(cluster_server) -> str:
 
 @pytest.fixture(scope="module")
 def cluster_ws(cluster_url) -> RemoteWorkspace:
-    """A remote workspace client over the routing cluster parent."""
+    """A remote workspace client over the two-worker cluster."""
     return RemoteWorkspace(cluster_url)
 
 
@@ -122,7 +122,7 @@ def api(request, local_ws, remote_ws, cluster_ws):
 @pytest.fixture(params=["remote", "cluster"])
 def served_ws(request, remote_ws, cluster_ws):
     """A served workspace: one server process, or the two-worker
-    cluster, whose parent forwards each request to one worker."""
+    cluster, whose workers each answer a request in full."""
     return {"remote": remote_ws, "cluster": cluster_ws}[request.param]
 
 

@@ -5,10 +5,9 @@ funnel into one shared workspace.  Hammering the server from several
 client threads must produce identical payloads everywhere, no server
 errors, and no duplicate DPs beyond the cold misses.
 
-The same hammer runs against the two-worker routing cluster: sharding
-and single-flight coalescing must preserve every one of those
-guarantees — the summed per-worker counters still account for at most
-one computation per pair, cluster-wide.
+The same hammer runs against the two-worker cluster: after the warm-up
+request, the workers' summed counters still account for at most one
+computation per pair, cluster-wide (they share the derived database).
 """
 
 import threading
@@ -61,6 +60,6 @@ def test_many_clients_hammering_one_server(target_url):
     assert stats["server_errors"] == 0
     # 4 fixture runs → 6 distance keys and (at most) the same number
     # of directed script keys; nothing was ever computed twice —
-    # whether one process answered or two sharded workers did.
+    # whether one process answered or two workers did.
     assert stats["computed_pairs"] <= 6
     assert stats["computed_scripts"] <= 6

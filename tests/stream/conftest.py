@@ -17,7 +17,7 @@ sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "service")
 )
 
-from _fixture import SPEC_NAME, build_corpus  # noqa: E402
+from _fixture import SPEC_NAME, build_corpus, forget_sessions  # noqa: E402
 
 from repro.config import ReproConfig  # noqa: E402
 from repro.workspace import Workspace  # noqa: E402
@@ -33,7 +33,9 @@ def corpus_root(tmp_path_factory):
 
 @pytest.fixture
 def corpus_ws(corpus_root) -> Workspace:
-    """A workspace over the fixture corpus (fresh client per test)."""
+    """A workspace over the fixture corpus (fresh client per test), with
+    no stream session left by an earlier test."""
+    forget_sessions(corpus_root)
     return Workspace(corpus_root, ReproConfig(backend="serial"))
 
 

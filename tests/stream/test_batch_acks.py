@@ -30,7 +30,12 @@ from repro.workflow.generators import random_prov_document
 from repro.workflow.real_workflows import protein_annotation
 from repro.workspace import Workspace
 
-from _fixture import SPEC_NAME, VARIED, build_corpus  # noqa: E402
+from _fixture import (  # noqa: E402
+    SPEC_NAME,
+    VARIED,
+    build_corpus,
+    forget_sessions,
+)
 
 SETTINGS = settings(
     max_examples=15,
@@ -164,6 +169,7 @@ def _expected_bounds(label_counts, corpus):
 def _check_batching(root, events, corpus):
     """Bounds exact after every event; acks equal at every batch size."""
     singles = []
+    forget_sessions(root)
     hub = Workspace(root, ReproConfig(backend="serial")).stream_hub
     for event in events:
         singles.append(hub.apply(event).to_dict())
@@ -172,6 +178,7 @@ def _check_batching(root, events, corpus):
             session.normalizer.label_counts(), corpus
         )
     for size in (3, 64):
+        forget_sessions(root)
         hub = Workspace(root, ReproConfig(backend="serial")).stream_hub
         for start in range(0, len(events), size):
             batch = events[start:start + size]

@@ -113,11 +113,16 @@ def test_every_write_path_stores_one_document_per_entry(tmp_path, path):
     entries = [
         p.relative_to(tmp_path)
         for p in tmp_path.rglob("*")
-        if p.is_file() and p.relative_to(tmp_path).parts[0] != "index"
+        if p.is_file()
+        and p.relative_to(tmp_path).parts[0] not in ("index", "streams")
     ]
     assert sorted(p.parts[0] for p in entries) == ["runs"] * len(RUNS) + [
         "specs"
     ]
+    # A streamed run's session journal is no entry: one per session.
+    journals = sorted(p.name for p in tmp_path.glob("streams/*"))
+    assert len(journals) == (len(RUNS) if path == "stream" else 0)
+    assert all(name.endswith(".closed.ndjson") for name in journals)
     assert {p.suffix for p in entries} == {".xml"}
 
     store = WorkflowStore(tmp_path)
