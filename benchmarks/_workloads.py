@@ -70,7 +70,10 @@ def run_pair_with_total_edges(
 
     Mirrors Fig. 11's x-axis ("total number of edges in two runs"): fork
     and loop replication factors are searched until the pair lands within
-    ``tolerance`` of ``target_total``.
+    ``tolerance`` of ``target_total``.  While the factor can step down,
+    an attempt whose first run alone overshoots the target by more than
+    ``tolerance`` builds no second run (it could never be kept); after
+    ``max_attempts`` the closest pair built is returned.
     """
     base_edges = 2 * spec.num_edges
     factor = max(1, round(target_total / max(1, base_edges)))
@@ -87,6 +90,11 @@ def run_pair_with_total_edges(
         one = execute_workflow(
             spec, params, seed=seed * 1000 + attempt * 2, name="a"
         )
+        if factor > 1 and one.num_edges > target_total * (1 + tolerance):
+            # This pair can never be kept: build no second run, and
+            # step the factor down as an overshooting pair would.
+            factor -= 1
+            continue
         two = execute_workflow(
             spec, params, seed=seed * 1000 + attempt * 2 + 1, name="b"
         )

@@ -224,10 +224,16 @@ class WorkerSupervisor:
                     if index not in self._abandoned
                     and not process.is_alive()
                 ]
+            # Every replacement starts before the first readiness wait,
+            # so workers that died together come back together.
+            spawned = []
             for index, process in dead:
-                self._restart(index, process.exitcode)
+                if self._may_restart(index, process.exitcode):
+                    spawned.append((index, self._spawn(index)))
+            for index, started in spawned:
+                self._install(index, *started)
 
-    def _restart(self, index: int, exitcode) -> None:
+    def _may_restart(self, index: int, exitcode) -> bool:
         # ``is_alive`` reaped the process, so the workers see its pid
         # gone: the cluster reads degraded until the replacement is up.
         self._write_members()
@@ -241,7 +247,7 @@ class WorkerSupervisor:
                 self._abandoned.add(index)
                 if len(self._abandoned) == self.count:
                     self.exhausted.set()
-            return
+            return False
         logger.warning(
             "worker %d died (exit code %s); restarting (%d/%d)",
             index, exitcode, restarts, self.restart_limit,
@@ -250,8 +256,12 @@ class WorkerSupervisor:
         # Count every attempt, so a hopeless crash loop still hits the
         # restart limit instead of spinning forever.
         self._restarts[index] = restarts
+        return True
+
+    def _install(self, index: int, process, conn) -> None:
+        """Wait for a replacement's report, then make it the member."""
         try:
-            process = self._await_ready(index, *self._spawn(index))
+            process = self._await_ready(index, process, conn)
         except ReproError:
             return
         with self._lock:

@@ -248,7 +248,7 @@ class StreamHub:
     # -- introspection ----------------------------------------------------
     def open_sessions(self) -> int:
         """Open sessions in the store (its open journals)."""
-        return len(self.journals.open_sessions())
+        return self.journals.open_count()
 
     def summary(self) -> StreamSummary:
         """The hub's counters as a typed :class:`StreamSummary`."""

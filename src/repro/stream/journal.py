@@ -113,6 +113,14 @@ class JournalDirectory:
         for path in retained[MAX_CLOSED_RETAINED:]:
             path.unlink(missing_ok=True)
 
+    def open_count(self) -> int:
+        """How many journals are open, counted by name: none is read."""
+        try:
+            names = os.listdir(self.path)
+        except FileNotFoundError:
+            return 0
+        return sum(1 for name in names if name.endswith(OPEN))
+
     def open_sessions(self) -> List[str]:
         """The session id of every open journal."""
         if not self.path.is_dir():

@@ -8,7 +8,19 @@ import pytest
 from repro.errors import MatchingError
 from repro.matching.hungarian import INF, match_children, solve_assignment
 
-scipy_optimize = pytest.importorskip("scipy.optimize")
+try:
+    from scipy import optimize as scipy_optimize
+except ImportError:  # only the SciPy cross-checks skip
+    scipy_optimize = None
+
+needs_scipy = pytest.mark.skipif(
+    scipy_optimize is None, reason="SciPy is not installed"
+)
+
+
+def scipy_optimum(matrix):
+    rows, cols = scipy_optimize.linear_sum_assignment(matrix)
+    return sum(matrix[r][c] for r, c in zip(rows, cols))
 
 
 class TestSolveAssignment:
@@ -51,6 +63,7 @@ class TestSolveAssignment:
         with pytest.raises(MatchingError, match="square"):
             solve_assignment([[1.0, 2.0]])
 
+    @needs_scipy
     @pytest.mark.parametrize("size", [2, 3, 5, 8, 12])
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_scipy_random(self, size, seed):
@@ -59,9 +72,15 @@ class TestSolveAssignment:
             [rng.uniform(0, 10) for _ in range(size)] for _ in range(size)
         ]
         total, _ = solve_assignment(matrix)
-        rows, cols = scipy_optimize.linear_sum_assignment(matrix)
-        expected = sum(matrix[r][c] for r, c in zip(rows, cols))
-        assert total == pytest.approx(expected)
+        assert total == pytest.approx(scipy_optimum(matrix))
+
+    @needs_scipy
+    def test_matches_scipy_on_the_ablation_instance(self):
+        """The 80x80 instance of ablation A1 (``bench_paper.py``)."""
+        rng = random.Random(5)
+        matrix = [[rng.uniform(0, 10) for _ in range(80)] for _ in range(80)]
+        total, _ = solve_assignment(matrix)
+        assert total == pytest.approx(scipy_optimum(matrix))
 
 
 class TestMatchChildren:

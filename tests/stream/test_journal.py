@@ -10,11 +10,14 @@ the corpus.
 
 from __future__ import annotations
 
+import builtins
 import json
+import os
 import shutil
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -23,6 +26,8 @@ from _fixture import SPEC_NAME, VARIED, build_corpus
 from repro.config import ReproConfig
 from repro.errors import StreamProtocolError
 from repro.interchange.prov_json import parse_prov_json
+from repro.obs.promcheck import parse_exposition
+from repro.service.server import DiffServer
 from repro.stream import journal as journal_module
 from repro.stream.events import (
     ActivityEvent,
@@ -250,6 +255,45 @@ def test_every_hub_lists_every_open_session(copies):
         .splitlines()[0]
     )
     assert payload["open"]["kind"] == "run_open"
+
+
+def test_a_scrape_counts_open_journals_without_reading_them(
+    copies, monkeypatch
+):
+    """``stream_open_sessions`` in /stats and /metrics comes from the
+    journals' names: a scrape opens none of 50 idle sessions' files."""
+    store, _ = copies
+    hub = _hub(store)
+    for index in range(50):
+        hub.apply(
+            RunOpen(
+                session=f"idle{index}", spec_name=SPEC_NAME,
+                run_name=f"i{index}",
+            )
+        )
+    journals = []
+
+    def spy(real):
+        def opener(path, *args, **kwargs):
+            if str(path).endswith(".ndjson"):
+                journals.append(path)
+            return real(path, *args, **kwargs)
+
+        return opener
+
+    config = ReproConfig(backend="serial", log_format="off")
+    with DiffServer(store, config) as server:
+        monkeypatch.setattr(builtins, "open", spy(builtins.open))
+        monkeypatch.setattr(os, "open", spy(os.open))
+        with urllib.request.urlopen(f"{server.url}/stats") as response:
+            stats = json.loads(response.read())
+        with urllib.request.urlopen(f"{server.url}/metrics") as response:
+            metrics = parse_exposition(response.read().decode("utf8"))
+    assert stats["counters"]["stream_open_sessions"] == 50
+    assert [
+        value for _, _, value in metrics["stream_open_sessions"]["samples"]
+    ] == [50.0]
+    assert journals == []
 
 
 def test_hubs_racing_on_one_session_apply_each_event_once(copies):
